@@ -28,7 +28,6 @@ from adaptik.spectral import (
 from adaptik.sieve import (
     Dataset,
     SieveBasis,
-    DesignMatrices,
     polynomial_basis,
     trigonometric_basis,
     piecewise_basis,
@@ -54,7 +53,6 @@ from adaptik.estimators import (
     trae_inner_max,
     trae_fit,
     trae_dual_fit,
-    loss_of,
 )
 from adaptik.discrepancy import (
     NoiseSchedule,

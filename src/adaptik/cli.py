@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -21,11 +22,12 @@ from adaptik.discrepancy import (
     run_dp,
 )
 from adaptik.dgp import NpivParams, ProxyNcParams, gen_npiv, gen_proxy_nc
-from adaptik.estimators import NumericalError, outcome_moment
-from adaptik.functional import DrPipelineConfig, adaptive_dr_pipeline
+from adaptik.estimators import NumericalError
+from adaptik.functional import adaptive_dr_pipeline
 from adaptik.harness import (
     ExperimentSpec,
     RunRecord,
+    dr_config,
     estimator_handle,
     fit_rate_by_strategy,
     prepare_cell,
@@ -69,9 +71,9 @@ def _build_parser() -> _Parser:
                    help="experiment config; without it the bundled spectral fixture runs")
     p.add_argument("--schedule", choices=sorted(_SCHEDULE_FLAG), default=None)
     p.add_argument("--cd", type=float, default=None)
-    p.add_argument("--lambda0", type=float, default=2.0)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--max-iters", type=int, default=20)
+    p.add_argument("--lambda0", type=float, default=None)
+    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("experiment", help="run a Monte Carlo sweep from a config file")
@@ -145,22 +147,14 @@ def _cmd_fit(args) -> int:
     n = spec.sizes[0]
     cell = prepare_cell(spec, n, rep=0)
     if spec.estimator == "dr":
-        config = DrPipelineConfig(
-            basis_h=cell.basis_x, basis_f=cell.basis_z,
-            basis_q=cell.basis_z, basis_s=cell.basis_x,
-            outcome_moment=outcome_moment(), target_moment=cell.target,
-            dp_primal=spec.dp_config(), dp_dual=spec.dp_config(),
-            split_plan=cell.split_plan,
-            fixed_lambda_primal=args.lam, fixed_lambda_dual=args.lam,
-        )
-        result = adaptive_dr_pipeline(cell.data, config)
+        result = adaptive_dr_pipeline(cell.data, dr_config(spec, cell, args.lam))
         record = result.estimate.to_record()
         record.update(lambda_primal=args.lam, lambda_dual=args.lam,
                       iterations=2, abs_error=abs(result.estimate.theta_hat
                                                   - cell.theta0))
     else:
         handle = estimator_handle(spec, cell)
-        fit = handle.fit(cell.fit_fold, args.lam)
+        fit = handle.system(cell.fit_fold).solve(args.lam)
         theta = float(cell.target.per_record(cell.eval_fold, cell.basis_x,
                                              "x", fit.coeffs).mean())
         record = fit.to_record()
@@ -170,40 +164,39 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _dp_config(args, base: DpConfig) -> DpConfig:
+    """base with the search flags that were given applied on top."""
+    schedule = NoiseSchedule(
+        _SCHEDULE_FLAG[args.schedule] if args.schedule else base.schedule.kind,
+        args.cd if args.cd is not None else base.schedule.c_d,
+    )
+    flags = {"lambda0": args.lambda0, "rho": args.rho, "max_iters": args.max_iters}
+    return dataclasses.replace(
+        base, schedule=schedule,
+        **{k: v for k, v in flags.items() if v is not None},
+    )
+
+
 def _cmd_dp(args) -> int:
     if args.config is None:
         fixture = resources.files("adaptik").joinpath("fixtures/single_mode.json")
         prob = load_problem(fixture)
-        obs = exact_observation(prob, delta=0.25)
-        fitter = SpectralResidualFitter(prob, obs)
-        schedule = NoiseSchedule(
-            _SCHEDULE_FLAG[args.schedule] if args.schedule else "fixed",
-            args.cd if args.cd is not None else 0.25,
-        )
-        config = DpConfig(schedule, args.lambda0, args.rho, args.max_iters)
+        fitter = SpectralResidualFitter(prob, exact_observation(prob, delta=0.25))
+        config = _dp_config(args, DpConfig(NoiseSchedule("fixed", 0.25)))
         outcome = run_dp(fitter, None, config)
     else:
+        # the flags tune the search only: the spec, and so the drawn
+        # data, stay exactly those of the config's experiment
         spec = _load_spec(args.config, args.seed)
-        doc = spec.to_dict()
-        if args.schedule:
-            doc["schedule_kind"] = _SCHEDULE_FLAG[args.schedule]
-        if args.cd is not None:
-            doc["cd"] = args.cd
-        doc.update(lambda0=args.lambda0, rho=args.rho, max_iters=args.max_iters,
-                   strategies=["dp"])
-        spec = ExperimentSpec.from_dict(doc)
-        outcome = _dp_outcome_for_spec(spec)
+        cell = prepare_cell(spec, spec.sizes[0], rep=0)
+        outcome = run_dp(estimator_handle(spec, cell), cell.fit_fold,
+                         _dp_config(args, spec.dp_config()))
     print(outcome.table())
     status = "converged" if outcome.converged else "not converged"
     print(f"selected lambda: {outcome.lambda_dp:.6g} ({status}, "
           f"{outcome.iterations} fits, bracket_ok={outcome.bracket_ok}, "
           f"certified={certify_bracket(outcome, outcome.delta)})")
     return 0
-
-
-def _dp_outcome_for_spec(spec: ExperimentSpec):
-    cell = prepare_cell(spec, spec.sizes[0], rep=0)
-    return run_dp(estimator_handle(spec, cell), cell.fit_fold, spec.dp_config())
 
 
 def _cmd_experiment(args) -> int:

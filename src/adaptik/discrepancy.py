@@ -1,10 +1,10 @@
 """Geometric lambda search driven by a noise-level schedule.
 
-The loop is estimator-agnostic: anything exposing fit(data, lam) ->
-FitResult can be tuned.  Starting from lambda0 the weight is shrunk by
-rho until the empirical loss drops to the configured noise level delta,
-recording the whole path.  A successful stop after at least one
-rejection certifies the two-sided bracket
+The loop is estimator-agnostic: it calls fitter.system(data) once and
+then system.solve(lam) -> FitResult along the path.  Starting from
+lambda0 the weight is shrunk by rho until the empirical loss drops to
+the configured noise level delta, recording the whole path.  A
+successful stop after at least one rejection certifies the bracket
 
     loss(lam) <= delta <= loss(lam_prev),   lam_prev = lam / rho,
 
@@ -142,19 +142,21 @@ class DpOutcome:
 def run_dp(fitter, data, config: DpConfig) -> DpOutcome:
     """Shrink lambda geometrically until the empirical loss reaches delta.
 
-    `fitter` must expose fit(data, lam) -> FitResult and be deterministic
-    given the data.  delta is evaluated at the size of the supplied
+    Solves must be deterministic given the data.  A failure building the
+    system propagates unchanged; a failed solve raises DpFitError with
+    its lambda.  delta is evaluated at the size of the supplied
     (estimation-fold) data; `data` may be None for fitters that carry
     their own observations, in which case only the fixed schedule works.
     """
     n = getattr(data, "n", None)
     delta = noise_level(config.schedule, n)
+    system = fitter.system(data)
     lam = float(config.lambda0)
     entries: list[tuple[float, FitResult]] = []
     converged = False
     for _ in range(config.max_iters):
         try:
-            fit = fitter.fit(data, lam)
+            fit = system.solve(lam)
         except Exception as exc:
             raise DpFitError(lam, str(exc)) from exc
         entries.append((lam, fit))
@@ -190,12 +192,16 @@ class SpectralResidualFitter:
 
     The reported loss is the observation-space residual ||T h_lam - r||,
     so the loop reproduces classical residual-based selection exactly.
+    The problem is already diagonal, so the fitter is its own system.
     """
 
     prob: SpectralProblem
     obs: NoisyObservation
 
-    def fit(self, data, lam: float) -> FitResult:
+    def system(self, data) -> "SpectralResidualFitter":
+        return self
+
+    def solve(self, lam: float) -> FitResult:
         sol = tikhonov_solve(self.prob, self.obs, lam)
         resid = residual_norm(self.prob, self.obs, sol)
         penalty = float(np.dot(sol.coeffs, sol.coeffs))

@@ -1,6 +1,6 @@
 """Data-driven regularized estimators over sieve classes.
 
-Two families, both closed form in the sieve coefficients:
+Two families, both quadratic in the sieve coefficients:
 
 RDIV (operator regression, then ridge).  Stage 1 regresses every
 X-basis function on the Z-basis, giving a matrix B with
@@ -21,18 +21,24 @@ g_j = E_n[m(W; phi_j)], B_jk = E_n[psi_k(X) phi_j(Z)], M the Z-Gram.
 The outer problem adds lam * c^T G_x c and stays quadratic in c.  The
 dual fit swaps the roles of X and Z and uses the target moment.
 
-Penalties are always empirical second moments.  Symmetric solves go
-through a Cholesky factorization and fall back to minimum-norm least
-squares on rank deficiency, matching the minimum-norm solution
-convention of the underlying inverse problem.
+Every estimator minimizes L(c) + lam c'G c with L(c) = const - 2 rhs'c
++ c'A c, where G is the empirical Gram of the hypothesis basis.  A
+TikhonovSystem factors this once per fold: it whitens by G and
+diagonalizes the whitened A into G-orthonormal V with V'A V = diag(mu).
+Each lambda is then the filter w = p / (mu + lam), p = V'rhs, giving
+coefficients V w, penalty sum w^2 and loss const - sum w^2 (mu + 2 lam).
+Directions with mu + lam <= sqrt(eps) * max(mu), and basis directions
+with G-eigenvalue <= sqrt(eps) times the largest, get weight 0, so
+lam = 0 gives the minimum-G-norm minimizer of L, whatever the sieve's
+parameterization.  K * eps would be too small a cutoff: rounding leaves
+null directions of A near 1e-13 * max(mu).  Other symmetric solves use
+Cholesky and raise NumericalError when it fails; nothing falls back.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -45,17 +51,16 @@ __all__ = [
     "MomentFunctional",
     "FitResult",
     "RegularizedPath",
+    "TikhonovSystem",
     "outcome_moment",
     "ate_moment",
     "mean_moment",
-    "custom_moment",
     "rdiv_stage1",
     "rdiv_fit",
     "rdiv_loss",
     "trae_inner_max",
     "trae_fit",
     "trae_dual_fit",
-    "loss_of",
     "RdivEstimator",
     "TraeEstimator",
     "TraeDualEstimator",
@@ -72,17 +77,14 @@ def _invertible(a: np.ndarray, cond_cap: float = 1e12) -> bool:
 
 
 def _solve_spd(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
-    """Solve a symmetric PSD system; fall back to minimum-norm lstsq."""
+    """Solve a symmetric positive definite system by Cholesky."""
     try:
         cf = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-        x = scipy.linalg.cho_solve(cf, b, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        warnings.warn(
-            f"{context}: rank-deficient system, using minimum-norm least squares",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        x = np.linalg.lstsq(a, b, rcond=None)[0]
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"{context}: system is not positive definite ({exc})"
+        ) from None
+    x = scipy.linalg.cho_solve(cf, b, check_finite=False)
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"{context}: solve produced non-finite values")
     return x
@@ -121,13 +123,10 @@ class MomentFunctional:
 
     kind: str
     treatment_col: int = 0
-    evaluator: Callable | None = None
 
     def __post_init__(self):
-        if self.kind not in ("outcome", "ate", "mean", "custom"):
+        if self.kind not in ("outcome", "ate", "mean"):
             raise ValueError(f"unknown moment kind {self.kind!r}")
-        if self.kind == "custom" and self.evaluator is None:
-            raise ValueError("custom moments need an evaluator")
 
     def matrix(self, data: Dataset, basis: SieveBasis, arg: str) -> np.ndarray:
         pts = _feature_block(data, arg)
@@ -140,9 +139,7 @@ class MomentFunctional:
             off = np.array(pts)
             off[:, t] = 0.0
             return basis.evaluate(on) - basis.evaluate(off)
-        if self.kind == "mean":
-            return basis.evaluate(pts)
-        return np.asarray(self.evaluator(data, basis, arg), dtype=np.float64)
+        return basis.evaluate(pts)
 
     def per_record(self, data: Dataset, basis: SieveBasis, arg: str,
                    coeffs: np.ndarray) -> np.ndarray:
@@ -170,11 +167,6 @@ def ate_moment(treatment_col: int = 0) -> MomentFunctional:
 def mean_moment() -> MomentFunctional:
     """m(W; h) = h(arg), whose expectation is the mean of h."""
     return MomentFunctional("mean")
-
-
-def custom_moment(evaluator: Callable) -> MomentFunctional:
-    """Arbitrary linear form given by (data, basis, arg) -> (n, K) matrix."""
-    return MomentFunctional("custom", evaluator=evaluator)
 
 
 @dataclass(frozen=True)
@@ -226,6 +218,56 @@ class RegularizedPath:
         return len(self.entries)
 
 
+# relative eigenvalue cutoff of TikhonovSystem (see the module docstring)
+_CUTOFF = math.sqrt(np.finfo(np.float64).eps)
+
+
+@dataclass(frozen=True)
+class TikhonovSystem:
+    """The quadratic L(c) + lam c'G c of one fold, factored once.
+
+    vecs holds the G-orthonormal eigenvectors V (K, r), mu the
+    eigenvalues of A relative to G and p = V'rhs; directions with
+    mu + lam <= floor get weight 0.  For TRAE, adversary holds
+    (M^{-1} g, M^{-1} B), whose difference at c is the inner maximizer.
+    """
+
+    vecs: np.ndarray
+    mu: np.ndarray
+    p: np.ndarray
+    const: float
+    floor: float
+    adversary: tuple | None = None
+
+    @classmethod
+    def factor(cls, a: np.ndarray, rhs: np.ndarray, const: float,
+               gram: np.ndarray, adversary: tuple | None = None) -> "TikhonovSystem":
+        """Whiten by gram, then diagonalize the whitened a."""
+        s, u = scipy.linalg.eigh(gram)
+        keep = s > _CUTOFF * s.max(initial=0.0)
+        white = u[:, keep] / np.sqrt(s[keep])
+        mu, q = scipy.linalg.eigh(white.T @ a @ white)
+        vecs = white @ q
+        floor = _CUTOFF * max(float(mu.max(initial=0.0)), 0.0)
+        return cls(vecs, mu, vecs.T @ rhs, float(const), floor, adversary)
+
+    def solve(self, lam: float) -> FitResult:
+        """The penalized minimizer at lam, in O(K r) after the factorization."""
+        if lam < 0.0:
+            raise ValueError("lam must be nonnegative")
+        denom = self.mu + lam
+        keep = denom > self.floor
+        w = np.zeros_like(self.p)
+        w[keep] = self.p[keep] / denom[keep]
+        coeffs = self.vecs @ w
+        loss = self.const - float(w**2 @ (self.mu + 2.0 * lam))
+        inner = None
+        if self.adversary is not None:
+            minv_g, minv_b = self.adversary
+            inner = minv_g - minv_b @ coeffs
+        return FitResult(coeffs, float(lam), loss, float(w @ w), inner)
+
+
 # -- RDIV ------------------------------------------------------------------------
 
 def rdiv_stage1(
@@ -261,26 +303,23 @@ def rdiv_stage1(
     return OperatorEstimate(b, gram_z, float(ridge_stage1), basis_x, basis_z)
 
 
+def _rdiv_system(data: Dataset, op: OperatorEstimate) -> TikhonovSystem:
+    psi = op.basis_x.evaluate(data.x)
+    a_mat = op.basis_z.evaluate(data.z) @ op.b  # (n, K): (T^ psi_k)(z_i)
+    return TikhonovSystem.factor(
+        empirical_gram(a_mat), a_mat.T @ data.y / data.n,
+        float(data.y @ data.y / data.n), empirical_gram(psi),
+    )
+
+
 def rdiv_fit(data: Dataset, op: OperatorEstimate, lam: float) -> FitResult:
     """Penalized least squares against the estimated operator.
 
     Minimizes (1/n)||y - Phi B c||^2 + lam c'G_x c.  lam = 0 is accepted
-    for the unregularized baseline; the solve then leans on the stage-1
-    ridge and the minimum-norm fallback.
+    for the unregularized baseline and gives the minimum-G_x-norm
+    least-squares fit.
     """
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-    psi = op.basis_x.evaluate(data.x)
-    phi = op.basis_z.evaluate(data.z)
-    gram_x = empirical_gram(psi)
-    a_mat = phi @ op.b  # (n, K): (T^ psi_k)(z_i)
-    h = empirical_gram(a_mat) + lam * gram_x
-    rhs = a_mat.T @ data.y / data.n
-    coeffs = _solve_spd(h, rhs, "rdiv fit")
-    resid = data.y - a_mat @ coeffs
-    loss = float(resid @ resid / data.n)
-    penalty = float(coeffs @ gram_x @ coeffs)
-    return FitResult(coeffs, float(lam), loss, max(penalty, 0.0))
+    return _rdiv_system(data, op).solve(lam)
 
 
 def rdiv_loss(data: Dataset, op: OperatorEstimate, coeffs: np.ndarray) -> float:
@@ -313,14 +352,6 @@ def _adversary_mats(
     return m, g, b, gram_hyp
 
 
-def _inner_max(m, g, b, coeffs, ridge_inner):
-    """Maximizer and value of the concave inner quadratic at fixed h-coeffs."""
-    v = g - b @ coeffs
-    mt = m + ridge_inner * np.eye(m.shape[0])
-    f = _solve_spd(mt, v, "trae inner max")
-    return f, float(v @ f)
-
-
 def trae_inner_max(
     data: Dataset,
     moment: MomentFunctional,
@@ -345,24 +376,29 @@ def trae_inner_max(
             "adversary Gram is singular with zero ridge "
             f"(condition estimate {np.linalg.cond(m):.3e})"
         )
-    return _inner_max(m, g, b, np.asarray(coeffs_h, dtype=np.float64), ridge_inner)
+    v = g - b @ np.asarray(coeffs_h, dtype=np.float64)
+    f = _solve_spd(m + ridge_inner * np.eye(m.shape[0]), v, "trae inner max")
+    return f, float(v @ f)
 
 
-def _adversarial_fit(m, g, b, gram_hyp, lam, ridge_inner) -> FitResult:
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+def _adversarial_system(
+    data: Dataset,
+    moment: MomentFunctional,
+    hyp_basis: SieveBasis,
+    adv_basis: SieveBasis,
+    hyp_arg: str,
+    adv_arg: str,
+    ridge_inner: float | None,
+) -> TikhonovSystem:
+    m, g, b, gram_hyp = _adversary_mats(data, moment, hyp_basis, adv_basis,
+                                        hyp_arg, adv_arg)
     if ridge_inner is None:
         ridge_inner = _default_inner_ridge(m)
-    mt = m + ridge_inner * np.eye(m.shape[0])
-    minv_b = _solve_spd(mt, b, "trae reduced system")
-    minv_g = _solve_spd(mt, g, "trae reduced system")
-    quad = b.T @ minv_b + lam * gram_hyp
-    quad = (quad + quad.T) / 2.0
-    rhs = b.T @ minv_g
-    coeffs = _solve_spd(quad, rhs, "trae fit")
-    f_hat, loss = _inner_max(m, g, b, coeffs, ridge_inner)
-    penalty = float(coeffs @ gram_hyp @ coeffs)
-    return FitResult(coeffs, float(lam), loss, max(penalty, 0.0), f_hat)
+    minv = _solve_spd(m + ridge_inner * np.eye(m.shape[0]),
+                      np.column_stack([g, b]), "trae system")
+    minv_g, minv_b = minv[:, 0], minv[:, 1:]
+    return TikhonovSystem.factor(b.T @ minv_b, b.T @ minv_g, float(g @ minv_g),
+                                 gram_hyp, (minv_g, minv_b))
 
 
 def trae_fit(
@@ -376,12 +412,11 @@ def trae_fit(
     """Adversarial Tikhonov fit of h over the X-sieve.
 
     Plugging the closed-form inner maximum into the outer problem gives
-    the convex quadratic (g - B c)' M^{-1} (g - B c) + lam c' G_x c whose
-    normal equations are solved directly; the stored empirical loss is
-    the inner-max value at the fitted coefficients.
+    the convex quadratic (g - B c)' M^{-1} (g - B c) + lam c' G_x c; the
+    stored empirical loss is the inner-max value at the fitted
+    coefficients.
     """
-    m, g, b, gram_hyp = _adversary_mats(data, moment, basis_h, basis_f, "x", "z")
-    return _adversarial_fit(m, g, b, gram_hyp, lam, ridge_inner)
+    return TraeEstimator(moment, basis_h, basis_f, ridge_inner).system(data).solve(lam)
 
 
 def trae_dual_fit(
@@ -397,16 +432,16 @@ def trae_dual_fit(
     Same structure as trae_fit with the roles of X and Z swapped and the
     target moment in place of the outcome moment.
     """
-    m, g, b, gram_hyp = _adversary_mats(data, moment, basis_q, basis_s, "z", "x")
-    return _adversarial_fit(m, g, b, gram_hyp, lam, ridge_inner)
+    return TraeDualEstimator(moment, basis_q, basis_s, ridge_inner).system(data).solve(lam)
 
 
 # -- uniform estimator handles ------------------------------------------------
+#
+# Each handle builds the TikhonovSystem of a fold; the DP loop factors
+# once per search and solves at every lambda of the grid.
 
 @dataclass(frozen=True)
 class RdivEstimator:
-    """fit(data, lam) handle for the DP loop; stage 1 is refit per call."""
-
     basis_x: SieveBasis
     basis_z: SieveBasis
     ridge_stage1: float | None = None
@@ -414,11 +449,8 @@ class RdivEstimator:
     def stage1(self, data: Dataset) -> OperatorEstimate:
         return rdiv_stage1(data, self.basis_x, self.basis_z, self.ridge_stage1)
 
-    def fit(self, data: Dataset, lam: float) -> FitResult:
-        return rdiv_fit(data, self.stage1(data), lam)
-
-    def loss(self, data: Dataset, coeffs: np.ndarray) -> float:
-        return rdiv_loss(data, self.stage1(data), coeffs)
+    def system(self, data: Dataset) -> TikhonovSystem:
+        return _rdiv_system(data, self.stage1(data))
 
 
 @dataclass(frozen=True)
@@ -428,14 +460,9 @@ class TraeEstimator:
     basis_f: SieveBasis
     ridge_inner: float | None = None
 
-    def fit(self, data: Dataset, lam: float) -> FitResult:
-        return trae_fit(data, self.moment, self.basis_h, self.basis_f, lam,
-                        self.ridge_inner)
-
-    def loss(self, data: Dataset, coeffs: np.ndarray) -> float:
-        _, value = trae_inner_max(data, self.moment, self.basis_h, self.basis_f,
-                                  coeffs, self.ridge_inner)
-        return value
+    def system(self, data: Dataset) -> TikhonovSystem:
+        return _adversarial_system(data, self.moment, self.basis_h, self.basis_f,
+                                   "x", "z", self.ridge_inner)
 
 
 @dataclass(frozen=True)
@@ -445,23 +472,6 @@ class TraeDualEstimator:
     basis_s: SieveBasis
     ridge_inner: float | None = None
 
-    def fit(self, data: Dataset, lam: float) -> FitResult:
-        return trae_dual_fit(data, self.moment, self.basis_q, self.basis_s, lam,
-                             self.ridge_inner)
-
-    def loss(self, data: Dataset, coeffs: np.ndarray) -> float:
-        m, g, b, _ = _adversary_mats(data, self.moment, self.basis_q, self.basis_s,
-                                     "z", "x")
-        ridge = self.ridge_inner if self.ridge_inner is not None else _default_inner_ridge(m)
-        _, value = _inner_max(m, g, b, np.asarray(coeffs, dtype=np.float64), ridge)
-        return value
-
-
-def loss_of(estimator, data: Dataset, coeffs: np.ndarray) -> float:
-    """Uniform loss accessor so the DP loop stays estimator-agnostic.
-
-    At the fitted coefficients this reproduces FitResult.empirical_loss.
-    """
-    if isinstance(estimator, (RdivEstimator, TraeEstimator, TraeDualEstimator)):
-        return estimator.loss(data, coeffs)
-    raise TypeError(f"unknown estimator kind: {type(estimator).__name__}")
+    def system(self, data: Dataset) -> TikhonovSystem:
+        return _adversarial_system(data, self.moment, self.basis_q, self.basis_s,
+                                   "z", "x", self.ridge_inner)

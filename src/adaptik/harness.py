@@ -45,6 +45,7 @@ __all__ = [
     "RateFit",
     "prepare_cell",
     "estimator_handle",
+    "dr_config",
     "run_experiment",
     "fit_rate",
     "fit_rate_by_strategy",
@@ -127,7 +128,8 @@ class ExperimentSpec:
         return cls(**doc)
 
     def spec_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
+        """Hash of everything but the output path, which draws no data."""
+        canon = json.dumps({**self.to_dict(), "out": None}, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def schedule(self) -> NoiseSchedule:
@@ -153,7 +155,7 @@ def _make_dgp(spec: ExperimentSpec):
     return lambda n, rng: gen_npiv(params, n, rng)
 
 
-def _proxy_bases(fit_fold, d_w: int):
+def _proxy_bases(fit_fold):
     # cube terms invert the observation transform, so the latent-linear
     # bridge and conditional means are spanned per coordinate; squares on
     # the instrument side would only inflate the adversary dimension
@@ -195,8 +197,7 @@ def prepare_cell(spec: ExperimentSpec, n: int, rep: int) -> CellSetup:
     fit_fold, eval_fold = split(data, plan)
     if spec.dgp == "proxy_nc":
         target = ate_moment(treatment_col=0)
-        d_w = ProxyNcParams.default(**spec.dgp_params).d_w
-        bx, bz = _proxy_bases(fit_fold, d_w)
+        bx, bz = _proxy_bases(fit_fold)
     else:
         target = mean_moment()
         bx = bz = truth.basis
@@ -210,6 +211,19 @@ def estimator_handle(spec: ExperimentSpec, cell: CellSetup):
     return TraeEstimator(outcome_moment(), cell.basis_x, cell.basis_z)
 
 
+def dr_config(spec: ExperimentSpec, cell: CellSetup,
+              fixed_lambda: float | None) -> DrPipelineConfig:
+    """The cell's DR pipeline; fixed_lambda None tunes both sides by DP."""
+    return DrPipelineConfig(
+        basis_h=cell.basis_x, basis_f=cell.basis_z,
+        basis_q=cell.basis_z, basis_s=cell.basis_x,
+        outcome_moment=outcome_moment(), target_moment=cell.target,
+        dp_primal=spec.dp_config(), dp_dual=spec.dp_config(),
+        split_plan=cell.split_plan,
+        fixed_lambda_primal=fixed_lambda, fixed_lambda_dual=fixed_lambda,
+    )
+
+
 def _run_cell(spec: ExperimentSpec, n: int, strat_idx: int, rep: int) -> dict:
     strategy = spec.strategies[strat_idx]
     start = time.perf_counter()
@@ -220,15 +234,7 @@ def _run_cell(spec: ExperimentSpec, n: int, strat_idx: int, rep: int) -> dict:
 
     if spec.estimator == "dr":
         fixed = None if strategy == "dp" else strategy
-        config = DrPipelineConfig(
-            basis_h=cell.basis_x, basis_f=cell.basis_z,
-            basis_q=cell.basis_z, basis_s=cell.basis_x,
-            outcome_moment=outcome_moment(), target_moment=cell.target,
-            dp_primal=spec.dp_config(), dp_dual=spec.dp_config(),
-            split_plan=cell.split_plan,
-            fixed_lambda_primal=fixed, fixed_lambda_dual=fixed,
-        )
-        result = adaptive_dr_pipeline(cell.data, config)
+        result = adaptive_dr_pipeline(cell.data, dr_config(spec, cell, fixed))
         theta_hat = result.estimate.theta_hat
         h_coeffs = result.h_fit.coeffs
         if strategy == "dp":
@@ -244,7 +250,7 @@ def _run_cell(spec: ExperimentSpec, n: int, strat_idx: int, rep: int) -> dict:
             lam_dp = outcome.lambda_dp
             iters = outcome.iterations
         else:
-            fit = handle.fit(cell.fit_fold, float(strategy))
+            fit = handle.system(cell.fit_fold).solve(float(strategy))
             lam_dp = float(strategy)
         h_coeffs = fit.coeffs
         theta_hat = float(

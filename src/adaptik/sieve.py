@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "SieveBasis",
-    "DesignMatrices",
     "Dataset",
     "polynomial_basis",
     "trigonometric_basis",
@@ -280,26 +279,6 @@ class Dataset:
         if self.w_extra is not None:
             extras = {k: v[idx] for k, v in self.w_extra.items()}
         return Dataset(self.x[idx], self.z[idx], self.y[idx], extras)
-
-
-@dataclass(frozen=True)
-class DesignMatrices:
-    """Basis evaluations at the X and Z features plus the outcome vector."""
-
-    psi: np.ndarray  # (n, K)
-    phi: np.ndarray  # (n, J)
-    y: np.ndarray    # (n,)
-
-    def __post_init__(self):
-        if not (self.psi.shape[0] == self.phi.shape[0] == self.y.shape[0]):
-            raise ValueError("design matrices must share a row count")
-        for name, arr in (("psi", self.psi), ("phi", self.phi), ("y", self.y)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-
-
-def build_design(data: Dataset, basis_x: SieveBasis, basis_z: SieveBasis) -> DesignMatrices:
-    return DesignMatrices(basis_x.evaluate(data.x), basis_z.evaluate(data.z), data.y)
 
 
 def empirical_gram(m: np.ndarray) -> np.ndarray:

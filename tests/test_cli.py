@@ -1,6 +1,7 @@
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import adaptik
 from adaptik.cli import main
-from adaptik.harness import RunRecord
+from adaptik.harness import ExperimentSpec, RunRecord, run_experiment
 from adaptik.sieve import load_dataset_csv
 
 
@@ -65,6 +66,24 @@ class TestDpCommand:
         assert main(["dp", "--config", write_config(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "selected lambda" in out
+
+    def test_config_search_is_the_experiment_dp_row(self, tmp_path, capsys):
+        # without flags, dp --config runs the search of the config's own
+        # experiment: its data, lambda0, rho and max_iters
+        config = write_config(tmp_path, lambda0=1.0, rho=0.7, max_iters=6,
+                              reps=1)
+        assert main(["dp", "--config", config]) == 0
+        out = capsys.readouterr().out
+        match = re.search(r"selected lambda: (\S+) \((?:not )?converged, "
+                          r"(\d+) fits", out)
+        spec = ExperimentSpec.from_dict(json.loads(Path(config).read_text()))
+        row = next(r for r in run_experiment(spec).rows
+                   if r["strategy"] == "dp" and r["n"] == spec.sizes[0]
+                   and r["rep"] == 0)
+        assert float(match.group(1)) == pytest.approx(row["lambda_dp"], rel=1e-5)
+        assert int(match.group(2)) == row["iters"]
+        first_lambda = float(out.splitlines()[1].split()[1])
+        assert first_lambda == 1.0
 
 
 class TestGenerate:

@@ -92,7 +92,10 @@ class TestRunDp:
 
     def test_fitter_failure_carries_lambda(self):
         class Broken:
-            def fit(self, data, lam):
+            def system(self, data):
+                return self
+
+            def solve(self, lam):
                 if lam < 1.0:
                     raise RuntimeError("boom")
                 return FitResult(np.zeros(1), lam, 1.0, 0.0)

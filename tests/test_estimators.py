@@ -10,7 +10,6 @@ from adaptik.estimators import (
     TraeDualEstimator,
     TraeEstimator,
     ate_moment,
-    loss_of,
     mean_moment,
     outcome_moment,
     rdiv_fit,
@@ -256,36 +255,36 @@ class TestTraeFit:
         np.testing.assert_allclose(fit.coeffs, 0.0, atol=1e-10)
 
 
-class TestLossOf:
-    def test_consistency_at_fitted_coefficients(self):
+class TestClosedFormLoss:
+    def test_matches_direct_evaluators_at_fitted_coefficients(self):
+        # the system's loss const - sum w^2 (mu + 2 lam) against the direct
+        # residual and inner-maximum evaluations, relative to the larger of
+        # the direct value and the loss at c = 0
         rng = np.random.default_rng(18)
-        data = small_data(rng, n=16)
-        bx, bz = polynomial_basis(1, 1), polynomial_basis(1, 1)
-        rdiv = RdivEstimator(bx, bz)
-        fit = rdiv.fit(data, 0.4)
-        assert loss_of(rdiv, data, fit.coeffs) == fit.empirical_loss
-        trae = TraeEstimator(outcome_moment(), bx, bz)
-        tfit = trae.fit(data, 0.4)
-        assert loss_of(trae, data, tfit.coeffs) == tfit.empirical_loss
-        dual = TraeDualEstimator(outcome_moment(), bz, bx)
-        dfit = dual.fit(data, 0.4)
-        assert loss_of(dual, data, dfit.coeffs) == dfit.empirical_loss
-
-    def test_cross_check_on_random_coefficients(self):
-        rng = np.random.default_rng(19)
-        data = small_data(rng, n=10)
-        bx, bz = polynomial_basis(1, 1), polynomial_basis(1, 1)
-        c = rng.normal(size=2)
-        rdiv = RdivEstimator(bx, bz)
-        direct = rdiv_loss(data, rdiv.stage1(data), c)
-        assert loss_of(rdiv, data, c) == pytest.approx(direct, rel=1e-14)
-        trae = TraeEstimator(outcome_moment(), bx, bz)
-        _, inner = trae_inner_max(data, outcome_moment(), bx, bz, c)
-        assert loss_of(trae, data, c) == pytest.approx(inner, rel=1e-14)
-
-    def test_unknown_kind(self):
-        with pytest.raises(TypeError, match="unknown estimator"):
-            loss_of(object(), None, None)
+        bx, bz = polynomial_basis(1, 2), polynomial_basis(1, 1)
+        for lam in (0.0, 1e-3, 0.4):
+            data = small_data(rng, n=16)
+            swapped = Dataset(data.z, data.x, data.y)
+            rdiv = RdivEstimator(bx, bz)
+            op = rdiv.stage1(data)
+            fit = rdiv.system(data).solve(lam)
+            direct = rdiv_loss(data, op, fit.coeffs)
+            scale = max(direct, rdiv_loss(data, op, np.zeros(3)))
+            assert abs(fit.empirical_loss - direct) <= 1e-12 * scale
+            # the dual's inner maximum is the primal one on the records with
+            # X and Z swapped
+            for est, records, moment, bh, bf in (
+                (TraeEstimator(outcome_moment(), bx, bz), data,
+                 outcome_moment(), bx, bz),
+                (TraeDualEstimator(mean_moment(), bz, bx), swapped,
+                 mean_moment(), bz, bx),
+            ):
+                fit = est.system(data).solve(lam)
+                _, direct = trae_inner_max(records, moment, bh, bf, fit.coeffs)
+                _, at_zero = trae_inner_max(records, moment, bh, bf,
+                                            np.zeros(bh.n_funcs))
+                scale = max(direct, at_zero)
+                assert abs(fit.empirical_loss - direct) <= 1e-12 * scale
 
 
 class TestProperties:
@@ -295,15 +294,18 @@ class TestProperties:
         bx, bz = polynomial_basis(1, 2), polynomial_basis(1, 2)
         gram_x = empirical_gram(bx.evaluate(data.x))
         lam = 0.15
-        for est in (RdivEstimator(bx, bz),
-                    TraeEstimator(outcome_moment(), bx, bz)):
-            fit = est.fit(data, lam)
-            base = loss_of(est, data, fit.coeffs) + lam * float(
-                fit.coeffs @ gram_x @ fit.coeffs
-            )
+        rdiv = RdivEstimator(bx, bz)
+        op = rdiv.stage1(data)
+        trae = TraeEstimator(outcome_moment(), bx, bz)
+        for est, loss in (
+            (rdiv, lambda c: rdiv_loss(data, op, c)),
+            (trae, lambda c: trae_inner_max(data, outcome_moment(), bx, bz, c)[1]),
+        ):
+            fit = est.system(data).solve(lam)
+            base = loss(fit.coeffs) + lam * float(fit.coeffs @ gram_x @ fit.coeffs)
             for _ in range(20):
                 c = fit.coeffs + rng.normal(scale=0.3, size=fit.coeffs.size)
-                obj = loss_of(est, data, c) + lam * float(c @ gram_x @ c)
+                obj = loss(c) + lam * float(c @ gram_x @ c)
                 assert obj >= base - 1e-9
 
     def test_inner_value_equals_projected_residual_norm(self):

@@ -34,6 +34,14 @@ class TestExperimentSpec:
         assert back == spec
         assert back.spec_hash() == spec.spec_hash()
 
+    def test_hash_ignores_the_output_path(self):
+        # the output path draws no data: specs that differ only in it
+        # share a hash, and a spec without one keeps its earlier hash
+        assert ExperimentSpec().spec_hash() == "7814eb39849efb7f"
+        assert ExperimentSpec(out="a/b").spec_hash() == "7814eb39849efb7f"
+        assert tiny_spec(out="x").spec_hash() == tiny_spec().spec_hash()
+        assert tiny_spec(seed=6).spec_hash() != tiny_spec().spec_hash()
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentSpec.from_dict({"bogus": 1})

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from adaptik.sieve import (
     Dataset,
     additive_basis,
-    build_design,
     custom_basis,
     empirical_gram,
     empirical_norm,
@@ -147,11 +146,6 @@ class TestDataset:
         sub = data.take([2, 0])
         assert sub.w_extra["t"].tolist() == [3.0, 1.0]
         assert sub.x[0].tolist() == [4.0, 5.0]
-
-    def test_design_matrices(self):
-        data = Dataset(np.zeros((4, 1)), np.ones((4, 1)), np.ones(4))
-        design = build_design(data, polynomial_basis(1, 1), polynomial_basis(1, 1))
-        assert design.psi.shape == (4, 2) and design.phi.shape == (4, 2)
 
 
 class TestCsvRoundTrip:
