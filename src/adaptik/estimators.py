@@ -251,6 +251,10 @@ class TikhonovSystem:
         floor = _CUTOFF * max(float(mu.max(initial=0.0)), 0.0)
         return cls(vecs, mu, vecs.T @ rhs, float(const), floor, adversary)
 
+    def system(self, data) -> "TikhonovSystem":
+        """A factored system is its own fitter, so run_dp accepts it."""
+        return self
+
     def solve(self, lam: float) -> FitResult:
         """The penalized minimizer at lam, in O(K r) after the factorization."""
         if lam < 0.0:
@@ -284,10 +288,14 @@ def rdiv_stage1(
     mean Gram eigenvalue is used; an explicit 0 demands a nonsingular
     Gram and raises with a condition estimate otherwise.
     """
-    psi = basis_x.evaluate(data.x)
-    phi = basis_z.evaluate(data.z)
+    return _stage1(basis_x.evaluate(data.x), basis_z.evaluate(data.z),
+                   basis_x, basis_z, ridge_stage1)
+
+
+def _stage1(psi: np.ndarray, phi: np.ndarray, basis_x: SieveBasis,
+            basis_z: SieveBasis, ridge_stage1: float | None) -> OperatorEstimate:
     gram_z = empirical_gram(phi)
-    cross = phi.T @ psi / data.n
+    cross = phi.T @ psi / psi.shape[0]
     j = gram_z.shape[0]
     if ridge_stage1 is None:
         ridge_stage1 = 1e-6 * float(np.trace(gram_z)) / j
@@ -303,9 +311,10 @@ def rdiv_stage1(
     return OperatorEstimate(b, gram_z, float(ridge_stage1), basis_x, basis_z)
 
 
-def _rdiv_system(data: Dataset, op: OperatorEstimate) -> TikhonovSystem:
-    psi = op.basis_x.evaluate(data.x)
-    a_mat = op.basis_z.evaluate(data.z) @ op.b  # (n, K): (T^ psi_k)(z_i)
+def _rdiv_system(data: Dataset, op: OperatorEstimate, psi: np.ndarray,
+                 phi: np.ndarray) -> TikhonovSystem:
+    """The stage-2 system, given psi = Psi(x) and phi = Phi(z) of data."""
+    a_mat = phi @ op.b  # (n, K): (T^ psi_k)(z_i)
     return TikhonovSystem.factor(
         empirical_gram(a_mat), a_mat.T @ data.y / data.n,
         float(data.y @ data.y / data.n), empirical_gram(psi),
@@ -319,7 +328,8 @@ def rdiv_fit(data: Dataset, op: OperatorEstimate, lam: float) -> FitResult:
     for the unregularized baseline and gives the minimum-G_x-norm
     least-squares fit.
     """
-    return _rdiv_system(data, op).solve(lam)
+    return _rdiv_system(data, op, op.basis_x.evaluate(data.x),
+                        op.basis_z.evaluate(data.z)).solve(lam)
 
 
 def rdiv_loss(data: Dataset, op: OperatorEstimate, coeffs: np.ndarray) -> float:
@@ -450,7 +460,10 @@ class RdivEstimator:
         return rdiv_stage1(data, self.basis_x, self.basis_z, self.ridge_stage1)
 
     def system(self, data: Dataset) -> TikhonovSystem:
-        return _rdiv_system(data, self.stage1(data))
+        psi = self.basis_x.evaluate(data.x)
+        phi = self.basis_z.evaluate(data.z)
+        op = _stage1(psi, phi, self.basis_x, self.basis_z, self.ridge_stage1)
+        return _rdiv_system(data, op, psi, phi)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from adaptik.discrepancy import DpConfig, DpOutcome, run_dp
 from adaptik.estimators import (
@@ -125,7 +125,7 @@ def dr_estimate(
     rho = mh + mq - cross
     theta = float(rho.mean())
     se = float(rho.std(ddof=1) / math.sqrt(n))
-    zcrit = float(norm.ppf(0.5 + level / 2.0))
+    zcrit = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
     return FunctionalEstimate(
         theta_hat=theta,
         se=se,

@@ -1,29 +1,40 @@
 """Configuration-driven Monte Carlo experiment runner.
 
 A spec names a data-generating process, an estimator pipeline and a set
-of lambda strategies, sample sizes and repetitions.  Every cell
-(n, strategy, rep) owns an independent random stream derived from the
-spec hash and the cell coordinates, so runs are reproducible cell by
-cell and embarrassingly parallel with order-independent output.
+of lambda strategies, sample sizes and repetitions.  The unit of work
+is the (n, rep): it owns an independent random stream derived from the
+spec hash and (n, rep), draws and splits its data and builds its bases
+once, and every lambda strategy is fitted on that same draw (for
+rdiv/trae, from one factored system).  Runs are therefore reproducible
+rep by rep and embarrassingly parallel with order-independent output.
+Sweeps run on one BLAS thread per process; parallelism comes from
+worker processes.
 
-Raw rows go to a CSV with fixed columns
+Raw rows, one per (n, strategy, rep), go to a CSV with fixed columns
     n, strategy, rep, abs_error, strong_sq, weak_sq, lambda_dp, iters, wall_ms
 (floats in shortest round-trip form, so reruns are byte-identical up to
-the wall_ms column); aggregates go to a JSON summary.
+the wall_ms column); aggregates go to a JSON summary.  wall_ms is the
+rep's shared set-up (draw, split, bases, factorization) plus the
+strategy's own fit time, so rows of one rep share the set-up share; as
+a timing it stays out of every determinism comparison.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from adaptik.discrepancy import DpConfig, NoiseSchedule, run_dp
 from adaptik.dgp import NpivParams, ProxyNcParams, gen_npiv, gen_proxy_nc
@@ -224,71 +235,154 @@ def dr_config(spec: ExperimentSpec, cell: CellSetup,
     )
 
 
-def _run_cell(spec: ExperimentSpec, n: int, strat_idx: int, rep: int) -> dict:
-    strategy = spec.strategies[strat_idx]
+def _run_rep(payload) -> list:
+    """One row per strategy of the (n, rep), in strategy order.
+
+    The draw, split, bases and (for rdiv/trae) the factored system and
+    the target moment matrix on the eval fold are built once and shared
+    by every strategy.  A failure there fails every row of the rep; a
+    failure in one strategy fails only its row.
+    """
+    spec_doc, n, rep = payload
+    spec = ExperimentSpec.from_dict(spec_doc)
     start = time.perf_counter()
-    cell = prepare_cell(spec, n, rep)
+    try:
+        cell = prepare_cell(spec, n, rep)
+        shared = None if spec.estimator == "dr" else (
+            estimator_handle(spec, cell).system(cell.fit_fold),
+            cell.target.matrix(cell.eval_fold, cell.basis_x, "x"),
+        )
+    except Exception as exc:  # per-rep failures must not kill the sweep
+        return [_error_row(n, s, rep, exc) for s in spec.strategies]
+    shared_s = time.perf_counter() - start
 
-    lam_dp = math.nan
-    iters = 1
+    rows = []
+    for strategy in spec.strategies:
+        t0 = time.perf_counter()
+        try:
+            theta_hat, h_coeffs, lam_dp, iters = _fit_strategy(
+                spec, cell, shared, strategy)
+            strong_sq = weak_sq = math.nan
+            if spec.dgp == "npiv":
+                strong_sq = cell.truth.strong_sq(h_coeffs)
+                weak_sq = cell.truth.weak_sq(h_coeffs)
+        except Exception as exc:  # per-cell failures must not kill the sweep
+            rows.append(_error_row(n, strategy, rep, exc))
+            continue
+        rows.append({
+            "n": n,
+            "strategy": strategy_label(strategy),
+            "rep": rep,
+            "abs_error": abs(theta_hat - cell.theta0),
+            "strong_sq": strong_sq,
+            "weak_sq": weak_sq,
+            "lambda_dp": lam_dp,
+            "iters": iters,
+            "wall_ms": (shared_s + time.perf_counter() - t0) * 1e3,
+        })
+    return rows
 
+
+def _fit_strategy(spec: ExperimentSpec, cell: CellSetup, shared, strategy):
+    """(theta_hat, h coefficients, lambda, iterations) of one strategy."""
     if spec.estimator == "dr":
         fixed = None if strategy == "dp" else strategy
         result = adaptive_dr_pipeline(cell.data, dr_config(spec, cell, fixed))
-        theta_hat = result.estimate.theta_hat
-        h_coeffs = result.h_fit.coeffs
         if strategy == "dp":
-            lam_dp = result.dp_primal.lambda_dp
+            lam = result.dp_primal.lambda_dp
             iters = result.dp_primal.iterations + result.dp_dual.iterations
         else:
-            lam_dp = float(strategy)
+            lam, iters = strategy, 1
+        return result.estimate.theta_hat, result.h_fit.coeffs, lam, iters
+    system, target = shared
+    if strategy == "dp":
+        outcome = run_dp(system, cell.fit_fold, spec.dp_config())
+        fit, lam, iters = outcome.fit, outcome.lambda_dp, outcome.iterations
     else:
-        handle = estimator_handle(spec, cell)
-        if strategy == "dp":
-            outcome = run_dp(handle, cell.fit_fold, spec.dp_config())
-            fit = outcome.fit
-            lam_dp = outcome.lambda_dp
-            iters = outcome.iterations
-        else:
-            fit = handle.system(cell.fit_fold).solve(float(strategy))
-            lam_dp = float(strategy)
-        h_coeffs = fit.coeffs
-        theta_hat = float(
-            cell.target.per_record(cell.eval_fold, cell.basis_x, "x",
-                                   fit.coeffs).mean()
-        )
+        fit, lam, iters = system.solve(strategy), strategy, 1
+    return float((target @ fit.coeffs).mean()), fit.coeffs, lam, iters
 
-    strong_sq = weak_sq = math.nan
-    if spec.dgp == "npiv":
-        strong_sq = cell.truth.strong_sq(h_coeffs)
-        weak_sq = cell.truth.weak_sq(h_coeffs)
 
-    wall_ms = (time.perf_counter() - start) * 1e3
+def _error_row(n: int, strategy, rep: int, exc: Exception) -> dict:
     return {
         "n": n,
         "strategy": strategy_label(strategy),
         "rep": rep,
-        "abs_error": abs(theta_hat - cell.theta0),
-        "strong_sq": strong_sq,
-        "weak_sq": weak_sq,
-        "lambda_dp": lam_dp,
-        "iters": iters,
-        "wall_ms": wall_ms,
+        "error": f"{type(exc).__name__}: {exc}",
     }
 
 
-def _cell_worker(payload) -> dict:
-    spec_doc, n, strat_idx, rep = payload
-    spec = ExperimentSpec.from_dict(spec_doc)
+# -- BLAS threads ---------------------------------------------------------------
+#
+# Sweep matrices are K <= ~70, so threaded BLAS only adds synchronization;
+# parallelism comes from worker processes.  numpy and scipy wheels each
+# ship their own OpenBLAS, and both are pinned.
+#
+# A fork takes down OpenBLAS's thread pool in parent and child alike, and
+# the next set-count call starts a new one whose idle threads spin for
+# ~0.1 s.  So every count change here stops the pool again
+# (`blas_thread_shutdown_`, the library's own fork handler); OpenBLAS
+# restarts it at its next multi-threaded call.  Without this, restoring
+# the counts after a process pool left two spinning threads in the
+# caller, which took CPU from whatever ran next.
+
+_OPENBLAS_THREAD_CALLS = (
+    # (get, set): numpy's 64-bit-integer build, then scipy's
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_calls() -> list:
+    """(get, set) thread-count calls of every OpenBLAS numpy and scipy loaded.
+
+    `set` leaves the library without a running thread pool.
+    """
+    calls = []
+    for pkg in (np, scipy):
+        root = Path(pkg.__file__).parent
+        for lib_dir in (root.parent / f"{pkg.__name__}.libs", root / ".dylibs"):
+            for path in sorted(lib_dir.glob("*openblas*")):
+                try:  # RTLD_NOLOAD: a handle only if the library is mapped
+                    lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                except OSError:
+                    continue
+                for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+                    if hasattr(lib, get_name) and hasattr(lib, set_name):
+                        get, put = getattr(lib, get_name), getattr(lib, set_name)
+                        get.argtypes, get.restype = [], ctypes.c_int
+                        put.argtypes, put.restype = [ctypes.c_int], None
+                        stop = getattr(lib, "blas_thread_shutdown_", None)
+                        calls.append((get, _set_and_stop(put, stop)))
+    return calls
+
+
+def _set_and_stop(put, stop):
+    def set_count(count: int) -> None:
+        put(count)
+        if stop is not None:
+            stop()
+    return set_count
+
+
+def _pin_one_blas_thread() -> None:
+    # a forked worker inherits the count and needs no call
+    for get, put in _openblas_thread_calls():
+        if get() != 1:
+            put(1)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread; restore the counts on exit."""
+    saved = [(get, put, get()) for get, put in _openblas_thread_calls()]
+    _pin_one_blas_thread()
     try:
-        return _run_cell(spec, n, strat_idx, rep)
-    except Exception as exc:  # per-cell failures must not kill the sweep
-        return {
-            "n": n,
-            "strategy": strategy_label(spec.strategies[strat_idx]),
-            "rep": rep,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        yield
+    finally:
+        for get, put, count in saved:
+            if get() != count:
+                put(count)
 
 
 @dataclass
@@ -380,20 +474,25 @@ def _format_cell(value) -> str:
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunRecord:
-    """Run every (n, strategy, rep) cell; failures are recorded, not raised."""
-    cells = [
-        (n, si, rep)
-        for n in spec.sizes
+    """Run every (n, rep) on one BLAS thread; failures are recorded, not raised.
+
+    Rows and failures come back in (n, strategy, rep) order.
+    """
+    spec_doc = spec.to_dict()
+    payloads = [(spec_doc, n, rep) for n in spec.sizes for rep in range(spec.reps)]
+    with _one_blas_thread():
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs,
+                                     initializer=_pin_one_blas_thread) as pool:
+                by_rep = list(pool.map(_run_rep, payloads))
+        else:
+            by_rep = [_run_rep(p) for p in payloads]
+    results = [
+        by_rep[i * spec.reps + rep][si]
+        for i in range(len(spec.sizes))
         for si in range(len(spec.strategies))
         for rep in range(spec.reps)
     ]
-    spec_doc = spec.to_dict()
-    payloads = [(spec_doc, n, si, rep) for n, si, rep in cells]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, payloads, chunksize=4))
-    else:
-        results = [_cell_worker(p) for p in payloads]
     rows = [r for r in results if "error" not in r]
     failures = [r for r in results if "error" in r]
     return RunRecord(spec.spec_hash(), rows, failures)

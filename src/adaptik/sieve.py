@@ -126,19 +126,32 @@ def _raw_eval(basis: SieveBasis, pts: np.ndarray) -> np.ndarray:
 
 
 def _additive_eval(spec: tuple, pts: np.ndarray) -> np.ndarray:
+    # powers by repeated multiplication: a float power costs ~40x more
     powers, treat_col, interact_cols = spec
     m, d = pts.shape
-    cols = [np.ones(m)]
+    coords = np.ascontiguousarray(pts.T)
+    n_plain = d - (treat_col is not None)
+    out = np.empty((m, 1 + (treat_col is not None) + n_plain * len(powers)
+                    + len(interact_cols)))
+    out[:, 0] = 1.0
+    k = 1
     if treat_col is not None:
-        cols.append(pts[:, treat_col])
+        out[:, k] = coords[treat_col]
+        k += 1
+    pw = np.empty((max(powers), m))  # pw[e - 1] = x ** e
     for j in range(d):
         if j == treat_col:
             continue
+        pw[0] = coords[j]
+        for e in range(1, len(pw)):
+            np.multiply(pw[e - 1], coords[j], out=pw[e])
         for e in powers:
-            cols.append(pts[:, j] ** e)
+            out[:, k] = pw[e - 1]
+            k += 1
     for j in interact_cols:
-        cols.append(pts[:, treat_col] * pts[:, j])
-    return np.column_stack(cols)
+        np.multiply(coords[treat_col], coords[j], out=out[:, k])
+        k += 1
+    return out
 
 
 def polynomial_basis(input_dim: int, degree: int) -> SieveBasis:

@@ -1,8 +1,13 @@
+import ctypes
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adaptik import harness
+from adaptik.estimators import TikhonovSystem
 from adaptik.harness import (
     ExperimentSpec,
     RunRecord,
@@ -155,6 +160,148 @@ class TestRunExperiment:
         text = report_text(record)
         for label in ("dp", "fixed_0.0", "fixed_0.01"):
             assert label in text
+
+
+def _cell_ids(rows):
+    return [(r["n"], r["strategy"], r["rep"]) for r in rows]
+
+
+class TestPerRepContract:
+    """One task per (n, rep): shared set-up, per-strategy rows."""
+
+    def test_failed_solve_fails_only_its_row(self, monkeypatch):
+        spec = tiny_spec()
+        clean = run_experiment(spec)
+        solve = TikhonovSystem.solve
+        calls = []
+
+        def flaky(self, lam):
+            if lam == 0.01:
+                calls.append(lam)
+                if len(calls) == 2:  # the fixed_0.01 solve of rep 1
+                    raise FloatingPointError("injected")
+            return solve(self, lam)
+
+        monkeypatch.setattr(TikhonovSystem, "solve", flaky)
+        record = run_experiment(spec)
+        assert _cell_ids(record.failures) == [(200, "fixed_0.01", 1)]
+        assert record.failures[0]["error"] == "FloatingPointError: injected"
+        kept = [r for r in clean.rows
+                if (r["strategy"], r["rep"]) != ("fixed_0.01", 1)]
+        assert _cell_ids(record.rows) == _cell_ids(kept)
+        for a, b in zip(record.rows, kept):
+            assert a["abs_error"] == b["abs_error"]
+            assert a["lambda_dp"] == b["lambda_dp"]
+
+    def test_failed_setup_fails_every_strategy_of_the_rep(self, monkeypatch):
+        spec = tiny_spec(sizes=(150, 200))
+        clean = run_experiment(spec)
+        prepare = harness.prepare_cell
+
+        def flaky(spec, n, rep):
+            if (n, rep) == (150, 1):
+                raise ValueError("injected draw failure")
+            return prepare(spec, n, rep)
+
+        monkeypatch.setattr(harness, "prepare_cell", flaky)
+        record = run_experiment(spec)
+        assert _cell_ids(record.failures) == [
+            (150, label, 1) for label in ("dp", "fixed_0.0", "fixed_0.01")]
+        assert all(f["error"] == "ValueError: injected draw failure"
+                   for f in record.failures)
+        kept = [r for r in clean.rows if (r["n"], r["rep"]) != (150, 1)]
+        assert _cell_ids(record.rows) == _cell_ids(kept)
+        assert [r["abs_error"] for r in record.rows] == [
+            r["abs_error"] for r in kept]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_come_back_in_n_strategy_rep_order(self, jobs):
+        spec = tiny_spec(sizes=(150, 100), strategies=(0.01, "dp"), reps=3)
+        record = run_experiment(spec, jobs=jobs)
+        assert not record.failures
+        assert _cell_ids(record.rows) == [
+            (n, label, rep) for n in (150, 100)
+            for label in ("fixed_0.01", "dp") for rep in range(3)]
+
+
+_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+
+
+def _mapped_openblas_threads() -> list:
+    """Thread count of every OpenBLAS copy mapped into this process."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        pytest.skip("/proc/self/maps is not readable, so the mapped "
+                    "libraries cannot be listed")
+    paths = sorted({line.split()[-1] for line in maps.splitlines()
+                    if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        for name in _GETTERS:
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.restype = ctypes.c_int
+                counts.append(getter())
+    if not counts:
+        pytest.skip("no numpy or scipy OpenBLAS is mapped into this process")
+    return counts
+
+
+def _thread_ids() -> set:
+    """Ids of the threads of this process."""
+    try:
+        return set(os.listdir("/proc/self/task"))
+    except OSError:
+        pytest.skip("/proc/self/task is not readable, so the threads of "
+                    "this process cannot be listed")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every pinned OpenBLAS set to 2 threads; the old counts come back after."""
+    calls = harness._openblas_thread_calls()
+    saved = [get() for get, _ in calls]
+    for _, put in calls:
+        put(2)
+    yield
+    for (_, put), count in zip(calls, saved):
+        put(count)
+
+
+class TestOneBlasThread:
+    def test_every_mapped_copy_reads_one_inside(self, two_blas_threads):
+        before = _mapped_openblas_threads()
+        assert len(harness._openblas_thread_calls()) == len(before)
+        with harness._one_blas_thread():
+            assert _mapped_openblas_threads() == [1] * len(before)
+        assert _mapped_openblas_threads() == before
+
+    def test_counts_restored_when_the_body_raises(self, two_blas_threads):
+        before = _mapped_openblas_threads()
+        with pytest.raises(KeyError):
+            with harness._one_blas_thread():
+                raise KeyError("body failed")
+        assert _mapped_openblas_threads() == before
+        run_experiment(tiny_spec(strategies=(0.01,), reps=1))
+        assert _mapped_openblas_threads() == before
+
+    def test_pool_initializer_pins(self, two_blas_threads):
+        before = _mapped_openblas_threads()
+        harness._pin_one_blas_thread()
+        assert _mapped_openblas_threads() == [1] * len(before)
+
+    def test_no_thread_outlives_a_pool_run(self, two_blas_threads):
+        # a fork stops OpenBLAS's thread pool and a later set-count call
+        # would start one whose idle threads spin in the caller
+        before = _thread_ids()
+        counts = _mapped_openblas_threads()
+        run_experiment(tiny_spec(strategies=(0.01,), reps=2), jobs=2)
+        assert _thread_ids() <= before
+        assert _mapped_openblas_threads() == counts
+        a = np.random.default_rng(0).standard_normal((4000, 60))
+        assert np.allclose(a.T @ a, np.einsum("ij,ik->jk", a, a))
 
 
 class TestFitRate:

@@ -69,6 +69,33 @@ class TestEvaluate:
         vals = basis.evaluate([[1.0, 2.0]])
         np.testing.assert_allclose(vals, [[1.0, 1.0, 2.0, 8.0]])
 
+    @pytest.mark.parametrize("d, powers, treat_col, interact_cols", [
+        (5, (1, 2, 3), 0, (1, 2, 4)),
+        (4, (1, 2, 3), 2, (0, 3)),
+        (4, (1, 3), 0, ()),
+        (3, (1, 2), None, ()),
+        (1, (1, 2, 3), None, ()),
+    ])
+    def test_additive_matches_float_power_reference(self, d, powers, treat_col,
+                                                    interact_cols):
+        pts = np.random.default_rng(d).normal(size=(257, d)) * 2.0
+        if treat_col is not None:
+            pts[:, treat_col] = pts[:, treat_col] > 0.0
+        # the layout: 1, treatment, each other coordinate's powers in the
+        # given order, then treatment x coordinate interactions
+        ref = [np.ones(len(pts))]
+        if treat_col is not None:
+            ref.append(pts[:, treat_col])
+        for j in range(d):
+            if j != treat_col:
+                ref.extend(pts[:, j] ** e for e in powers)
+        ref.extend(pts[:, treat_col] * pts[:, j] for j in interact_cols)
+        ref = np.column_stack(ref)
+        basis = additive_basis(d, powers=powers, treat_col=treat_col,
+                               interact_cols=interact_cols)
+        assert basis.n_funcs == ref.shape[1]
+        np.testing.assert_allclose(basis.evaluate(pts), ref, rtol=1e-14, atol=0.0)
+
     def test_dimension_mismatch(self):
         basis = polynomial_basis(2, 1)
         with pytest.raises(ValueError, match="points"):
