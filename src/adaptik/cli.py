@@ -23,7 +23,7 @@ from adaptik.discrepancy import (
 )
 from adaptik.dgp import NpivParams, ProxyNcParams, gen_npiv, gen_proxy_nc
 from adaptik.estimators import NumericalError
-from adaptik.functional import adaptive_dr_pipeline
+from adaptik.functional import dr_estimate, dr_systems
 from adaptik.harness import (
     ExperimentSpec,
     RunRecord,
@@ -147,16 +147,22 @@ def _cmd_fit(args) -> int:
     n = spec.sizes[0]
     cell = prepare_cell(spec, n, rep=0)
     if spec.estimator == "dr":
-        result = adaptive_dr_pipeline(cell.data, dr_config(spec, cell, args.lam))
-        record = result.estimate.to_record()
+        config = dr_config(spec, cell)
+        primal, dual = dr_systems(cell.fit_fold, config)
+        estimate = dr_estimate(
+            cell.eval_fold, primal.solve(args.lam), config.basis_h,
+            dual.solve(args.lam), config.basis_q,
+            moment_h=config.target_moment, moment_q=config.outcome_moment,
+        )
+        record = estimate.to_record()
         record.update(lambda_primal=args.lam, lambda_dual=args.lam,
-                      iterations=2, abs_error=abs(result.estimate.theta_hat
+                      iterations=2, abs_error=abs(estimate.theta_hat
                                                   - cell.theta0))
     else:
         handle = estimator_handle(spec, cell)
         fit = handle.system(cell.fit_fold).solve(args.lam)
-        theta = float(cell.target.per_record(cell.eval_fold, cell.basis_x,
-                                             "x", fit.coeffs).mean())
+        target = cell.target.matrix(cell.eval_fold, cell.basis_x, "x")
+        theta = float((target @ fit.coeffs).mean())
         record = fit.to_record()
         record.update(iterations=1, n=n, theta_hat=theta,
                       abs_error=abs(theta - cell.theta0))

@@ -128,10 +128,11 @@ class MomentFunctional:
         if self.kind not in ("outcome", "ate", "mean"):
             raise ValueError(f"unknown moment kind {self.kind!r}")
 
-    def matrix(self, data: Dataset, basis: SieveBasis, arg: str) -> np.ndarray:
+    def matrix(self, data: Dataset, basis: SieveBasis, arg: str,
+               values: np.ndarray | None = None) -> np.ndarray:
+        """values, if given, is basis evaluated on the arg block of data;
+        the outcome and mean kinds use it instead of evaluating again."""
         pts = _feature_block(data, arg)
-        if self.kind == "outcome":
-            return data.y[:, None] * basis.evaluate(pts)
         if self.kind == "ate":
             t = self.treatment_col
             on = np.array(pts)
@@ -139,11 +140,11 @@ class MomentFunctional:
             off = np.array(pts)
             off[:, t] = 0.0
             return basis.evaluate(on) - basis.evaluate(off)
-        return basis.evaluate(pts)
-
-    def per_record(self, data: Dataset, basis: SieveBasis, arg: str,
-                   coeffs: np.ndarray) -> np.ndarray:
-        return self.matrix(data, basis, arg) @ np.asarray(coeffs, dtype=np.float64)
+        if values is None:
+            values = basis.evaluate(pts)
+        if self.kind == "outcome":
+            return data.y[:, None] * values
+        return values
 
 
 def _feature_block(data: Dataset, arg: str) -> np.ndarray:
@@ -348,18 +349,16 @@ def _default_inner_ridge(m: np.ndarray) -> float:
 def _adversary_mats(
     data: Dataset,
     moment: MomentFunctional,
-    hyp_basis: SieveBasis,
     adv_basis: SieveBasis,
-    hyp_arg: str,
     adv_arg: str,
-):
-    hyp = hyp_basis.evaluate(_feature_block(data, hyp_arg))
-    adv = adv_basis.evaluate(_feature_block(data, adv_arg))
-    m = empirical_gram(adv)
-    g = moment.matrix(data, adv_basis, adv_arg).mean(axis=0)
+    hyp: np.ndarray,
+    adv: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g, B) of the inner maximum, given the hypothesis and adversary
+    bases evaluated on data (adv on its adv_arg block)."""
+    g = moment.matrix(data, adv_basis, adv_arg, adv).mean(axis=0)
     b = adv.T @ hyp / data.n  # (J, K)
-    gram_hyp = empirical_gram(hyp)
-    return m, g, b, gram_hyp
+    return g, b
 
 
 def trae_inner_max(
@@ -376,7 +375,10 @@ def trae_inner_max(
     value = (g - B c)' f; with ridge 0 the value is the exact maximum of
     E_n[2 m(W; f) - 2 h(X) f(Z) - f(Z)^2] over the span of basis_f.
     """
-    m, g, b, _ = _adversary_mats(data, moment, basis_h, basis_f, "x", "z")
+    hyp = basis_h.evaluate(data.x)
+    adv = basis_f.evaluate(data.z)
+    m = empirical_gram(adv)
+    g, b = _adversary_mats(data, moment, basis_f, "z", hyp, adv)
     if ridge_inner is None:
         ridge_inner = _default_inner_ridge(m)
     if ridge_inner < 0.0:
@@ -394,14 +396,18 @@ def trae_inner_max(
 def _adversarial_system(
     data: Dataset,
     moment: MomentFunctional,
-    hyp_basis: SieveBasis,
     adv_basis: SieveBasis,
-    hyp_arg: str,
     adv_arg: str,
+    hyp: np.ndarray,
+    adv: np.ndarray,
+    gram_hyp: np.ndarray,
+    gram_adv: np.ndarray,
     ridge_inner: float | None,
 ) -> TikhonovSystem:
-    m, g, b, gram_hyp = _adversary_mats(data, moment, hyp_basis, adv_basis,
-                                        hyp_arg, adv_arg)
+    """The factored TRAE system, given both bases evaluated on data and
+    their empirical Grams; the adversary Gram is M."""
+    g, b = _adversary_mats(data, moment, adv_basis, adv_arg, hyp, adv)
+    m = gram_adv
     if ridge_inner is None:
         ridge_inner = _default_inner_ridge(m)
     minv = _solve_spd(m + ridge_inner * np.eye(m.shape[0]),
@@ -474,8 +480,17 @@ class TraeEstimator:
     ridge_inner: float | None = None
 
     def system(self, data: Dataset) -> TikhonovSystem:
-        return _adversarial_system(data, self.moment, self.basis_h, self.basis_f,
-                                   "x", "z", self.ridge_inner)
+        psi = self.basis_h.evaluate(data.x)
+        phi = self.basis_f.evaluate(data.z)
+        return self.system_from(data, psi, phi, empirical_gram(psi),
+                                empirical_gram(phi))
+
+    def system_from(self, data: Dataset, psi: np.ndarray, phi: np.ndarray,
+                    gram_psi: np.ndarray, gram_phi: np.ndarray) -> TikhonovSystem:
+        """The system of data given psi = basis_h(x), phi = basis_f(z) and
+        their empirical Grams, so evaluations can be shared."""
+        return _adversarial_system(data, self.moment, self.basis_f, "z", psi,
+                                   phi, gram_psi, gram_phi, self.ridge_inner)
 
 
 @dataclass(frozen=True)
@@ -486,5 +501,14 @@ class TraeDualEstimator:
     ridge_inner: float | None = None
 
     def system(self, data: Dataset) -> TikhonovSystem:
-        return _adversarial_system(data, self.moment, self.basis_q, self.basis_s,
-                                   "z", "x", self.ridge_inner)
+        phi = self.basis_q.evaluate(data.z)
+        psi = self.basis_s.evaluate(data.x)
+        return self.system_from(data, phi, psi, empirical_gram(phi),
+                                empirical_gram(psi))
+
+    def system_from(self, data: Dataset, phi: np.ndarray, psi: np.ndarray,
+                    gram_phi: np.ndarray, gram_psi: np.ndarray) -> TikhonovSystem:
+        """The system of data given phi = basis_q(z), psi = basis_s(x) and
+        their empirical Grams, so evaluations can be shared."""
+        return _adversarial_system(data, self.moment, self.basis_s, "x", phi,
+                                   psi, gram_phi, gram_psi, self.ridge_inner)

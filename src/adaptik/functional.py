@@ -10,6 +10,14 @@ Z-sieve), both trained on the fit fold:
 so a first-order error in either nuisance is cancelled by the cross
 term.  Standard errors come from the empirical variance of the same
 per-record values, which estimates the influence-function variance.
+
+Every distinct (basis, fold, feature block) is evaluated once.  On the
+fit fold dr_systems evaluates basis_h(x) and basis_f(z), reuses them as
+basis_s(x) and basis_q(z) when the config passes the same basis object,
+and builds each matrix's Gram once; both factored TRAE systems come from
+those matrices.  On the eval fold DrEvaluation evaluates basis_h(x) and
+basis_q(z) once and derives the mean and outcome moment matrices from
+them (the ate moment still evaluates its treated and untreated points).
 """
 
 from __future__ import annotations
@@ -22,25 +30,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from adaptik.discrepancy import DpConfig, DpOutcome, run_dp
-from adaptik.estimators import (
+# trae_fit and trae_dual_fit are not called here any more; they stay
+# importable as functional.trae_fit and functional.trae_dual_fit, the
+# aliases perfbench/tests/test_perfbench.py checks the tracer patches.
+from adaptik.estimators import (  # noqa: F401
     FitResult,
     MomentFunctional,
+    TikhonovSystem,
     TraeDualEstimator,
     TraeEstimator,
     trae_dual_fit,
     trae_fit,
 )
-from adaptik.sieve import Dataset, SieveBasis
+from adaptik.sieve import Dataset, SieveBasis, empirical_gram
 from adaptik.util import stream_rng
 
 __all__ = [
     "SplitPlan",
     "FunctionalEstimate",
+    "DrEvaluation",
     "DrPipelineConfig",
     "DrPipelineResult",
     "CoverageResult",
     "split",
     "dr_estimate",
+    "dr_systems",
     "adaptive_dr_pipeline",
     "coverage_experiment",
 ]
@@ -98,6 +112,61 @@ class FunctionalEstimate:
         }
 
 
+@dataclass(frozen=True)
+class DrEvaluation:
+    """The eval-fold matrices of the doubly robust combination.
+
+    h = basis_h(x) and q = basis_q(z); target holds m_target(W; psi_k)
+    over basis_h and outcome m_outcome(W; phi_j) over basis_q.  Built
+    once per eval fold, it estimates theta for any pair of fits.
+    """
+
+    target: np.ndarray
+    outcome: np.ndarray
+    h: np.ndarray
+    q: np.ndarray
+
+    @classmethod
+    def of(cls, eval_fold: Dataset, basis_h: SieveBasis, basis_q: SieveBasis,
+           moment_h: MomentFunctional, moment_q: MomentFunctional) -> "DrEvaluation":
+        """Evaluate basis_h and basis_q once each; the mean and outcome
+        moments reuse those values."""
+        h = basis_h.evaluate(eval_fold.x)
+        q = basis_q.evaluate(eval_fold.z)
+        return cls(moment_h.matrix(eval_fold, basis_h, "x", h),
+                   moment_q.matrix(eval_fold, basis_q, "z", q), h, q)
+
+    def estimate(self, h_fit: FitResult, q_fit: FitResult,
+                 level: float = 0.95) -> FunctionalEstimate:
+        """The doubly robust estimate and interval of fits from the other fold."""
+        if not (0.0 < level < 1.0):
+            raise ValueError("level must lie in (0, 1)")
+        n = self.h.shape[0]
+        h_coeffs = np.asarray(h_fit.coeffs, dtype=np.float64)
+        q_coeffs = np.asarray(q_fit.coeffs, dtype=np.float64)
+        mh = self.target @ h_coeffs
+        mq = self.outcome @ q_coeffs
+        cross = (self.q @ q_coeffs) * (self.h @ h_coeffs)
+        rho = mh + mq - cross
+        theta = float(rho.mean())
+        se = float(rho.std(ddof=1) / math.sqrt(n))
+        zcrit = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
+        return FunctionalEstimate(
+            theta_hat=theta,
+            se=se,
+            ci_low=theta - zcrit * se,
+            ci_high=theta + zcrit * se,
+            level=level,
+            n_eval=n,
+            components={
+                "target_moment": mh,
+                "outcome_moment": mq,
+                "cross": cross,
+                "influence": rho,
+            },
+        )
+
+
 def dr_estimate(
     eval_fold: Dataset,
     h_fit: FitResult,
@@ -114,32 +183,8 @@ def dr_estimate(
     test functions read X); moment_q is the outcome-side moment applied
     to the dual fit (reading Z).  Fits must come from the other fold.
     """
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
-    n = eval_fold.n
-    mh = moment_h.per_record(eval_fold, basis_h, "x", h_fit.coeffs)
-    mq = moment_q.per_record(eval_fold, basis_q, "z", q_fit.coeffs)
-    h_vals = basis_h.evaluate(eval_fold.x) @ h_fit.coeffs
-    q_vals = basis_q.evaluate(eval_fold.z) @ q_fit.coeffs
-    cross = q_vals * h_vals
-    rho = mh + mq - cross
-    theta = float(rho.mean())
-    se = float(rho.std(ddof=1) / math.sqrt(n))
-    zcrit = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
-    return FunctionalEstimate(
-        theta_hat=theta,
-        se=se,
-        ci_low=theta - zcrit * se,
-        ci_high=theta + zcrit * se,
-        level=level,
-        n_eval=n,
-        components={
-            "target_moment": mh,
-            "outcome_moment": mq,
-            "cross": cross,
-            "influence": rho,
-        },
-    )
+    evaluation = DrEvaluation.of(eval_fold, basis_h, basis_q, moment_h, moment_q)
+    return evaluation.estimate(h_fit, q_fit, level)
 
 
 @dataclass(frozen=True)
@@ -176,28 +221,52 @@ class DrPipelineResult:
     dp_dual: DpOutcome | None
 
 
+def dr_systems(fit_fold: Dataset,
+               config: DrPipelineConfig) -> tuple[TikhonovSystem, TikhonovSystem]:
+    """The primal and dual TRAE systems of the fit fold, each factored once.
+
+    Each distinct (basis, feature block) is evaluated once and its Gram
+    built once, so with basis_s = basis_h and basis_q = basis_f (the
+    same objects) the fold costs two evaluations and two Grams.
+    """
+    evaluated = {}
+
+    def values(basis: SieveBasis, block: str) -> tuple:
+        key = (id(basis), block)
+        if key not in evaluated:
+            mat = basis.evaluate(getattr(fit_fold, block))
+            evaluated[key] = (mat, empirical_gram(mat))
+        return evaluated[key]
+
+    psi_h, gram_h = values(config.basis_h, "x")
+    phi_f, gram_f = values(config.basis_f, "z")
+    phi_q, gram_q = values(config.basis_q, "z")
+    psi_s, gram_s = values(config.basis_s, "x")
+    primal = TraeEstimator(config.outcome_moment, config.basis_h, config.basis_f,
+                           config.ridge_inner)
+    dual = TraeDualEstimator(config.target_moment, config.basis_q, config.basis_s,
+                             config.ridge_inner)
+    return (primal.system_from(fit_fold, psi_h, phi_f, gram_h, gram_f),
+            dual.system_from(fit_fold, phi_q, psi_s, gram_q, gram_s))
+
+
+def _tune(system: TikhonovSystem, fit_fold: Dataset, dp: DpConfig,
+          fixed_lambda: float | None) -> tuple[FitResult, DpOutcome | None]:
+    """The fit at fixed_lambda, or the DP search's fit and outcome."""
+    if fixed_lambda is not None:
+        return system.solve(fixed_lambda), None
+    outcome = run_dp(system, fit_fold, dp)
+    return outcome.fit, outcome
+
+
 def adaptive_dr_pipeline(data: Dataset, config: DrPipelineConfig) -> DrPipelineResult:
     """Split, tune both nuisances on the fit fold, evaluate on the other."""
     fit_fold, eval_fold = split(data, config.split_plan)
-    dp_primal = dp_dual = None
-    if config.fixed_lambda_primal is None:
-        primal = TraeEstimator(config.outcome_moment, config.basis_h,
-                               config.basis_f, config.ridge_inner)
-        dp_primal = run_dp(primal, fit_fold, config.dp_primal)
-        h_fit = dp_primal.fit
-    else:
-        h_fit = trae_fit(fit_fold, config.outcome_moment, config.basis_h,
-                         config.basis_f, config.fixed_lambda_primal,
-                         config.ridge_inner)
-    if config.fixed_lambda_dual is None:
-        dual = TraeDualEstimator(config.target_moment, config.basis_q,
-                                 config.basis_s, config.ridge_inner)
-        dp_dual = run_dp(dual, fit_fold, config.dp_dual)
-        q_fit = dp_dual.fit
-    else:
-        q_fit = trae_dual_fit(fit_fold, config.target_moment, config.basis_q,
-                              config.basis_s, config.fixed_lambda_dual,
-                              config.ridge_inner)
+    primal, dual = dr_systems(fit_fold, config)
+    h_fit, dp_primal = _tune(primal, fit_fold, config.dp_primal,
+                             config.fixed_lambda_primal)
+    q_fit, dp_dual = _tune(dual, fit_fold, config.dp_dual,
+                           config.fixed_lambda_dual)
     estimate = dr_estimate(
         eval_fold, h_fit, config.basis_h, q_fit, config.basis_q,
         moment_h=config.target_moment, moment_q=config.outcome_moment,

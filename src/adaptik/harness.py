@@ -4,9 +4,10 @@ A spec names a data-generating process, an estimator pipeline and a set
 of lambda strategies, sample sizes and repetitions.  The unit of work
 is the (n, rep): it owns an independent random stream derived from the
 spec hash and (n, rep), draws and splits its data and builds its bases
-once, and every lambda strategy is fitted on that same draw (for
-rdiv/trae, from one factored system).  Runs are therefore reproducible
-rep by rep and embarrassingly parallel with order-independent output.
+once, and every lambda strategy is fitted on that same draw, from
+factored systems built once (for dr, the primal and the dual).  Runs
+are therefore reproducible rep by rep and embarrassingly parallel with
+order-independent output.
 Sweeps run on one BLAS thread per process; parallelism comes from
 worker processes.
 
@@ -45,7 +46,13 @@ from adaptik.estimators import (
     mean_moment,
     outcome_moment,
 )
-from adaptik.functional import DrPipelineConfig, SplitPlan, adaptive_dr_pipeline, split
+from adaptik.functional import (
+    DrEvaluation,
+    DrPipelineConfig,
+    SplitPlan,
+    dr_systems,
+    split,
+)
 from adaptik.sieve import additive_basis, normalize_basis
 from adaptik.util import stream_rng
 
@@ -222,36 +229,44 @@ def estimator_handle(spec: ExperimentSpec, cell: CellSetup):
     return TraeEstimator(outcome_moment(), cell.basis_x, cell.basis_z)
 
 
-def dr_config(spec: ExperimentSpec, cell: CellSetup,
-              fixed_lambda: float | None) -> DrPipelineConfig:
-    """The cell's DR pipeline; fixed_lambda None tunes both sides by DP."""
+def dr_config(spec: ExperimentSpec, cell: CellSetup) -> DrPipelineConfig:
+    """The cell's DR pipeline, both sides tuned by the spec's DP search."""
     return DrPipelineConfig(
         basis_h=cell.basis_x, basis_f=cell.basis_z,
         basis_q=cell.basis_z, basis_s=cell.basis_x,
         outcome_moment=outcome_moment(), target_moment=cell.target,
         dp_primal=spec.dp_config(), dp_dual=spec.dp_config(),
         split_plan=cell.split_plan,
-        fixed_lambda_primal=fixed_lambda, fixed_lambda_dual=fixed_lambda,
     )
+
+
+def _shared_fits(spec: ExperimentSpec, cell: CellSetup) -> tuple:
+    """What every strategy of a rep solves from: the factored system(s)
+    of the fit fold and the eval fold's target matrix (for dr, its
+    DrEvaluation)."""
+    if spec.estimator != "dr":
+        return (estimator_handle(spec, cell).system(cell.fit_fold),
+                cell.target.matrix(cell.eval_fold, cell.basis_x, "x"))
+    config = dr_config(spec, cell)
+    evaluation = DrEvaluation.of(cell.eval_fold, config.basis_h, config.basis_q,
+                                 config.target_moment, config.outcome_moment)
+    return (*dr_systems(cell.fit_fold, config), evaluation)
 
 
 def _run_rep(payload) -> list:
     """One row per strategy of the (n, rep), in strategy order.
 
-    The draw, split, bases and (for rdiv/trae) the factored system and
-    the target moment matrix on the eval fold are built once and shared
-    by every strategy.  A failure there fails every row of the rep; a
-    failure in one strategy fails only its row.
+    The draw, split, bases, the factored system(s) and the eval fold's
+    target matrices are built once and shared by every strategy.  A
+    failure there fails every row of the rep; a failure in one strategy
+    fails only its row.
     """
     spec_doc, n, rep = payload
     spec = ExperimentSpec.from_dict(spec_doc)
     start = time.perf_counter()
     try:
         cell = prepare_cell(spec, n, rep)
-        shared = None if spec.estimator == "dr" else (
-            estimator_handle(spec, cell).system(cell.fit_fold),
-            cell.target.matrix(cell.eval_fold, cell.basis_x, "x"),
-        )
+        shared = _shared_fits(spec, cell)
     except Exception as exc:  # per-rep failures must not kill the sweep
         return [_error_row(n, s, rep, exc) for s in spec.strategies]
     shared_s = time.perf_counter() - start
@@ -284,23 +299,29 @@ def _run_rep(payload) -> list:
 
 
 def _fit_strategy(spec: ExperimentSpec, cell: CellSetup, shared, strategy):
-    """(theta_hat, h coefficients, lambda, iterations) of one strategy."""
-    if spec.estimator == "dr":
-        fixed = None if strategy == "dp" else strategy
-        result = adaptive_dr_pipeline(cell.data, dr_config(spec, cell, fixed))
-        if strategy == "dp":
-            lam = result.dp_primal.lambda_dp
-            iters = result.dp_primal.iterations + result.dp_dual.iterations
-        else:
-            lam, iters = strategy, 1
-        return result.estimate.theta_hat, result.h_fit.coeffs, lam, iters
-    system, target = shared
+    """(theta_hat, h coefficients, lambda, iterations) of one strategy.
+
+    For dr, lambda is the primal's; a DP strategy counts the fits of
+    both searches, a fixed lambda counts 1.
+    """
+    if spec.estimator != "dr":
+        system, target = shared
+        fit, lam, iters = _solve(system, cell.fit_fold, spec, strategy)
+        return float((target @ fit.coeffs).mean()), fit.coeffs, lam, iters
+    primal, dual, evaluation = shared
+    h_fit, lam, iters = _solve(primal, cell.fit_fold, spec, strategy)
+    q_fit, _, dual_iters = _solve(dual, cell.fit_fold, spec, strategy)
     if strategy == "dp":
-        outcome = run_dp(system, cell.fit_fold, spec.dp_config())
-        fit, lam, iters = outcome.fit, outcome.lambda_dp, outcome.iterations
-    else:
-        fit, lam, iters = system.solve(strategy), strategy, 1
-    return float((target @ fit.coeffs).mean()), fit.coeffs, lam, iters
+        iters += dual_iters
+    return evaluation.estimate(h_fit, q_fit).theta_hat, h_fit.coeffs, lam, iters
+
+
+def _solve(system, fit_fold, spec: ExperimentSpec, strategy):
+    """(fit, lambda, fits) of one lambda strategy on a factored system."""
+    if strategy == "dp":
+        outcome = run_dp(system, fit_fold, spec.dp_config())
+        return outcome.fit, outcome.lambda_dp, outcome.iterations
+    return system.solve(strategy), strategy, 1
 
 
 def _error_row(n: int, strategy, rep: int, exc: Exception) -> dict:

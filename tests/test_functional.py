@@ -18,7 +18,7 @@ from adaptik.functional import (
     dr_estimate,
     split,
 )
-from adaptik.sieve import Dataset
+from adaptik.sieve import Dataset, SieveBasis, custom_basis, trigonometric_basis
 from adaptik.util import stream_rng
 
 
@@ -41,6 +41,16 @@ def pipeline_config(basis, split_seed=0, **overrides):
     )
     base.update(overrides)
     return DrPipelineConfig(**base)
+
+
+def four_bases(basis, shared):
+    """One basis object per side (basis_s is basis_h, basis_q is
+    basis_f), or four different bases."""
+    wide = trigonometric_basis(7)
+    if shared:
+        return dict(basis_h=basis, basis_s=basis, basis_f=wide, basis_q=wide)
+    return dict(basis_h=basis, basis_s=trigonometric_basis(3),
+                basis_f=wide, basis_q=trigonometric_basis(9))
 
 
 class TestSplit:
@@ -175,6 +185,43 @@ class TestAdaptivePipeline:
         assert np.array_equal(result.h_fit.coeffs, direct_h.coeffs)
         assert np.array_equal(result.q_fit.coeffs, direct_q.coeffs)
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_fixed_lambda_estimate_equals_the_public_steps(self, shared):
+        data, truth = npiv_data(8, n=300)
+        bases = four_bases(truth.basis, shared)
+        config = pipeline_config(truth.basis, fixed_lambda_primal=0.05,
+                                 fixed_lambda_dual=0.05, **bases)
+        result = adaptive_dr_pipeline(data, config)
+        fit_fold, eval_fold = split(data, config.split_plan)
+        h_fit = trae_fit(fit_fold, outcome_moment(), bases["basis_h"],
+                         bases["basis_f"], 0.05)
+        q_fit = trae_dual_fit(fit_fold, mean_moment(), bases["basis_q"],
+                              bases["basis_s"], 0.05)
+        direct = dr_estimate(eval_fold, h_fit, bases["basis_h"], q_fit,
+                             bases["basis_q"], mean_moment(), outcome_moment())
+        assert result.estimate.to_record() == direct.to_record()
+        for key, values in direct.components.items():
+            np.testing.assert_array_equal(result.estimate.components[key], values)
+
+    @pytest.mark.parametrize("shared, fit_evaluations", [(True, 2), (False, 4)])
+    def test_each_basis_is_evaluated_once_per_fold(self, monkeypatch, shared,
+                                                   fit_evaluations):
+        # basis_h(x) and basis_f(z), plus basis_s(x) and basis_q(z) when
+        # they are other objects, on the fit fold; then basis_h(x) and
+        # basis_q(z) on the eval fold, and nothing else
+        data, truth = npiv_data(11, n=300)
+        rows = []
+        evaluate = SieveBasis.evaluate
+
+        def counting(self, points):
+            rows.append(len(points))
+            return evaluate(self, points)
+
+        config = pipeline_config(truth.basis, **four_bases(truth.basis, shared))
+        monkeypatch.setattr(SieveBasis, "evaluate", counting)
+        adaptive_dr_pipeline(data, config)
+        assert rows == [150] * (fit_evaluations + 2)
+
     def test_symmetric_data_gives_mirrored_lambdas(self):
         # X = Z and symmetric moments make the primal and dual problems
         # identical, so the two searches must select the same lambda
@@ -193,6 +240,46 @@ class TestAdaptivePipeline:
         result = adaptive_dr_pipeline(data, config)
         assert result.dp_primal.iterations <= 20
         assert result.dp_dual.iterations <= 20
+
+
+def _columns(basis):
+    return [lambda p, k=k: basis.evaluate(p)[:, k] for k in range(basis.n_funcs)]
+
+
+class TestDegenerateSieves:
+    """Degenerate sieves give finite estimates, never NaN."""
+
+    @pytest.mark.parametrize("lam", [None, 0.0, 0.05])
+    def test_duplicated_column_changes_nothing(self, lam):
+        # the G-norm penalty sees functions, not coefficients, so a
+        # repeated column leaves the fits and the estimate as they were;
+        # only the inner ridge, scaled by the mean Gram eigenvalue, moves
+        data, truth = npiv_data(3, n=400)
+        columns = _columns(truth.basis)
+        doubled = custom_basis(columns + [columns[1]], 1)
+        lams = dict(fixed_lambda_primal=lam, fixed_lambda_dual=lam)
+        plain = adaptive_dr_pipeline(data, pipeline_config(truth.basis, **lams))
+        result = adaptive_dr_pipeline(data, pipeline_config(doubled, **lams))
+        assert (result.h_fit.lam, result.q_fit.lam) == (plain.h_fit.lam,
+                                                        plain.q_fit.lam)
+        assert result.estimate.theta_hat == pytest.approx(
+            plain.estimate.theta_hat, abs=1e-8)
+        assert result.estimate.se == pytest.approx(plain.estimate.se, rel=1e-6)
+
+    @pytest.mark.parametrize("lam", [None, 0.0, 0.05])
+    def test_more_functions_than_fit_records(self, lam):
+        data, _ = npiv_data(3, n=40)
+        wide = custom_basis(
+            [lambda p, k=k: np.cos(k * p[:, 0]) for k in range(30)], 1)
+        config = pipeline_config(wide, fixed_lambda_primal=lam,
+                                 fixed_lambda_dual=lam)
+        fit_fold, _ = split(data, config.split_plan)
+        assert fit_fold.n < wide.n_funcs
+        result = adaptive_dr_pipeline(data, config)
+        est = result.estimate
+        assert np.all(np.isfinite([est.theta_hat, est.se, est.ci_low, est.ci_high]))
+        assert np.all(np.isfinite(result.h_fit.coeffs))
+        assert np.all(np.isfinite(result.q_fit.coeffs))
 
 
 class TestCoverage:

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from adaptik import harness
 from adaptik.estimators import TikhonovSystem
+from adaptik.functional import adaptive_dr_pipeline
 from adaptik.harness import (
     ExperimentSpec,
     RunRecord,
@@ -222,6 +224,53 @@ class TestPerRepContract:
         assert _cell_ids(record.rows) == [
             (n, label, rep) for n in (150, 100)
             for label in ("fixed_0.01", "dp") for rep in range(3)]
+
+
+class TestDrRows:
+    """A dr rep shares its systems and eval matrices across strategies."""
+
+    @staticmethod
+    def _pipeline_rows(spec):
+        """The rows of calling adaptive_dr_pipeline once per strategy."""
+        rows = []
+        for n in spec.sizes:
+            for strategy in spec.strategies:
+                for rep in range(spec.reps):
+                    cell = harness.prepare_cell(spec, n, rep)
+                    fixed = None if strategy == "dp" else strategy
+                    config = dataclasses.replace(
+                        harness.dr_config(spec, cell),
+                        fixed_lambda_primal=fixed, fixed_lambda_dual=fixed)
+                    result = adaptive_dr_pipeline(cell.data, config)
+                    if strategy == "dp":
+                        lam = result.dp_primal.lambda_dp
+                        iters = (result.dp_primal.iterations
+                                 + result.dp_dual.iterations)
+                    else:
+                        lam, iters = strategy, 1
+                    coeffs = result.h_fit.coeffs
+                    npiv = spec.dgp == "npiv"
+                    rows.append({
+                        "n": n, "strategy": strategy_label(strategy), "rep": rep,
+                        "abs_error": abs(result.estimate.theta_hat - cell.theta0),
+                        "strong_sq": cell.truth.strong_sq(coeffs) if npiv else math.nan,
+                        "weak_sq": cell.truth.weak_sq(coeffs) if npiv else math.nan,
+                        "lambda_dp": lam, "iters": iters,
+                    })
+        return rows
+
+    @pytest.mark.parametrize("dgp, jobs", [("npiv", 1), ("npiv", 2), ("proxy_nc", 1)])
+    def test_rows_equal_the_pipeline_per_strategy(self, dgp, jobs):
+        spec = tiny_spec(dgp=dgp, estimator="dr", sizes=(300,),
+                         strategies=("dp", 0.0, 0.01), reps=2)
+        record = run_experiment(spec, jobs=jobs)
+        assert not record.failures
+
+        def cells(rows):
+            return [[repr(r[c]) for c in harness.CSV_COLUMNS if c != "wall_ms"]
+                    for r in rows]
+
+        assert cells(record.rows) == cells(self._pipeline_rows(spec))
 
 
 _GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
