@@ -30,11 +30,9 @@ from adaptik.sieve import (
     SieveBasis,
     polynomial_basis,
     trigonometric_basis,
-    piecewise_basis,
     custom_basis,
     additive_basis,
     empirical_gram,
-    empirical_norm,
 )
 from adaptik.estimators import (
     FitResult,
@@ -43,7 +41,6 @@ from adaptik.estimators import (
     RegularizedPath,
     RdivEstimator,
     TraeEstimator,
-    TraeDualEstimator,
     outcome_moment,
     ate_moment,
     mean_moment,
@@ -60,7 +57,6 @@ from adaptik.discrepancy import (
     DpOutcome,
     noise_level,
     run_dp,
-    certify_bracket,
     SpectralResidualFitter,
 )
 from adaptik.functional import (
@@ -68,6 +64,7 @@ from adaptik.functional import (
     FunctionalEstimate,
     DrPipelineConfig,
     DrPipelineResult,
+    DrFold,
     split,
     dr_estimate,
     adaptive_dr_pipeline,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -18,12 +19,11 @@ from adaptik.discrepancy import (
     DpFitError,
     NoiseSchedule,
     SpectralResidualFitter,
-    certify_bracket,
     run_dp,
 )
 from adaptik.dgp import NpivParams, ProxyNcParams, gen_npiv, gen_proxy_nc
 from adaptik.estimators import NumericalError
-from adaptik.functional import dr_estimate, dr_systems
+from adaptik.functional import DrFold
 from adaptik.harness import (
     ExperimentSpec,
     RunRecord,
@@ -142,18 +142,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_fit(args) -> int:
     spec = _load_spec(args.config, args.seed)
-    if args.lam < 0.0:
-        raise UsageError("--lambda must be nonnegative")
+    if not 0.0 <= args.lam < math.inf:
+        raise UsageError(f"--lambda must be finite and nonnegative, got {args.lam}")
     n = spec.sizes[0]
     cell = prepare_cell(spec, n, rep=0)
     if spec.estimator == "dr":
-        config = dr_config(spec, cell)
-        primal, dual = dr_systems(cell.fit_fold, config)
-        estimate = dr_estimate(
-            cell.eval_fold, primal.solve(args.lam), config.basis_h,
-            dual.solve(args.lam), config.basis_q,
-            moment_h=config.target_moment, moment_q=config.outcome_moment,
-        )
+        fold = DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell))
+        estimate = fold.run(args.lam).estimate
         record = estimate.to_record()
         record.update(lambda_primal=args.lam, lambda_dual=args.lam,
                       iterations=2, abs_error=abs(estimate.theta_hat
@@ -200,8 +195,7 @@ def _cmd_dp(args) -> int:
     print(outcome.table())
     status = "converged" if outcome.converged else "not converged"
     print(f"selected lambda: {outcome.lambda_dp:.6g} ({status}, "
-          f"{outcome.iterations} fits, bracket_ok={outcome.bracket_ok}, "
-          f"certified={certify_bracket(outcome, outcome.delta)})")
+          f"{outcome.iterations} fits, bracket_ok={outcome.bracket_ok})")
     return 0
 
 
@@ -222,6 +216,9 @@ def _cmd_rates(args) -> int:
     record = RunRecord.from_csv(args.record)
     if not record.rows:
         raise UsageError(f"record {args.record} has no rows")
+    if all(math.isnan(row[args.metric]) for row in record.rows):
+        raise UsageError(f"record {args.record} has no {args.metric} values "
+                         "(the column is NaN, as for proxy_nc runs)")
     try:
         rates = fit_rate_by_strategy(record, metric=args.metric)
     except ValueError as exc:

@@ -26,7 +26,7 @@ Two designs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -144,9 +144,6 @@ class ProxyNcParams:
             master_seed=master_seed,
             emit_latents=emit_latents,
         )
-
-    def with_transform(self, transform: str) -> "ProxyNcParams":
-        return replace(self, transform=transform)
 
 
 def true_ate(params: ProxyNcParams) -> float:

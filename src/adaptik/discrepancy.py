@@ -4,13 +4,15 @@ The loop is estimator-agnostic: it calls fitter.system(data) once and
 then system.solve(lam) -> FitResult along the path.  Starting from
 lambda0 the weight is shrunk by rho until the empirical loss drops to
 the configured noise level delta, recording the whole path.  A
-successful stop after at least one rejection certifies the bracket
+successful stop after at least one rejection, with rho >= 1/2, certifies
+the factor-2 bracket
 
-    loss(lam) <= delta <= loss(lam_prev),   lam_prev = lam / rho,
+    loss(lam) <= delta <= loss(lam_prev),   lam_prev = lam / rho <= 2 lam,
 
-which is the factor-2 bracket whenever rho >= 1/2.  Exhausting the
-iteration cap returns the last (smallest-lambda) fit flagged as not
-converged rather than failing, so small-sample runs stay usable.
+which DpOutcome.bracket_ok reports.  Exhausting the iteration cap
+returns the last (smallest-lambda) fit flagged as not converged rather
+than failing, so small-sample runs stay usable.  `tune` resolves one
+lambda strategy, the search or a fixed lambda, on a factored system.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = [
     "DpFitError",
     "noise_level",
     "run_dp",
-    "certify_bracket",
+    "tune",
     "SpectralResidualFitter",
 ]
 
@@ -103,8 +105,9 @@ class DpOutcome:
     """Selected lambda, its fit, the search path, and the bracket status.
 
     `iterations` counts fits performed; `bracket_ok` is true when the
-    stop happened after at least one rejection, so the predecessor loss
-    certifies the upper half of the bracket.
+    stop happened after at least one rejection and the predecessor's
+    lambda is at most twice the selected one, so the path certifies
+    loss(lam) <= delta <= loss(lam_prev) with lam_prev <= 2 lam.
     """
 
     lambda_dp: float
@@ -170,20 +173,23 @@ def run_dp(fitter, data, config: DpConfig) -> DpOutcome:
         converged
         and len(entries) >= 2
         and entries[-2][1].empirical_loss >= delta
+        and entries[-2][0] <= 2.0 * lam_sel
     )
     return DpOutcome(lam_sel, fit_sel, path, bracket_ok, len(entries), converged,
                      delta)
 
 
-def certify_bracket(outcome: DpOutcome, delta: float) -> bool:
-    """Check loss(lam) <= delta <= loss(lam') with lam' the path predecessor
-    and lam' within a factor 2 of the selected lambda."""
-    if len(outcome.path) < 2:
-        return False
-    (lam_prev, fit_prev), (lam_sel, fit_sel) = outcome.path.entries[-2:]
-    if lam_prev > 2.0 * lam_sel * (1.0 + 1e-12):
-        return False
-    return fit_sel.empirical_loss <= delta <= fit_prev.empirical_loss
+def tune(system, data, config: DpConfig,
+         strategy) -> tuple[FitResult, DpOutcome | None]:
+    """The fit of one lambda strategy on a factored system.
+
+    strategy "dp" runs the search on data (for its size) and returns
+    the search outcome too; a number is a fixed lambda, solved once.
+    """
+    if strategy == "dp":
+        outcome = run_dp(system, data, config)
+        return outcome.fit, outcome
+    return system.solve(strategy), None
 
 
 @dataclass(frozen=True)

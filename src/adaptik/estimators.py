@@ -19,7 +19,8 @@ over the Z-sieve, which is a concave quadratic with maximizer
 f = M^{-1} (g - B c), value (g - B c)^T M^{-1} (g - B c), where
 g_j = E_n[m(W; phi_j)], B_jk = E_n[psi_k(X) phi_j(Z)], M the Z-Gram.
 The outer problem adds lam * c^T G_x c and stays quadratic in c.  The
-dual fit swaps the roles of X and Z and uses the target moment.
+dual fit is the same problem on the records with X and Z swapped
+(Dataset.swapped), with the target moment in place of the outcome one.
 
 Every estimator minimizes L(c) + lam c'G c with L(c) = const - 2 rhs'c
 + c'A c, where G is the empirical Gram of the hypothesis basis.  A
@@ -63,7 +64,6 @@ __all__ = [
     "trae_dual_fit",
     "RdivEstimator",
     "TraeEstimator",
-    "TraeDualEstimator",
 ]
 
 
@@ -258,8 +258,8 @@ class TikhonovSystem:
 
     def solve(self, lam: float) -> FitResult:
         """The penalized minimizer at lam, in O(K r) after the factorization."""
-        if lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {lam}")
         denom = self.mu + lam
         keep = denom > self.floor
         w = np.zeros_like(self.p)
@@ -350,13 +350,12 @@ def _adversary_mats(
     data: Dataset,
     moment: MomentFunctional,
     adv_basis: SieveBasis,
-    adv_arg: str,
     hyp: np.ndarray,
     adv: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(g, B) of the inner maximum, given the hypothesis and adversary
-    bases evaluated on data (adv on its adv_arg block)."""
-    g = moment.matrix(data, adv_basis, adv_arg, adv).mean(axis=0)
+    """(g, B) of the inner maximum, given hyp = hypothesis basis(x) and
+    adv = adversary basis(z) of data."""
+    g = moment.matrix(data, adv_basis, "z", adv).mean(axis=0)
     b = adv.T @ hyp / data.n  # (J, K)
     return g, b
 
@@ -378,7 +377,7 @@ def trae_inner_max(
     hyp = basis_h.evaluate(data.x)
     adv = basis_f.evaluate(data.z)
     m = empirical_gram(adv)
-    g, b = _adversary_mats(data, moment, basis_f, "z", hyp, adv)
+    g, b = _adversary_mats(data, moment, basis_f, hyp, adv)
     if ridge_inner is None:
         ridge_inner = _default_inner_ridge(m)
     if ridge_inner < 0.0:
@@ -391,30 +390,6 @@ def trae_inner_max(
     v = g - b @ np.asarray(coeffs_h, dtype=np.float64)
     f = _solve_spd(m + ridge_inner * np.eye(m.shape[0]), v, "trae inner max")
     return f, float(v @ f)
-
-
-def _adversarial_system(
-    data: Dataset,
-    moment: MomentFunctional,
-    adv_basis: SieveBasis,
-    adv_arg: str,
-    hyp: np.ndarray,
-    adv: np.ndarray,
-    gram_hyp: np.ndarray,
-    gram_adv: np.ndarray,
-    ridge_inner: float | None,
-) -> TikhonovSystem:
-    """The factored TRAE system, given both bases evaluated on data and
-    their empirical Grams; the adversary Gram is M."""
-    g, b = _adversary_mats(data, moment, adv_basis, adv_arg, hyp, adv)
-    m = gram_adv
-    if ridge_inner is None:
-        ridge_inner = _default_inner_ridge(m)
-    minv = _solve_spd(m + ridge_inner * np.eye(m.shape[0]),
-                      np.column_stack([g, b]), "trae system")
-    minv_g, minv_b = minv[:, 0], minv[:, 1:]
-    return TikhonovSystem.factor(b.T @ minv_b, b.T @ minv_g, float(g @ minv_g),
-                                 gram_hyp, (minv_g, minv_b))
 
 
 def trae_fit(
@@ -443,12 +418,10 @@ def trae_dual_fit(
     lam: float,
     ridge_inner: float | None = None,
 ) -> FitResult:
-    """Adversarial Tikhonov fit of the dual representer q over the Z-sieve.
-
-    Same structure as trae_fit with the roles of X and Z swapped and the
-    target moment in place of the outcome moment.
-    """
-    return TraeDualEstimator(moment, basis_q, basis_s, ridge_inner).system(data).solve(lam)
+    """Adversarial Tikhonov fit of the dual representer q over the Z-sieve:
+    trae_fit on the records with X and Z swapped, with the target moment
+    in place of the outcome moment."""
+    return trae_fit(data.swapped(), moment, basis_q, basis_s, lam, ridge_inner)
 
 
 # -- uniform estimator handles ------------------------------------------------
@@ -461,9 +434,6 @@ class RdivEstimator:
     basis_x: SieveBasis
     basis_z: SieveBasis
     ridge_stage1: float | None = None
-
-    def stage1(self, data: Dataset) -> OperatorEstimate:
-        return rdiv_stage1(data, self.basis_x, self.basis_z, self.ridge_stage1)
 
     def system(self, data: Dataset) -> TikhonovSystem:
         psi = self.basis_x.evaluate(data.x)
@@ -488,27 +458,15 @@ class TraeEstimator:
     def system_from(self, data: Dataset, psi: np.ndarray, phi: np.ndarray,
                     gram_psi: np.ndarray, gram_phi: np.ndarray) -> TikhonovSystem:
         """The system of data given psi = basis_h(x), phi = basis_f(z) and
-        their empirical Grams, so evaluations can be shared."""
-        return _adversarial_system(data, self.moment, self.basis_f, "z", psi,
-                                   phi, gram_psi, gram_phi, self.ridge_inner)
-
-
-@dataclass(frozen=True)
-class TraeDualEstimator:
-    moment: MomentFunctional
-    basis_q: SieveBasis
-    basis_s: SieveBasis
-    ridge_inner: float | None = None
-
-    def system(self, data: Dataset) -> TikhonovSystem:
-        phi = self.basis_q.evaluate(data.z)
-        psi = self.basis_s.evaluate(data.x)
-        return self.system_from(data, phi, psi, empirical_gram(phi),
-                                empirical_gram(psi))
-
-    def system_from(self, data: Dataset, phi: np.ndarray, psi: np.ndarray,
-                    gram_phi: np.ndarray, gram_psi: np.ndarray) -> TikhonovSystem:
-        """The system of data given phi = basis_q(z), psi = basis_s(x) and
-        their empirical Grams, so evaluations can be shared."""
-        return _adversarial_system(data, self.moment, self.basis_s, "x", phi,
-                                   psi, gram_phi, gram_psi, self.ridge_inner)
+        their empirical Grams, so evaluations can be shared; gram_phi is
+        the adversary Gram M."""
+        g, b = _adversary_mats(data, self.moment, self.basis_f, psi, phi)
+        ridge = self.ridge_inner
+        if ridge is None:
+            ridge = _default_inner_ridge(gram_phi)
+        minv = _solve_spd(gram_phi + ridge * np.eye(gram_phi.shape[0]),
+                          np.column_stack([g, b]), "trae system")
+        minv_g, minv_b = minv[:, 0], minv[:, 1:]
+        return TikhonovSystem.factor(b.T @ minv_b, b.T @ minv_g,
+                                     float(g @ minv_g), gram_psi,
+                                     (minv_g, minv_b))

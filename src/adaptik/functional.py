@@ -11,13 +11,12 @@ so a first-order error in either nuisance is cancelled by the cross
 term.  Standard errors come from the empirical variance of the same
 per-record values, which estimates the influence-function variance.
 
-Every distinct (basis, fold, feature block) is evaluated once.  On the
-fit fold dr_systems evaluates basis_h(x) and basis_f(z), reuses them as
-basis_s(x) and basis_q(z) when the config passes the same basis object,
-and builds each matrix's Gram once; both factored TRAE systems come from
-those matrices.  On the eval fold DrEvaluation evaluates basis_h(x) and
-basis_q(z) once and derives the mean and outcome moment matrices from
-them (the ate moment still evaluates its treated and untreated points).
+One split is a DrFold: DrFold.of factors the primal and dual TRAE
+systems of the fit fold (the dual is the primal problem with X and Z
+swapped and the target moment in place of the outcome one) and builds
+the eval fold's DrEvaluation, evaluating each distinct (basis, fold,
+feature block) once; DrFold.run(strategy) tunes both sides by the
+search ("dp") or a fixed lambda and estimates.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adaptik.discrepancy import DpConfig, DpOutcome, run_dp
-# trae_fit and trae_dual_fit are not called here any more; they stay
-# importable as functional.trae_fit and functional.trae_dual_fit, the
-# aliases perfbench/tests/test_perfbench.py checks the tracer patches.
+from adaptik.discrepancy import DpConfig, DpOutcome, tune
+# trae_fit and trae_dual_fit are not called here; they stay importable
+# as functional.trae_fit and functional.trae_dual_fit, the aliases
+# perfbench/tests/test_perfbench.py checks the tracer patches.
 from adaptik.estimators import (  # noqa: F401
     FitResult,
     MomentFunctional,
     TikhonovSystem,
-    TraeDualEstimator,
     TraeEstimator,
     trae_dual_fit,
     trae_fit,
@@ -54,7 +52,7 @@ __all__ = [
     "CoverageResult",
     "split",
     "dr_estimate",
-    "dr_systems",
+    "DrFold",
     "adaptive_dr_pipeline",
     "coverage_experiment",
 ]
@@ -193,8 +191,7 @@ class DrPipelineConfig:
 
     The primal fit solves the outcome-moment problem for h over basis_h
     with adversary basis_f; the dual fit solves the target-moment
-    problem for q over basis_q with adversary basis_s.  Setting
-    fixed_lambda_* bypasses the adaptive search for that side.
+    problem for q over basis_q with adversary basis_s.
     """
 
     basis_h: SieveBasis
@@ -208,8 +205,6 @@ class DrPipelineConfig:
     split_plan: SplitPlan
     level: float = 0.95
     ridge_inner: float | None = None
-    fixed_lambda_primal: float | None = None
-    fixed_lambda_dual: float | None = None
 
 
 @dataclass(frozen=True)
@@ -221,58 +216,64 @@ class DrPipelineResult:
     dp_dual: DpOutcome | None
 
 
-def dr_systems(fit_fold: Dataset,
-               config: DrPipelineConfig) -> tuple[TikhonovSystem, TikhonovSystem]:
-    """The primal and dual TRAE systems of the fit fold, each factored once.
+@dataclass(frozen=True)
+class DrFold:
+    """One split of the pipeline: the primal and dual TRAE systems of the
+    fit fold, each factored once, and the eval fold's DrEvaluation."""
 
-    Each distinct (basis, feature block) is evaluated once and its Gram
-    built once, so with basis_s = basis_h and basis_q = basis_f (the
-    same objects) the fold costs two evaluations and two Grams.
-    """
-    evaluated = {}
+    config: DrPipelineConfig
+    fit_fold: Dataset
+    primal: TikhonovSystem
+    dual: TikhonovSystem
+    evaluation: DrEvaluation
 
-    def values(basis: SieveBasis, block: str) -> tuple:
-        key = (id(basis), block)
-        if key not in evaluated:
-            mat = basis.evaluate(getattr(fit_fold, block))
-            evaluated[key] = (mat, empirical_gram(mat))
-        return evaluated[key]
+    @classmethod
+    def of(cls, fit_fold: Dataset, eval_fold: Dataset,
+           config: DrPipelineConfig) -> "DrFold":
+        """Each distinct (basis, feature block) of the fit fold is
+        evaluated once and its Gram built once, so with basis_s = basis_h
+        and basis_q = basis_f (the same objects) the fit fold costs two
+        evaluations and two Grams."""
+        evaluated = {}
 
-    psi_h, gram_h = values(config.basis_h, "x")
-    phi_f, gram_f = values(config.basis_f, "z")
-    phi_q, gram_q = values(config.basis_q, "z")
-    psi_s, gram_s = values(config.basis_s, "x")
-    primal = TraeEstimator(config.outcome_moment, config.basis_h, config.basis_f,
-                           config.ridge_inner)
-    dual = TraeDualEstimator(config.target_moment, config.basis_q, config.basis_s,
-                             config.ridge_inner)
-    return (primal.system_from(fit_fold, psi_h, phi_f, gram_h, gram_f),
-            dual.system_from(fit_fold, phi_q, psi_s, gram_q, gram_s))
+        def values(basis: SieveBasis, block: str) -> tuple:
+            key = (id(basis), block)
+            if key not in evaluated:
+                mat = basis.evaluate(getattr(fit_fold, block))
+                evaluated[key] = (mat, empirical_gram(mat))
+            return evaluated[key]
 
+        psi_h, gram_h = values(config.basis_h, "x")
+        phi_f, gram_f = values(config.basis_f, "z")
+        phi_q, gram_q = values(config.basis_q, "z")
+        psi_s, gram_s = values(config.basis_s, "x")
+        primal = TraeEstimator(config.outcome_moment, config.basis_h,
+                               config.basis_f, config.ridge_inner)
+        dual = TraeEstimator(config.target_moment, config.basis_q,
+                             config.basis_s, config.ridge_inner)
+        return cls(
+            config, fit_fold,
+            primal.system_from(fit_fold, psi_h, phi_f, gram_h, gram_f),
+            dual.system_from(fit_fold.swapped(), phi_q, psi_s, gram_q, gram_s),
+            DrEvaluation.of(eval_fold, config.basis_h, config.basis_q,
+                            config.target_moment, config.outcome_moment),
+        )
 
-def _tune(system: TikhonovSystem, fit_fold: Dataset, dp: DpConfig,
-          fixed_lambda: float | None) -> tuple[FitResult, DpOutcome | None]:
-    """The fit at fixed_lambda, or the DP search's fit and outcome."""
-    if fixed_lambda is not None:
-        return system.solve(fixed_lambda), None
-    outcome = run_dp(system, fit_fold, dp)
-    return outcome.fit, outcome
+    def run(self, strategy) -> DrPipelineResult:
+        """Tune both sides by one lambda strategy ("dp" or a lambda >= 0)
+        and estimate on the eval fold."""
+        h_fit, dp_primal = tune(self.primal, self.fit_fold,
+                                self.config.dp_primal, strategy)
+        q_fit, dp_dual = tune(self.dual, self.fit_fold,
+                              self.config.dp_dual, strategy)
+        estimate = self.evaluation.estimate(h_fit, q_fit, self.config.level)
+        return DrPipelineResult(estimate, h_fit, q_fit, dp_primal, dp_dual)
 
 
 def adaptive_dr_pipeline(data: Dataset, config: DrPipelineConfig) -> DrPipelineResult:
-    """Split, tune both nuisances on the fit fold, evaluate on the other."""
-    fit_fold, eval_fold = split(data, config.split_plan)
-    primal, dual = dr_systems(fit_fold, config)
-    h_fit, dp_primal = _tune(primal, fit_fold, config.dp_primal,
-                             config.fixed_lambda_primal)
-    q_fit, dp_dual = _tune(dual, fit_fold, config.dp_dual,
-                           config.fixed_lambda_dual)
-    estimate = dr_estimate(
-        eval_fold, h_fit, config.basis_h, q_fit, config.basis_q,
-        moment_h=config.target_moment, moment_q=config.outcome_moment,
-        level=config.level,
-    )
-    return DrPipelineResult(estimate, h_fit, q_fit, dp_primal, dp_dual)
+    """Split, tune both nuisances by the search on the fit fold, evaluate
+    on the other."""
+    return DrFold.of(*split(data, config.split_plan), config).run("dp")
 
 
 @dataclass(frozen=True)

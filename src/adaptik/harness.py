@@ -37,7 +37,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from adaptik.discrepancy import DpConfig, NoiseSchedule, run_dp
+# run_dp is not called here; it stays importable as harness.run_dp, the
+# alias perfbench/tests/test_perfbench.py checks the tracer patches.
+from adaptik.discrepancy import DpConfig, NoiseSchedule, run_dp, tune  # noqa: F401
 from adaptik.dgp import NpivParams, ProxyNcParams, gen_npiv, gen_proxy_nc
 from adaptik.estimators import (
     RdivEstimator,
@@ -46,13 +48,7 @@ from adaptik.estimators import (
     mean_moment,
     outcome_moment,
 )
-from adaptik.functional import (
-    DrEvaluation,
-    DrPipelineConfig,
-    SplitPlan,
-    dr_systems,
-    split,
-)
+from adaptik.functional import DrFold, DrPipelineConfig, SplitPlan, split
 from adaptik.sieve import additive_basis, normalize_basis
 from adaptik.util import stream_rng
 
@@ -110,8 +106,9 @@ class ExperimentSpec:
             s if s == "dp" else float(s) for s in self.strategies
         )
         for s in strategies:
-            if s != "dp" and (not isinstance(s, float) or s < 0.0):
-                raise ValueError(f"strategy must be 'dp' or a nonnegative lambda, got {s!r}")
+            if s != "dp" and not 0.0 <= s < math.inf:
+                raise ValueError("strategy must be 'dp' or a finite nonnegative "
+                                 f"lambda, got {s!r}")
         object.__setattr__(self, "strategies", strategies)
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "dgp_params", dict(self.dgp_params))
@@ -240,17 +237,14 @@ def dr_config(spec: ExperimentSpec, cell: CellSetup) -> DrPipelineConfig:
     )
 
 
-def _shared_fits(spec: ExperimentSpec, cell: CellSetup) -> tuple:
-    """What every strategy of a rep solves from: the factored system(s)
-    of the fit fold and the eval fold's target matrix (for dr, its
-    DrEvaluation)."""
-    if spec.estimator != "dr":
-        return (estimator_handle(spec, cell).system(cell.fit_fold),
-                cell.target.matrix(cell.eval_fold, cell.basis_x, "x"))
-    config = dr_config(spec, cell)
-    evaluation = DrEvaluation.of(cell.eval_fold, config.basis_h, config.basis_q,
-                                 config.target_moment, config.outcome_moment)
-    return (*dr_systems(cell.fit_fold, config), evaluation)
+def _shared_fits(spec: ExperimentSpec, cell: CellSetup):
+    """What every strategy of a rep solves from: for dr the cell's
+    DrFold, otherwise the factored system of the fit fold and the eval
+    fold's target matrix."""
+    if spec.estimator == "dr":
+        return DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell))
+    return (estimator_handle(spec, cell).system(cell.fit_fold),
+            cell.target.matrix(cell.eval_fold, cell.basis_x, "x"))
 
 
 def _run_rep(payload) -> list:
@@ -304,24 +298,17 @@ def _fit_strategy(spec: ExperimentSpec, cell: CellSetup, shared, strategy):
     For dr, lambda is the primal's; a DP strategy counts the fits of
     both searches, a fixed lambda counts 1.
     """
-    if spec.estimator != "dr":
-        system, target = shared
-        fit, lam, iters = _solve(system, cell.fit_fold, spec, strategy)
-        return float((target @ fit.coeffs).mean()), fit.coeffs, lam, iters
-    primal, dual, evaluation = shared
-    h_fit, lam, iters = _solve(primal, cell.fit_fold, spec, strategy)
-    q_fit, _, dual_iters = _solve(dual, cell.fit_fold, spec, strategy)
-    if strategy == "dp":
-        iters += dual_iters
-    return evaluation.estimate(h_fit, q_fit).theta_hat, h_fit.coeffs, lam, iters
-
-
-def _solve(system, fit_fold, spec: ExperimentSpec, strategy):
-    """(fit, lambda, fits) of one lambda strategy on a factored system."""
-    if strategy == "dp":
-        outcome = run_dp(system, fit_fold, spec.dp_config())
-        return outcome.fit, outcome.lambda_dp, outcome.iterations
-    return system.solve(strategy), strategy, 1
+    if spec.estimator == "dr":
+        result = shared.run(strategy)
+        iters = 1
+        if strategy == "dp":
+            iters = result.dp_primal.iterations + result.dp_dual.iterations
+        h_fit = result.h_fit
+        return result.estimate.theta_hat, h_fit.coeffs, h_fit.lam, iters
+    system, target = shared
+    fit, outcome = tune(system, cell.fit_fold, spec.dp_config(), strategy)
+    iters = 1 if outcome is None else outcome.iterations
+    return float((target @ fit.coeffs).mean()), fit.coeffs, fit.lam, iters
 
 
 def _error_row(n: int, strategy, rep: int, exc: Exception) -> dict:

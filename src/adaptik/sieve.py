@@ -1,14 +1,14 @@
 """Finite linear function classes (sieve bases) and dataset plumbing.
 
 A SieveBasis maps an (m, d) array of points to an (m, K) matrix of basis
-evaluations.  All estimators consume bases only through `evaluate`,
-`empirical_gram` and `empirical_norm`, so the families here (tensor
-polynomials, integer-frequency trigonometric functions, piecewise
-indicators, additive per-coordinate dictionaries, arbitrary fixed
-dictionaries) are interchangeable.
+evaluations.  All estimators consume bases only through `evaluate` and
+`empirical_gram`, so the families here (tensor polynomials,
+integer-frequency trigonometric functions, additive per-coordinate
+dictionaries, arbitrary fixed dictionaries) are interchangeable.
 
-Datasets are immutable (x, z, y, extras) bundles with CSV round-trip;
-the CSV parser reports non-numeric cells by line and column name.
+Datasets are immutable (x, z, y, extras) bundles that can be written to
+CSV; `Dataset.swapped` exchanges the X and Z blocks, which turns a
+primal adversarial problem into its dual.
 """
 
 from __future__ import annotations
@@ -25,17 +25,14 @@ __all__ = [
     "Dataset",
     "polynomial_basis",
     "trigonometric_basis",
-    "piecewise_basis",
     "custom_basis",
     "additive_basis",
     "normalize_basis",
     "empirical_gram",
-    "empirical_norm",
     "save_dataset_csv",
-    "load_dataset_csv",
 ]
 
-_KINDS = ("polynomial", "trigonometric", "piecewise", "custom")
+_KINDS = ("polynomial", "trigonometric", "custom")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -107,14 +104,6 @@ def _raw_eval(basis: SieveBasis, pts: np.ndarray) -> np.ndarray:
             freq = (k + 1) // 2
             out[:, k] = np.sin(freq * x) if k % 2 == 1 else np.cos(freq * x)
         return out
-    if basis.kind == "piecewise":
-        lo, hi = p["lo"], p["hi"]
-        x = np.clip(pts[:, 0], lo, hi)
-        edges = np.linspace(lo, hi, basis.n_funcs + 1)
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, basis.n_funcs - 1)
-        out = np.zeros((m, basis.n_funcs))
-        out[np.arange(m), idx] = 1.0
-        return out
     # custom: either a structured additive spec or a tuple of callables
     if "additive" in p:
         return _additive_eval(p["additive"], pts)
@@ -178,13 +167,6 @@ def trigonometric_basis(n_funcs: int, scale: float = np.sqrt(2.0)) -> SieveBasis
     norm = np.full(n_funcs, scale)
     norm[0] = 1.0
     return SieveBasis("trigonometric", 1, n_funcs, norm)
-
-
-def piecewise_basis(n_bins: int, lo: float, hi: float) -> SieveBasis:
-    """Indicators of n_bins equal-width bins on [lo, hi]; outside points clip."""
-    if not (hi > lo):
-        raise ValueError("need hi > lo")
-    return SieveBasis("piecewise", 1, n_bins, np.ones(n_bins), {"lo": lo, "hi": hi})
 
 
 def custom_basis(funcs, input_dim: int) -> SieveBasis:
@@ -293,6 +275,10 @@ class Dataset:
             extras = {k: v[idx] for k, v in self.w_extra.items()}
         return Dataset(self.x[idx], self.z[idx], self.y[idx], extras)
 
+    def swapped(self) -> "Dataset":
+        """The same records with the X and Z blocks exchanged."""
+        return Dataset(self.z, self.x, self.y, self.w_extra)
+
 
 def empirical_gram(m: np.ndarray) -> np.ndarray:
     """(1/n) M^T M, symmetrized so the output is exactly symmetric."""
@@ -303,16 +289,7 @@ def empirical_gram(m: np.ndarray) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def empirical_norm(coeffs: np.ndarray, gram: np.ndarray) -> float:
-    """sqrt(c^T G c) with a guard against slightly negative quadratic forms."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    q = float(c @ gram @ c)
-    if q < -1e-12:
-        raise ValueError(f"quadratic form is negative ({q}); gram is not PSD")
-    return float(np.sqrt(max(q, 0.0)))
-
-
-# -- CSV round trip ------------------------------------------------------------
+# -- CSV output ------------------------------------------------------------
 
 def save_dataset_csv(data: Dataset, path: str | Path) -> None:
     """Header: x_0.., z_0.., y, then extra columns (key or key_i)."""
@@ -335,56 +312,3 @@ def save_dataset_csv(data: Dataset, path: str | Path) -> None:
         writer.writerow(header)
         for row in table:
             writer.writerow([repr(float(v)) for v in row])
-
-
-def load_dataset_csv(path: str | Path) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}"
-                )
-            parsed = []
-            for col_name, cell in zip(header, row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric value {cell!r} at line {line_no}, "
-                        f"column {col_name!r}"
-                    ) from None
-            rows.append(parsed)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=np.float64)
-    cols = {name: table[:, j] for j, name in enumerate(header)}
-    x_names = sorted((n for n in header if n.startswith("x_")),
-                     key=lambda s: int(s.split("_")[1]))
-    z_names = sorted((n for n in header if n.startswith("z_")),
-                     key=lambda s: int(s.split("_")[1]))
-    if not x_names or not z_names or "y" not in cols:
-        raise ValueError(f"{path}: header must contain x_*, z_* and y columns")
-    x = np.column_stack([cols[n] for n in x_names])
-    z = np.column_stack([cols[n] for n in z_names])
-    y = cols["y"]
-    extra_names = [n for n in header if n not in x_names + z_names + ["y"]]
-    extras: dict[str, np.ndarray] = {}
-    grouped: dict[str, list[str]] = {}
-    for name in extra_names:
-        stem, _, suffix = name.rpartition("_")
-        if stem and suffix.isdigit():
-            grouped.setdefault(stem, []).append(name)
-        else:
-            extras[name] = cols[name]
-    for stem, names in grouped.items():
-        names.sort(key=lambda s: int(s.rpartition("_")[2]))
-        extras[stem] = np.column_stack([cols[n] for n in names])
-    return Dataset(x, z, y, extras or None)

@@ -81,3 +81,13 @@ def nested_grid_trae_objective(data, moment, basis_h, basis_f, lam,
     total = best + lam * penalties
     i = int(np.argmin(total))
     return float(total[i]), c_grid[i]
+
+
+def path_shows_bracket(path, delta):
+    """Whether the last two entries of a DP path show
+    loss(lam) <= delta <= loss(lam_prev) with lam_prev <= 2 lam."""
+    if len(path) < 2:
+        return False
+    (lam_prev, fit_prev), (lam, fit) = path.entries[-2:]
+    return (lam_prev <= 2.0 * lam
+            and fit.empirical_loss <= delta <= fit_prev.empirical_loss)

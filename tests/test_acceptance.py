@@ -11,13 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from oracles import grid_inner_max, nested_grid_trae_objective, trae_mats
+from oracles import (
+    grid_inner_max,
+    nested_grid_trae_objective,
+    path_shows_bracket,
+    trae_mats,
+)
 
 from adaptik.discrepancy import (
     DpConfig,
     NoiseSchedule,
     SpectralResidualFitter,
-    certify_bracket,
     run_dp,
 )
 from adaptik.dgp import NpivParams, gen_npiv
@@ -294,14 +298,14 @@ class TestCriterion7DpMechanics:
         outcome = run_dp(fitter, None, config)
         ok = (outcome.lambda_dp == 0.25 and outcome.bracket_ok
               and outcome.iterations == 4 and outcome.iterations <= 20
-              and certify_bracket(outcome, 0.25))
+              and path_shows_bracket(outcome.path, 0.25))
         _report(7, "DP mechanics on the analytic fixture", ok,
                 f"lambda={outcome.lambda_dp} iterations={outcome.iterations} "
                 f"bracket_ok={outcome.bracket_ok}")
         assert outcome.lambda_dp == 0.25
         assert outcome.iterations == 4
         assert outcome.bracket_ok
-        assert certify_bracket(outcome, 0.25)
+        assert path_shows_bracket(outcome.path, 0.25)
         assert outcome.iterations <= 20
 
 

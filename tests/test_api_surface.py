@@ -1,0 +1,68 @@
+"""Every public name of adaptik has a caller outside the tests.
+
+A name in the __all__ of an adaptik module counts as used when the
+program mentions it: a file under src/, scripts/ or perfbench/.  Its own
+definition, its __all__ entry and the package __init__'s re-export do
+not count.  The scan is plain text, so a mention in a comment counts.
+"""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import adaptik
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public on purpose although only the tests call them.
+ALLOWED = {
+    # reference values the tests check the solvers and generators against:
+    # direct loss evaluations, the population Tikhonov solution, the
+    # constants of the rate theory and the quadrature treatment rate
+    "rdiv_loss", "trae_inner_max", "tikhonov_ideal", "holder_constant",
+    "weak_lower_bound_constant", "treatment_rate",
+    # bases the tests build small problems from
+    "polynomial_basis", "custom_basis",
+    # the writer of spectral problem files, which load_problem reads
+    "save_problem",
+}
+
+
+def public_names():
+    """(module name, public name) for every adaptik module with __all__."""
+    for info in pkgutil.iter_modules(adaptik.__path__):
+        module = importlib.import_module(f"adaptik.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            yield info.name, name
+
+
+def program_files():
+    src = ROOT / "src" / "adaptik"
+    files = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    for tree in ("scripts", "perfbench"):
+        files += sorted((ROOT / tree).rglob("*.py"))
+    return files
+
+
+def referenced(module, name, texts):
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    for path, text in texts.items():
+        if path.name == f"{module}.py" and path.parent.name == "adaptik":
+            text = re.sub(r"^__all__ = \[.*?\]", "", text, flags=re.M | re.S)
+            text = re.sub(rf"^(?:def|class)\s+{re.escape(name)}\b", "", text,
+                          flags=re.M)
+        if word.search(text):
+            return True
+    return False
+
+
+def test_no_public_name_is_called_only_by_tests():
+    texts = {path: path.read_text() for path in program_files()}
+    unused = {name for module, name in public_names()
+              if not referenced(module, name, texts)}
+    assert unused - ALLOWED == set()
+
+
+def test_allow_list_names_public_names():
+    assert ALLOWED <= {name for _, name in public_names()}

@@ -7,12 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import adaptik
 from adaptik.cli import main
 from adaptik.harness import ExperimentSpec, RunRecord, run_experiment
-from adaptik.sieve import load_dataset_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -59,7 +59,6 @@ class TestDpCommand:
         # analytic single-mode walk: 2, 1, 0.5, 0.25 then stop
         assert "selected lambda: 0.25" in out
         assert "bracket_ok=True" in out
-        assert "certified=True" in out
         assert out.count("\n") >= 5
 
     def test_with_config(self, tmp_path, capsys):
@@ -92,8 +91,8 @@ class TestGenerate:
         prefix = str(tmp_path / "data")
         assert main(["generate", "--dgp", dgp, "--n", "50",
                      "--seed", "3", "--out", prefix]) == 0
-        data = load_dataset_csv(prefix + ".csv")
-        assert data.n == 50
+        table = np.loadtxt(prefix + ".csv", delimiter=",", skiprows=1)
+        assert table.shape[0] == 50
         params = json.loads((tmp_path / "data.params.json").read_text())
         assert params["dgp"] == dgp
         assert "theta0" in params
@@ -164,6 +163,32 @@ class TestExitCodes:
     def test_negative_lambda_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["fit", "--config", config, "--lambda", "-1"]) == 1
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_is_usage_error(self, tmp_path, capsys, lam):
+        config = write_config(tmp_path)
+        assert main(["fit", "--config", config, "--lambda", lam]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_non_finite_strategy_is_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, strategies=["dp", float("nan")])
+        out = str(tmp_path / "run")
+        assert main(["experiment", "--config", config, "--out", out]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("metric", ["strong_sq", "weak_sq"])
+    def test_rates_of_a_metric_proxy_nc_does_not_record(self, tmp_path, capsys,
+                                                        metric):
+        config = write_config(tmp_path, dgp="proxy_nc", strategies=[0.01],
+                              sizes=[300, 400, 500], reps=1)
+        out = str(tmp_path / "run")
+        assert main(["experiment", "--config", config, "--out", out]) == 0
+        assert main(["rates", "--record", out + ".csv"]) == 0
+        capsys.readouterr()
+        assert main(["rates", "--record", out + ".csv", "--metric", metric]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and metric in err
 
     def test_console_script_installed(self, tmp_path):
         # The command an installer would generate from the declared entry

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import path_shows_bracket
 
 from adaptik.discrepancy import (
     DpConfig,
     DpFitError,
     NoiseSchedule,
     SpectralResidualFitter,
-    certify_bracket,
     noise_level,
     run_dp,
 )
@@ -61,7 +61,7 @@ class TestRunDp:
         assert outcome.iterations == 1
         assert outcome.converged
         assert not outcome.bracket_ok
-        assert not certify_bracket(outcome, 0.9)
+        assert not path_shows_bracket(outcome.path, 0.9)
 
     def test_single_mode_analytic_path(self):
         # residual lam/(1+lam): 2/3, 1/2, 1/3 all exceed 0.25; 0.2 stops it
@@ -70,7 +70,7 @@ class TestRunDp:
         assert outcome.lambda_dp == 0.25
         assert outcome.iterations == 4
         assert outcome.bracket_ok
-        assert certify_bracket(outcome, 0.25)
+        assert path_shows_bracket(outcome.path, 0.25)
         losses = outcome.path.losses()
         assert losses[:3] == pytest.approx([2 / 3, 1 / 2, 1 / 3], rel=1e-12)
         assert losses[3] == pytest.approx(0.2, rel=1e-12)

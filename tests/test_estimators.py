@@ -7,7 +7,6 @@ from oracles import grid_inner_max, nested_grid_trae_objective, trae_mats
 from adaptik.estimators import (
     NumericalError,
     RdivEstimator,
-    TraeDualEstimator,
     TraeEstimator,
     ate_moment,
     mean_moment,
@@ -216,6 +215,14 @@ class TestTraeFit:
             float(g @ np.linalg.solve(m, g)), rel=1e-4
         )
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        data = small_data(np.random.default_rng(13), n=10)
+        system = TraeEstimator(outcome_moment(), polynomial_basis(1, 1),
+                               polynomial_basis(1, 1)).system(data)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            system.solve(lam)
+
     def test_beats_nested_grid(self):
         rng = np.random.default_rng(15)
         data = small_data(rng, n=10)
@@ -265,21 +272,19 @@ class TestClosedFormLoss:
         for lam in (0.0, 1e-3, 0.4):
             data = small_data(rng, n=16)
             swapped = Dataset(data.z, data.x, data.y)
-            rdiv = RdivEstimator(bx, bz)
-            op = rdiv.stage1(data)
-            fit = rdiv.system(data).solve(lam)
+            op = rdiv_stage1(data, bx, bz)
+            fit = RdivEstimator(bx, bz).system(data).solve(lam)
             direct = rdiv_loss(data, op, fit.coeffs)
             scale = max(direct, rdiv_loss(data, op, np.zeros(3)))
             assert abs(fit.empirical_loss - direct) <= 1e-12 * scale
             # the dual's inner maximum is the primal one on the records with
             # X and Z swapped
-            for est, records, moment, bh, bf in (
-                (TraeEstimator(outcome_moment(), bx, bz), data,
+            for fit, records, moment, bh, bf in (
+                (trae_fit(data, outcome_moment(), bx, bz, lam), data,
                  outcome_moment(), bx, bz),
-                (TraeDualEstimator(mean_moment(), bz, bx), swapped,
+                (trae_dual_fit(data, mean_moment(), bz, bx, lam), swapped,
                  mean_moment(), bz, bx),
             ):
-                fit = est.system(data).solve(lam)
                 _, direct = trae_inner_max(records, moment, bh, bf, fit.coeffs)
                 _, at_zero = trae_inner_max(records, moment, bh, bf,
                                             np.zeros(bh.n_funcs))
@@ -295,7 +300,7 @@ class TestProperties:
         gram_x = empirical_gram(bx.evaluate(data.x))
         lam = 0.15
         rdiv = RdivEstimator(bx, bz)
-        op = rdiv.stage1(data)
+        op = rdiv_stage1(data, bx, bz)
         trae = TraeEstimator(outcome_moment(), bx, bz)
         for est, loss in (
             (rdiv, lambda c: rdiv_loss(data, op, c)),

@@ -11,6 +11,7 @@ from adaptik.estimators import (
     trae_fit,
 )
 from adaptik.functional import (
+    DrFold,
     DrPipelineConfig,
     SplitPlan,
     adaptive_dr_pipeline,
@@ -41,6 +42,11 @@ def pipeline_config(basis, split_seed=0, **overrides):
     )
     base.update(overrides)
     return DrPipelineConfig(**base)
+
+
+def run_split(data, config, strategy):
+    """The pipeline at one lambda strategy: "dp", or a fixed lambda."""
+    return DrFold.of(*split(data, config.split_plan), config).run(strategy)
 
 
 def four_bases(basis, shared):
@@ -173,9 +179,8 @@ class TestAdaptivePipeline:
 
     def test_fixed_lambda_bypasses_search(self):
         data, truth = npiv_data(8, n=300)
-        config = pipeline_config(truth.basis, fixed_lambda_primal=0.05,
-                                 fixed_lambda_dual=0.05)
-        result = adaptive_dr_pipeline(data, config)
+        config = pipeline_config(truth.basis)
+        result = run_split(data, config, 0.05)
         assert result.dp_primal is None and result.dp_dual is None
         fit_fold, _ = split(data, config.split_plan)
         direct_h = trae_fit(fit_fold, outcome_moment(), truth.basis,
@@ -189,9 +194,8 @@ class TestAdaptivePipeline:
     def test_fixed_lambda_estimate_equals_the_public_steps(self, shared):
         data, truth = npiv_data(8, n=300)
         bases = four_bases(truth.basis, shared)
-        config = pipeline_config(truth.basis, fixed_lambda_primal=0.05,
-                                 fixed_lambda_dual=0.05, **bases)
-        result = adaptive_dr_pipeline(data, config)
+        config = pipeline_config(truth.basis, **bases)
+        result = run_split(data, config, 0.05)
         fit_fold, eval_fold = split(data, config.split_plan)
         h_fit = trae_fit(fit_fold, outcome_moment(), bases["basis_h"],
                          bases["basis_f"], 0.05)
@@ -257,9 +261,9 @@ class TestDegenerateSieves:
         data, truth = npiv_data(3, n=400)
         columns = _columns(truth.basis)
         doubled = custom_basis(columns + [columns[1]], 1)
-        lams = dict(fixed_lambda_primal=lam, fixed_lambda_dual=lam)
-        plain = adaptive_dr_pipeline(data, pipeline_config(truth.basis, **lams))
-        result = adaptive_dr_pipeline(data, pipeline_config(doubled, **lams))
+        strategy = "dp" if lam is None else lam
+        plain = run_split(data, pipeline_config(truth.basis), strategy)
+        result = run_split(data, pipeline_config(doubled), strategy)
         assert (result.h_fit.lam, result.q_fit.lam) == (plain.h_fit.lam,
                                                         plain.q_fit.lam)
         assert result.estimate.theta_hat == pytest.approx(
@@ -271,11 +275,10 @@ class TestDegenerateSieves:
         data, _ = npiv_data(3, n=40)
         wide = custom_basis(
             [lambda p, k=k: np.cos(k * p[:, 0]) for k in range(30)], 1)
-        config = pipeline_config(wide, fixed_lambda_primal=lam,
-                                 fixed_lambda_dual=lam)
+        config = pipeline_config(wide)
         fit_fold, _ = split(data, config.split_plan)
         assert fit_fold.n < wide.n_funcs
-        result = adaptive_dr_pipeline(data, config)
+        result = run_split(data, config, "dp" if lam is None else lam)
         est = result.estimate
         assert np.all(np.isfinite([est.theta_hat, est.se, est.ci_low, est.ci_high]))
         assert np.all(np.isfinite(result.h_fit.coeffs))

@@ -1,5 +1,4 @@
 import ctypes
-import dataclasses
 import math
 import os
 from pathlib import Path
@@ -8,8 +7,8 @@ import numpy as np
 import pytest
 
 from adaptik import harness
-from adaptik.estimators import TikhonovSystem
-from adaptik.functional import adaptive_dr_pipeline
+from adaptik.estimators import TikhonovSystem, trae_dual_fit, trae_fit
+from adaptik.functional import adaptive_dr_pipeline, dr_estimate, split
 from adaptik.harness import (
     ExperimentSpec,
     RunRecord,
@@ -58,8 +57,9 @@ class TestExperimentSpec:
             tiny_spec(estimator="nope")
         with pytest.raises(ValueError):
             tiny_spec(sizes=())
-        with pytest.raises(ValueError):
-            tiny_spec(strategies=("dp", -1.0))
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite nonnegative"):
+                tiny_spec(strategies=("dp", bad))
         with pytest.raises(ValueError):
             tiny_spec(reps=0)
 
@@ -231,28 +231,37 @@ class TestDrRows:
 
     @staticmethod
     def _pipeline_rows(spec):
-        """The rows of calling adaptive_dr_pipeline once per strategy."""
+        """The rows of calling adaptive_dr_pipeline once per DP strategy,
+        and the public fit and estimate steps once per fixed lambda."""
         rows = []
         for n in spec.sizes:
             for strategy in spec.strategies:
                 for rep in range(spec.reps):
                     cell = harness.prepare_cell(spec, n, rep)
-                    fixed = None if strategy == "dp" else strategy
-                    config = dataclasses.replace(
-                        harness.dr_config(spec, cell),
-                        fixed_lambda_primal=fixed, fixed_lambda_dual=fixed)
-                    result = adaptive_dr_pipeline(cell.data, config)
+                    config = harness.dr_config(spec, cell)
                     if strategy == "dp":
+                        result = adaptive_dr_pipeline(cell.data, config)
+                        theta = result.estimate.theta_hat
+                        coeffs = result.h_fit.coeffs
                         lam = result.dp_primal.lambda_dp
                         iters = (result.dp_primal.iterations
                                  + result.dp_dual.iterations)
                     else:
-                        lam, iters = strategy, 1
-                    coeffs = result.h_fit.coeffs
+                        fit_fold, eval_fold = split(cell.data, config.split_plan)
+                        h_fit = trae_fit(fit_fold, config.outcome_moment,
+                                         config.basis_h, config.basis_f, strategy)
+                        q_fit = trae_dual_fit(fit_fold, config.target_moment,
+                                              config.basis_q, config.basis_s,
+                                              strategy)
+                        theta = dr_estimate(
+                            eval_fold, h_fit, config.basis_h, q_fit,
+                            config.basis_q, config.target_moment,
+                            config.outcome_moment).theta_hat
+                        coeffs, lam, iters = h_fit.coeffs, strategy, 1
                     npiv = spec.dgp == "npiv"
                     rows.append({
                         "n": n, "strategy": strategy_label(strategy), "rep": rep,
-                        "abs_error": abs(result.estimate.theta_hat - cell.theta0),
+                        "abs_error": abs(theta - cell.theta0),
                         "strong_sq": cell.truth.strong_sq(coeffs) if npiv else math.nan,
                         "weak_sq": cell.truth.weak_sq(coeffs) if npiv else math.nan,
                         "lambda_dp": lam, "iters": iters,

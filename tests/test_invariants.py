@@ -1,4 +1,4 @@
-"""Invariants of the RDIV, TRAE and TRAE-dual fits, checked with hypothesis.
+"""Invariants of the fits and of the DP search, checked with hypothesis.
 
 Each fit is over small 1-d polynomial sieves.  The penalty is the
 empirical G-norm of the fitted function, so the fitted values must not
@@ -8,20 +8,29 @@ functions (K > J) the loss does not identify the coefficients, and the
 minimum-G-norm convention must pick the same function in every
 parameterization.  Fits must also not depend on the order of the
 records, and the coefficients must scale linearly with y.
+
+The DP search on a random factored system must walk lambda geometrically
+from lambda0, never raise the loss from one step to the next, report bracket_ok exactly
+when its own path shows the factor-2 bracket, and end a search that
+does not converge at max_iters.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import path_shows_bracket
 
+from adaptik.discrepancy import DpConfig, NoiseSchedule, run_dp
 from adaptik.estimators import (
     RdivEstimator,
-    TraeDualEstimator,
+    TikhonovSystem,
     TraeEstimator,
     outcome_moment,
 )
-from adaptik.sieve import Dataset, custom_basis, polynomial_basis
+from adaptik.sieve import Dataset, custom_basis, empirical_gram, polynomial_basis
 
 KINDS = ("rdiv", "trae", "dual")
 
@@ -62,7 +71,8 @@ def fit(kind, data, basis_h, basis_f, lam):
     elif kind == "trae":
         est = TraeEstimator(outcome_moment(), basis_h, basis_f)
     else:
-        est = TraeDualEstimator(outcome_moment(), basis_h, basis_f)
+        est = TraeEstimator(outcome_moment(), basis_h, basis_f)
+        data = data.swapped()
     return est.system(data).solve(lam)
 
 
@@ -121,3 +131,42 @@ def test_coefficients_scale_linearly_with_y(kind, seed, n, k, j, lam, factor):
     bh, bf = polynomial_basis(1, k - 1), polynomial_basis(1, j - 1)
     base = fit(kind, data, bh, bf, lam)
     assert_close(fit(kind, scaled, bh, bf, lam).coeffs, factor * base.coeffs)
+
+
+def random_system(seed, k, n):
+    """The factored least-squares system of a random (n, k) design
+    against a random Gram: L(c) = |y - A c|^2 / n."""
+    rng = np.random.default_rng(seed)
+    a_mat = rng.normal(size=(n, k))
+    y = rng.normal(size=n)
+    gram = empirical_gram(rng.normal(size=(n, k)))
+    return TikhonovSystem.factor(empirical_gram(a_mat), a_mat.T @ y / n,
+                                 float(y @ y / n), gram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, k=st.integers(1, 5), lambda0=st.floats(1e-3, 10.0),
+       rho=st.floats(0.3, 0.9), max_iters=st.integers(1, 25),
+       frac=st.floats(1e-3, 1.2))
+def test_dp_path_is_geometric_monotone_and_certified(seed, k, lambda0, rho,
+                                                     max_iters, frac):
+    # n >= 2k + 5 keeps both Grams well conditioned, so no direction
+    # sits at the eigenvalue cutoff, where dropping it may raise the loss
+    system = random_system(seed, k, 2 * k + 5 + seed % 20)
+    const = system.const
+    # delta between the loss at lambda = 0 and at lambda = infinity, or
+    # above both, so searches stop early, late, at once or not at all
+    low = system.solve(0.0).empirical_loss
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # rho < 1/2 warns
+        config = DpConfig(NoiseSchedule("fixed", low + frac * (const - low)),
+                          lambda0, rho, max_iters)
+    outcome = run_dp(system, None, config)
+    lams, losses = outcome.path.lambdas(), outcome.path.losses()
+    assert lams[0] == lambda0
+    assert all(b == a * rho for a, b in zip(lams, lams[1:]))
+    assert all(b <= a + 1e-12 * const for a, b in zip(losses, losses[1:]))
+    assert outcome.bracket_ok == path_shows_bracket(outcome.path, outcome.delta)
+    if not outcome.converged:
+        assert outcome.iterations == len(lams) == max_iters
+        assert losses[-1] > outcome.delta

@@ -8,10 +8,7 @@ from adaptik.sieve import (
     additive_basis,
     custom_basis,
     empirical_gram,
-    empirical_norm,
-    load_dataset_csv,
     normalize_basis,
-    piecewise_basis,
     polynomial_basis,
     save_dataset_csv,
     trigonometric_basis,
@@ -42,12 +39,6 @@ class TestEvaluate:
         assert basis.n_funcs == 10  # C(2+3, 3)
         vals = basis.evaluate([[1.0, 1.0]])
         np.testing.assert_allclose(vals, np.ones((1, 10)))
-
-    def test_piecewise_one_hot(self):
-        basis = piecewise_basis(4, -1.0, 1.0)
-        vals = basis.evaluate([[-0.9], [0.9], [5.0]])
-        assert vals.sum(axis=1).tolist() == [1.0, 1.0, 1.0]
-        assert vals[0, 0] == 1.0 and vals[1, 3] == 1.0 and vals[2, 3] == 1.0
 
     def test_custom_dictionary(self):
         basis = custom_basis([lambda p: p[:, 0], lambda p: np.abs(p[:, 0])], 1)
@@ -136,26 +127,6 @@ class TestGram:
         assert eigs.min() >= -1e-10 * max(np.trace(g), 1.0)
 
 
-class TestEmpiricalNorm:
-    def test_zero_coeffs(self):
-        assert empirical_norm(np.zeros(3), np.eye(3)) == 0.0
-
-    def test_one_hot_identity(self):
-        assert empirical_norm(np.array([0.0, 1.0]), np.eye(2)) == 1.0
-
-    def test_matches_pointwise_rms(self):
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(50, 4))
-        c = rng.normal(size=4)
-        gram = empirical_gram(m)
-        direct = np.sqrt(np.mean((m @ c) ** 2))
-        assert empirical_norm(c, gram) == pytest.approx(direct, rel=1e-10)
-
-    def test_rejects_negative_form(self):
-        with pytest.raises(ValueError, match="negative"):
-            empirical_norm(np.array([1.0]), np.array([[-1.0]]))
-
-
 class TestDataset:
     def test_validates_shapes_and_finiteness(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -174,6 +145,15 @@ class TestDataset:
         assert sub.w_extra["t"].tolist() == [3.0, 1.0]
         assert sub.x[0].tolist() == [4.0, 5.0]
 
+    def test_swapped_exchanges_x_and_z(self):
+        data = Dataset(np.zeros((3, 2)), np.ones((3, 1)), np.arange(3.0),
+                       {"t": np.array([1.0, 2.0, 3.0])})
+        swapped = data.swapped()
+        assert np.array_equal(swapped.x, data.z)
+        assert np.array_equal(swapped.z, data.x)
+        assert np.array_equal(swapped.y, data.y)
+        assert swapped.w_extra["t"].tolist() == [1.0, 2.0, 3.0]
+
 
 class TestCsvRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
@@ -187,27 +167,10 @@ class TestCsvRoundTrip:
         )
         path = tmp_path / "d.csv"
         save_dataset_csv(data, path)
-        back = load_dataset_csv(path)
-        assert np.array_equal(back.x, data.x)
-        assert np.array_equal(back.z, data.z)
-        assert np.array_equal(back.y, data.y)
-        assert np.array_equal(back.w_extra["treatment"], data.w_extra["treatment"])
-        assert np.array_equal(back.w_extra["latent"], data.w_extra["latent"])
-
-    def test_non_numeric_cell_is_addressed(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x_0,z_0,y\n1.0,2.0,3.0\n1.0,oops,3.0\n")
-        with pytest.raises(ValueError, match=r"line 3, column 'z_0'"):
-            load_dataset_csv(path)
-
-    def test_short_row_is_addressed(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x_0,z_0,y\n1.0,2.0\n")
-        with pytest.raises(ValueError, match="line 2"):
-            load_dataset_csv(path)
-
-    def test_missing_required_columns(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n3,4\n")
-        with pytest.raises(ValueError, match="header"):
-            load_dataset_csv(path)
+        header = path.read_text().splitlines()[0].split(",")
+        assert header == ["x_0", "x_1", "z_0", "z_1", "z_2", "y",
+                          "latent_0", "latent_1", "treatment"]
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(back, np.hstack([
+            data.x, data.z, data.y[:, None], data.w_extra["latent"],
+            data.w_extra["treatment"][:, None]]))
