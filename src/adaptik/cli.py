@@ -167,15 +167,18 @@ def _cmd_fit(args) -> int:
 
 def _dp_config(args, base: DpConfig) -> DpConfig:
     """base with the search flags that were given applied on top."""
-    schedule = NoiseSchedule(
-        _SCHEDULE_FLAG[args.schedule] if args.schedule else base.schedule.kind,
-        args.cd if args.cd is not None else base.schedule.c_d,
-    )
     flags = {"lambda0": args.lambda0, "rho": args.rho, "max_iters": args.max_iters}
-    return dataclasses.replace(
-        base, schedule=schedule,
-        **{k: v for k, v in flags.items() if v is not None},
-    )
+    try:
+        schedule = NoiseSchedule(
+            _SCHEDULE_FLAG[args.schedule] if args.schedule else base.schedule.kind,
+            args.cd if args.cd is not None else base.schedule.c_d,
+        )
+        return dataclasses.replace(
+            base, schedule=schedule,
+            **{k: v for k, v in flags.items() if v is not None},
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_dp(args) -> int:

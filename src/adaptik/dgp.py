@@ -51,14 +51,8 @@ def signed_cbrt(x: np.ndarray) -> np.ndarray:
     return np.cbrt(x)
 
 
-def _inv_signed_cbrt(x: np.ndarray) -> np.ndarray:
-    return x**3
-
-
-_TRANSFORMS: dict[str, tuple[Callable, Callable]] = {
-    "cbrt": (signed_cbrt, _inv_signed_cbrt),
-    "identity": (lambda x: x, lambda x: x),
-}
+# observation transforms, applied to every latent coordinate
+_TRANSFORMS: dict[str, Callable] = {"cbrt": signed_cbrt, "identity": lambda x: x}
 
 
 @dataclass(frozen=True)
@@ -181,7 +175,7 @@ def gen_proxy_nc(
         raise ValueError("n must be positive")
     if isinstance(rng, (int, np.integer)):
         rng = stream_rng(int(rng))
-    g_fwd, _ = _TRANSFORMS[params.transform]
+    g_fwd = _TRANSFORMS[params.transform]
 
     s_lat = rng.normal(0.0, math.sqrt(0.5), size=(n, params.d_s))
     logits = 0.125 - 0.125 * s_lat.sum(axis=1)
@@ -202,11 +196,12 @@ def gen_proxy_nc(
     w_lat = params.mu_0 + s_lat @ params.mu_s + u @ params.gamma_w.T + eps_w
     y = a + s_lat.sum(axis=1) + u.sum(axis=1) + w_lat.sum(axis=1) + eps_y
 
-    s_obs = g_fwd(s_lat)
-    q_obs = g_fwd(q_lat)
-    w_obs = g_fwd(w_lat)
-    x = np.column_stack([a, w_obs, s_obs])
-    z = np.column_stack([a, q_obs, s_obs])
+    x = np.empty((n, 1 + params.d_w + params.d_s))
+    z = np.empty((n, 1 + params.d_q + params.d_s))
+    x[:, 0] = z[:, 0] = a
+    x[:, 1 + params.d_w:] = z[:, 1 + params.d_q:] = g_fwd(s_lat)
+    z[:, 1:1 + params.d_q] = g_fwd(q_lat)
+    x[:, 1:1 + params.d_w] = g_fwd(w_lat)
     extras = {"treatment": a}
     if params.emit_latents:
         extras.update(

@@ -86,8 +86,8 @@ class DpConfig:
     max_iters: int = 20
 
     def __post_init__(self):
-        if not (self.lambda0 > 0.0):
-            raise ValueError("lambda0 must be positive")
+        if not (0.0 < self.lambda0 < math.inf):
+            raise ValueError("lambda0 must be finite and positive")
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
         if self.max_iters < 1:

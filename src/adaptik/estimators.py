@@ -134,12 +134,12 @@ class MomentFunctional:
         the outcome and mean kinds use it instead of evaluating again."""
         pts = _feature_block(data, arg)
         if self.kind == "ate":
-            t = self.treatment_col
-            on = np.array(pts)
-            on[:, t] = 1.0
-            off = np.array(pts)
-            off[:, t] = 0.0
-            return basis.evaluate(on) - basis.evaluate(off)
+            pts = np.array(pts)
+            pts[:, self.treatment_col] = 1.0
+            out = basis.evaluate(pts)
+            pts[:, self.treatment_col] = 0.0
+            out -= basis.evaluate(pts)
+            return out
         if values is None:
             values = basis.evaluate(pts)
         if self.kind == "outcome":
@@ -289,13 +289,14 @@ def rdiv_stage1(
     mean Gram eigenvalue is used; an explicit 0 demands a nonsingular
     Gram and raises with a condition estimate otherwise.
     """
-    return _stage1(basis_x.evaluate(data.x), basis_z.evaluate(data.z),
+    phi = basis_z.evaluate(data.z)
+    return _stage1(basis_x.evaluate(data.x), phi, empirical_gram(phi),
                    basis_x, basis_z, ridge_stage1)
 
 
-def _stage1(psi: np.ndarray, phi: np.ndarray, basis_x: SieveBasis,
-            basis_z: SieveBasis, ridge_stage1: float | None) -> OperatorEstimate:
-    gram_z = empirical_gram(phi)
+def _stage1(psi: np.ndarray, phi: np.ndarray, gram_z: np.ndarray,
+            basis_x: SieveBasis, basis_z: SieveBasis,
+            ridge_stage1: float | None) -> OperatorEstimate:
     cross = phi.T @ psi / psi.shape[0]
     j = gram_z.shape[0]
     if ridge_stage1 is None:
@@ -312,13 +313,13 @@ def _stage1(psi: np.ndarray, phi: np.ndarray, basis_x: SieveBasis,
     return OperatorEstimate(b, gram_z, float(ridge_stage1), basis_x, basis_z)
 
 
-def _rdiv_system(data: Dataset, op: OperatorEstimate, psi: np.ndarray,
-                 phi: np.ndarray) -> TikhonovSystem:
-    """The stage-2 system, given psi = Psi(x) and phi = Phi(z) of data."""
+def _rdiv_system(data: Dataset, op: OperatorEstimate, phi: np.ndarray,
+                 gram_psi: np.ndarray) -> TikhonovSystem:
+    """The stage-2 system, given phi = Phi(z) of data and the Gram of Psi(x)."""
     a_mat = phi @ op.b  # (n, K): (T^ psi_k)(z_i)
     return TikhonovSystem.factor(
         empirical_gram(a_mat), a_mat.T @ data.y / data.n,
-        float(data.y @ data.y / data.n), empirical_gram(psi),
+        float(data.y @ data.y / data.n), gram_psi,
     )
 
 
@@ -329,8 +330,8 @@ def rdiv_fit(data: Dataset, op: OperatorEstimate, lam: float) -> FitResult:
     for the unregularized baseline and gives the minimum-G_x-norm
     least-squares fit.
     """
-    return _rdiv_system(data, op, op.basis_x.evaluate(data.x),
-                        op.basis_z.evaluate(data.z)).solve(lam)
+    return _rdiv_system(data, op, op.basis_z.evaluate(data.z),
+                        empirical_gram(op.basis_x.evaluate(data.x))).solve(lam)
 
 
 def rdiv_loss(data: Dataset, op: OperatorEstimate, coeffs: np.ndarray) -> float:
@@ -438,8 +439,16 @@ class RdivEstimator:
     def system(self, data: Dataset) -> TikhonovSystem:
         psi = self.basis_x.evaluate(data.x)
         phi = self.basis_z.evaluate(data.z)
-        op = _stage1(psi, phi, self.basis_x, self.basis_z, self.ridge_stage1)
-        return _rdiv_system(data, op, psi, phi)
+        return self.system_from(data, psi, phi, empirical_gram(psi),
+                                empirical_gram(phi))
+
+    def system_from(self, data: Dataset, psi: np.ndarray, phi: np.ndarray,
+                    gram_psi: np.ndarray, gram_phi: np.ndarray) -> TikhonovSystem:
+        """The system of data given psi = basis_x(x), phi = basis_z(z) and
+        their empirical Grams, as TraeEstimator.system_from."""
+        op = _stage1(psi, phi, gram_phi, self.basis_x, self.basis_z,
+                     self.ridge_stage1)
+        return _rdiv_system(data, op, phi, gram_psi)
 
 
 @dataclass(frozen=True)

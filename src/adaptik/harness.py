@@ -31,7 +31,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ from adaptik.estimators import (
     outcome_moment,
 )
 from adaptik.functional import DrFold, DrPipelineConfig, SplitPlan, split
-from adaptik.sieve import additive_basis, normalize_basis
+from adaptik.sieve import additive_basis, empirical_gram, normalize_basis
 from adaptik.util import stream_rng
 
 __all__ = [
@@ -70,6 +70,7 @@ CSV_COLUMNS = (
     "n", "strategy", "rep", "abs_error", "strong_sq", "weak_sq",
     "lambda_dp", "iters", "wall_ms",
 )
+_CSV_TYPES = {"n": int, "strategy": str, "rep": int, "iters": int}  # else float
 
 DEFAULT_CD = {"rdiv": 30.0, "trae": 15.0, "dr": 15.0}
 DEFAULT_SCHEDULE = {"rdiv": "rdiv_sqrt", "trae": "trae_squared", "dr": "trae_squared"}
@@ -112,23 +113,14 @@ class ExperimentSpec:
         object.__setattr__(self, "strategies", strategies)
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "dgp_params", dict(self.dgp_params))
+        # built once, so a bad search setting fails here, not in every row
+        object.__setattr__(self, "_dp", DpConfig(
+            self.schedule(), self.lambda0, self.rho, self.max_iters))
 
     def to_dict(self) -> dict:
-        return {
-            "dgp": self.dgp,
-            "dgp_params": self.dgp_params,
-            "estimator": self.estimator,
-            "strategies": list(self.strategies),
-            "sizes": list(self.sizes),
-            "reps": self.reps,
-            "seed": self.seed,
-            "schedule_kind": self.schedule_kind,
-            "cd": self.cd,
-            "lambda0": self.lambda0,
-            "rho": self.rho,
-            "max_iters": self.max_iters,
-            "out": self.out,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "strategies": list(self.strategies),
+                "sizes": list(self.sizes)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
@@ -153,7 +145,7 @@ class ExperimentSpec:
         return NoiseSchedule(kind, cd)
 
     def dp_config(self) -> DpConfig:
-        return DpConfig(self.schedule(), self.lambda0, self.rho, self.max_iters)
+        return self._dp
 
 
 def strategy_label(strategy) -> str:
@@ -182,9 +174,10 @@ def _proxy_bases(fit_fold):
     return normalize_basis(bx, fit_fold.x), normalize_basis(bz, fit_fold.z)
 
 
-@dataclass(frozen=True)
+@dataclass
 class CellSetup:
-    """Data, folds, bases and target moment for one (n, rep) cell."""
+    """Data, folds, bases and target moment for one (n, rep) cell, and
+    basis_x(fit x), basis_z(fit z) if normalizing computed them."""
 
     data: object
     truth: object
@@ -195,6 +188,7 @@ class CellSetup:
     basis_x: object
     basis_z: object
     target: object
+    fit_values: tuple | None = None
 
 
 def prepare_cell(spec: ExperimentSpec, n: int, rep: int) -> CellSetup:
@@ -210,14 +204,16 @@ def prepare_cell(spec: ExperimentSpec, n: int, rep: int) -> CellSetup:
     theta0 = truth if isinstance(truth, float) else truth.theta0
     plan = SplitPlan(split_seed)
     fit_fold, eval_fold = split(data, plan)
+    values = None
     if spec.dgp == "proxy_nc":
         target = ate_moment(treatment_col=0)
-        bx, bz = _proxy_bases(fit_fold)
+        (bx, psi), (bz, phi) = _proxy_bases(fit_fold)
+        values = (psi, phi)
     else:
         target = mean_moment()
         bx = bz = truth.basis
     return CellSetup(data, truth, theta0, plan, fit_fold, eval_fold, bx, bz,
-                     target)
+                     target, values)
 
 
 def estimator_handle(spec: ExperimentSpec, cell: CellSetup):
@@ -242,9 +238,21 @@ def _shared_fits(spec: ExperimentSpec, cell: CellSetup):
     DrFold, otherwise the factored system of the fit fold and the eval
     fold's target matrix."""
     if spec.estimator == "dr":
+        cell.fit_values = None
         return DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell))
-    return (estimator_handle(spec, cell).system(cell.fit_fold),
+    return (_factor(spec, cell),
             cell.target.matrix(cell.eval_fold, cell.basis_x, "x"))
+
+
+def _factor(spec: ExperimentSpec, cell: CellSetup):
+    """The fit fold's system, from the cell's fit values if it has them;
+    it takes them off the cell, so they are freed when it returns."""
+    handle = estimator_handle(spec, cell)
+    if cell.fit_values is None:
+        return handle.system(cell.fit_fold)
+    (psi, phi), cell.fit_values = cell.fit_values, None
+    return handle.system_from(cell.fit_fold, psi, phi, empirical_gram(psi),
+                              empirical_gram(phi))
 
 
 def _run_rep(payload) -> list:
@@ -255,8 +263,7 @@ def _run_rep(payload) -> list:
     failure there fails every row of the rep; a failure in one strategy
     fails only its row.
     """
-    spec_doc, n, rep = payload
-    spec = ExperimentSpec.from_dict(spec_doc)
+    spec, n, rep = payload
     start = time.perf_counter()
     try:
         cell = prepare_cell(spec, n, rep)
@@ -393,6 +400,44 @@ def _one_blas_thread():
                 put(count)
 
 
+# -- allocator -------------------------------------------------------------------
+#
+# A proxy rep (n = 5000) frees and allocates again a ~7 MB working set.
+# Under glibc's default mmap and trim thresholds every rep faulted it in
+# afresh: ~147k minor page faults, ~0.3 s of a ~1.1 s proxy_nc_sweep
+# round.  So a process that runs reps (the caller at jobs 1, each pool
+# worker) keeps freed memory, with an mmap threshold of 32 MiB and a
+# trim threshold of 256 MiB, and the caller trims when its sweep ends:
+# ~5k faults a round.  The pool's parent keeps the defaults, so its
+# forks inherit no retained heap.  Without glibc's mallopt this does
+# nothing.
+
+def _malloc_calls():
+    """glibc's (mallopt, malloc_trim), or None where they are missing."""
+    try:
+        libc = ctypes.CDLL(None)
+        opt, trim = libc.mallopt, libc.malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    opt.argtypes, opt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return opt, trim
+
+
+_MALLOPT, _MALLOC_TRIM = _malloc_calls() or (None, None)
+
+
+def _keep_freed_memory() -> None:
+    if _MALLOPT is not None:
+        _MALLOPT(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        _MALLOPT(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
+def _init_worker() -> None:
+    _pin_one_blas_thread()
+    _keep_freed_memory()
+
+
 @dataclass
 class RunRecord:
     spec_hash: str
@@ -410,41 +455,23 @@ class RunRecord:
     @classmethod
     def from_csv(cls, path: str | Path) -> "RunRecord":
         spec_hash = ""
-        rows = []
         with open(path, newline="") as fh:
             first = fh.readline()
             if first.startswith("# spec_hash="):
                 spec_hash = first.strip().split("=", 1)[1]
             else:
                 fh.seek(0)
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                rows.append({
-                    "n": int(rec["n"]),
-                    "strategy": rec["strategy"],
-                    "rep": int(rec["rep"]),
-                    "abs_error": float(rec["abs_error"]),
-                    "strong_sq": float(rec["strong_sq"]),
-                    "weak_sq": float(rec["weak_sq"]),
-                    "lambda_dp": float(rec["lambda_dp"]),
-                    "iters": int(rec["iters"]),
-                    "wall_ms": float(rec["wall_ms"]),
-                })
+            rows = [{c: _CSV_TYPES.get(c, float)(rec[c]) for c in CSV_COLUMNS}
+                    for rec in csv.DictReader(fh)]
         return cls(spec_hash, rows)
 
     def aggregate(self) -> list:
         """Per-(n, strategy) means and standard errors, in row order."""
         groups: dict[tuple, list] = {}
-        order = []
         for row in self.rows:
-            key = (row["n"], row["strategy"])
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
+            groups.setdefault((row["n"], row["strategy"]), []).append(row)
         out = []
-        for key in order:
-            rows = groups[key]
+        for key, rows in groups.items():
             errs = np.array([r["abs_error"] for r in rows])
             lams = np.array([r["lambda_dp"] for r in rows])
             summary = {
@@ -486,15 +513,17 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunRecord:
 
     Rows and failures come back in (n, strategy, rep) order.
     """
-    spec_doc = spec.to_dict()
-    payloads = [(spec_doc, n, rep) for n in spec.sizes for rep in range(spec.reps)]
+    payloads = [(spec, n, rep) for n in spec.sizes for rep in range(spec.reps)]
     with _one_blas_thread():
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs,
-                                     initializer=_pin_one_blas_thread) as pool:
+                                     initializer=_init_worker) as pool:
                 by_rep = list(pool.map(_run_rep, payloads))
         else:
+            _keep_freed_memory()
             by_rep = [_run_rep(p) for p in payloads]
+            if _MALLOC_TRIM is not None:
+                _MALLOC_TRIM(0)
     results = [
         by_rep[i * spec.reps + rep][si]
         for i in range(len(spec.sizes))
@@ -542,10 +571,7 @@ def fit_rate(x: np.ndarray, y: np.ndarray) -> RateFit:
 def fit_rate_by_strategy(record: RunRecord, metric: str = "abs_error") -> dict:
     """Per-strategy slope of log mean(metric) against log n."""
     cells = record.aggregate()
-    strategies = []
-    for cell in cells:
-        if cell["strategy"] not in strategies:
-            strategies.append(cell["strategy"])
+    strategies = dict.fromkeys(cell["strategy"] for cell in cells)
     out = {}
     for strat in strategies:
         pts = [(c["n"], c[f"mean_{metric}"]) for c in cells if c["strategy"] == strat]

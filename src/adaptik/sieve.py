@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,11 +76,14 @@ class SieveBasis:
             raise ValueError(
                 f"points must be (m, {self.input_dim}), got shape {pts.shape}"
             )
-        raw = _raw_eval(self, pts)
-        out = raw * self.normalization
-        if not np.all(np.isfinite(out)):
-            raise ValueError("basis evaluation produced non-finite values")
-        return out
+        return _scale(_raw_eval(self, pts), self.normalization)
+
+
+def _scale(vals: np.ndarray, normalization: np.ndarray) -> np.ndarray:
+    vals *= normalization
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("basis evaluation produced non-finite values")
+    return vals
 
 
 def _raw_eval(basis: SieveBasis, pts: np.ndarray) -> np.ndarray:
@@ -207,19 +210,20 @@ def additive_basis(
     )
 
 
-def normalize_basis(basis: SieveBasis, sample: np.ndarray) -> SieveBasis:
+def normalize_basis(basis: SieveBasis,
+                    sample: np.ndarray) -> tuple[SieveBasis, np.ndarray]:
     """Rescale each function to unit empirical second moment on `sample`.
 
-    Near-degenerate functions (RMS below 1e-12) keep their current scale
-    so the basis never produces infinities.
+    Returns the rescaled basis and its values on `sample`, which equal
+    its `evaluate(sample)` bit for bit.  Near-degenerate functions (RMS
+    below 1e-12) keep their current scale so the basis never produces
+    infinities.
     """
-    vals = basis.evaluate(sample)
-    rms = np.sqrt(np.mean(vals**2, axis=0))
+    vals = replace(basis, normalization=np.ones(basis.n_funcs)).evaluate(sample)
+    rms = np.sqrt(np.mean((vals * basis.normalization)**2, axis=0))
     scale = np.where(rms > 1e-12, 1.0 / np.maximum(rms, 1e-12), 1.0)
-    return SieveBasis(
-        basis.kind, basis.input_dim, basis.n_funcs,
-        basis.normalization * scale, basis.params,
-    )
+    out = replace(basis, normalization=basis.normalization * scale)
+    return out, _scale(vals, out.normalization)
 
 
 @dataclass(frozen=True)

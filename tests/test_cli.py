@@ -177,6 +177,26 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--rho", "2"), ("--cd", "nan"), ("--max-iters", "0"),
+        ("--lambda0", "inf")])
+    def test_out_of_range_dp_flag_is_usage_error(self, tmp_path, capsys, flag,
+                                                 value):
+        assert main(["dp", flag, value]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert main(["dp", "--config", write_config(tmp_path), flag, value]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("rho", 2.0), ("cd", float("nan")), ("lambda0", float("inf"))])
+    def test_out_of_range_search_setting_is_usage_error(self, tmp_path, capsys,
+                                                        key, value):
+        config = write_config(tmp_path, **{key: value})
+        out = str(tmp_path / "run")
+        assert main(["experiment", "--config", config, "--out", out]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
     @pytest.mark.parametrize("metric", ["strong_sq", "weak_sq"])
     def test_rates_of_a_metric_proxy_nc_does_not_record(self, tmp_path, capsys,
                                                         metric):

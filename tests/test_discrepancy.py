@@ -52,6 +52,11 @@ class TestNoiseLevel:
         with pytest.raises(ValueError):
             NoiseSchedule("fixed", 0.0)
 
+    @pytest.mark.parametrize("lambda0", [0.0, math.inf, math.nan])
+    def test_lambda0_must_be_finite_and_positive(self, lambda0):
+        with pytest.raises(ValueError, match="lambda0 must be finite"):
+            DpConfig(NoiseSchedule("fixed", 1.0), lambda0=lambda0)
+
 
 class TestRunDp:
     def test_immediate_stop_has_no_bracket(self):

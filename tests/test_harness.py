@@ -1,14 +1,17 @@
 import ctypes
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adaptik import harness
+from adaptik.dgp import gen_proxy_nc
 from adaptik.estimators import TikhonovSystem, trae_dual_fit, trae_fit
-from adaptik.functional import adaptive_dr_pipeline, dr_estimate, split
+from adaptik.functional import DrFold, adaptive_dr_pipeline, dr_estimate, split
 from adaptik.harness import (
     ExperimentSpec,
     RunRecord,
@@ -18,6 +21,7 @@ from adaptik.harness import (
     run_experiment,
     strategy_label,
 )
+from adaptik.sieve import Dataset, SieveBasis, empirical_gram
 
 
 def tiny_spec(**overrides):
@@ -62,6 +66,25 @@ class TestExperimentSpec:
                 tiny_spec(strategies=("dp", bad))
         with pytest.raises(ValueError):
             tiny_spec(reps=0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("rho", 2.0), ("cd", math.nan), ("lambda0", math.inf),
+        ("max_iters", 0), ("schedule_kind", "bogus")])
+    def test_search_settings_checked_at_construction(self, key, value):
+        with pytest.raises(ValueError):
+            tiny_spec(**{key: value})
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_builds_no_search_config(self, monkeypatch, jobs):
+        # the spec's DpConfig, built once, serves every row
+        spec = tiny_spec(reps=1)
+
+        def no_config(*args, **kwargs):
+            raise AssertionError("DpConfig built during the sweep")
+
+        monkeypatch.setattr(harness, "DpConfig", no_config)
+        record = run_experiment(spec, jobs=jobs)
+        assert not record.failures and len(record.rows) == 3
 
     def test_default_schedules(self):
         assert tiny_spec(estimator="rdiv").schedule().kind == "rdiv_sqrt"
@@ -360,6 +383,134 @@ class TestOneBlasThread:
         assert _mapped_openblas_threads() == counts
         a = np.random.default_rng(0).standard_normal((4000, 60))
         assert np.allclose(a.T @ a, np.einsum("ij,ik->jk", a, a))
+
+
+def _proxy_spec(**overrides):
+    return tiny_spec(**{"dgp": "proxy_nc", "sizes": (400,),
+                        "strategies": ("dp", 0.0, 0.01), **overrides})
+
+
+class TestProxyRep:
+    @pytest.mark.parametrize("estimator", ["rdiv", "trae"])
+    def test_four_basis_evaluations_per_rep(self, monkeypatch, estimator):
+        # basis_x(x) and basis_z(z) of the fit fold while normalizing,
+        # which the system reuses, then basis_x at the treated and the
+        # untreated eval-fold points for the target moment
+        shapes = []
+        evaluate = SieveBasis.evaluate
+
+        def counting(self, points):
+            shapes.append(points.shape)
+            return evaluate(self, points)
+
+        monkeypatch.setattr(SieveBasis, "evaluate", counting)
+        record = run_experiment(_proxy_spec(estimator=estimator, reps=1))
+        assert not record.failures
+        assert shapes == [(200, 17), (200, 31), (200, 17), (200, 17)]
+
+    @pytest.mark.parametrize("block, col, value", [
+        ("x", 1, 0.7), ("x", 1, 0.0), ("z", 1, -1.3), ("z", 1, 0.0)])
+    @pytest.mark.parametrize("estimator", ["rdiv", "trae", "dr"])
+    def test_constant_feature(self, monkeypatch, block, col, value, estimator):
+        # a constant column makes sieve functions duplicate the intercept
+        # or vanish; fits stay finite and of minimum G-norm, or fail typed
+        def draw(params, n, rng):
+            data, theta0 = gen_proxy_nc(params, n, rng)
+            x, z = np.array(data.x), np.array(data.z)
+            (x if block == "x" else z)[:, col] = value
+            return Dataset(x, z, data.y, data.w_extra), theta0
+
+        monkeypatch.setattr(harness, "gen_proxy_nc", draw)
+        spec = _proxy_spec(estimator=estimator)
+        record = run_experiment(spec)
+        assert len(record.rows) + len(record.failures) == 6
+        assert all(f["error"].startswith("NumericalError")
+                   for f in record.failures)
+        for row in record.rows:
+            assert math.isfinite(row["abs_error"])
+            assert math.isfinite(row["lambda_dp"])
+
+        cell = harness.prepare_cell(spec, 400, 0)
+        if estimator == "dr":
+            fold = DrFold.of(cell.fit_fold, cell.eval_fold,
+                             harness.dr_config(spec, cell))
+            result = fold.run(0.0)
+            fits = [(result.h_fit, cell.basis_x, "x"),
+                    (result.q_fit, cell.basis_z, "z")]
+        else:
+            fit = harness.estimator_handle(spec, cell).system(
+                cell.fit_fold).solve(0.0)
+            fits = [(fit, cell.basis_x, "x")]
+        for fit, basis, fit_block in fits:
+            gram = empirical_gram(basis.evaluate(getattr(cell.fit_fold, fit_block)))
+            s, u = np.linalg.eigh(gram)
+            null = u[:, s <= np.sqrt(np.finfo(float).eps) * s.max()]
+            # the fitted side's Gram is singular exactly when it reads
+            # the constant column
+            assert (null.shape[1] > 0) == (fit_block == block)
+            assert np.all(np.isfinite(fit.coeffs))
+            assert np.all(np.abs(null.T @ fit.coeffs)
+                          <= 1e-9 * np.linalg.norm(fit.coeffs))
+
+
+def _has_mallopt() -> bool:
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return False
+    return hasattr(libc, "mallopt") and hasattr(libc, "malloc_trim")
+
+
+# Minor page faults per proxy rep beyond a sweep's first, measured in a
+# fresh interpreter, whose allocator has not yet adapted to earlier work.
+_FAULTS_PER_REP = """
+import resource
+from adaptik.harness import ExperimentSpec, run_experiment
+
+def faults(reps):
+    spec = ExperimentSpec(dgp="proxy_nc", estimator="trae",
+                          strategies=("dp", 0.01), sizes=(5000,),
+                          reps=reps, seed=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_experiment(spec)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(1)
+print((faults(4) - faults(1)) / 3)
+"""
+
+
+class TestFreedMemoryReuse:
+    @pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt and "
+                        "malloc_trim, so the allocator keeps its defaults")
+    def test_reps_reuse_the_memory_of_earlier_reps(self):
+        # an n = 5000 proxy rep touches ~7 MB; with glibc's default
+        # thresholds each rep faulted ~3.7k pages in again, now only the
+        # first rep of a sweep does
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(harness.__file__).parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_REP], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 200
+
+    def test_workers_keep_freed_memory_and_the_pool_parent_does_not(
+            self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_MALLOPT", lambda param, value: calls.append(
+            ("mallopt", param, value)))
+        monkeypatch.setattr(harness, "_MALLOC_TRIM", lambda pad: calls.append(
+            ("malloc_trim", pad)))
+        run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
+        assert calls == []
+        harness._init_worker()
+        assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20)]
+        calls.clear()
+        run_experiment(tiny_spec(strategies=(0.01,)))
+        assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20),
+                         ("malloc_trim", 0)]
 
 
 class TestFitRate:

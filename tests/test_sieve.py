@@ -95,9 +95,26 @@ class TestEvaluate:
     def test_normalize_gives_unit_second_moment(self):
         rng = np.random.default_rng(1)
         sample = rng.normal(size=(200, 1)) * 3.0
-        basis = normalize_basis(polynomial_basis(1, 3), sample)
+        basis, _ = normalize_basis(polynomial_basis(1, 3), sample)
         vals = basis.evaluate(sample)
         np.testing.assert_allclose(np.mean(vals**2, axis=0), 1.0, rtol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1.0, np.sqrt(2.0)])
+    def test_normalize_returns_the_values_of_its_basis(self, scale):
+        # the returned values are what the returned basis evaluates to,
+        # bit for bit, also when the input basis is already scaled and
+        # for a function whose RMS is below 1e-12, which keeps its scale
+        sample = np.random.default_rng(2).normal(size=(300, 1)) * 3.0
+        funcs = [lambda p: p[:, 0], lambda p: 1e-14 * p[:, 0] ** 2,
+                 lambda p: np.cos(p[:, 0])]
+        basis = custom_basis(funcs, 1)
+        basis = type(basis)(basis.kind, 1, 3, np.array([1.0, scale, scale]),
+                            basis.params)
+        out, vals = normalize_basis(basis, sample)
+        assert vals.tobytes() == out.evaluate(sample).tobytes()
+        assert out.normalization[1] == scale
+        np.testing.assert_allclose(np.mean(vals[:, [0, 2]] ** 2, axis=0), 1.0,
+                                   rtol=1e-12)
 
 
 class TestGram:
