@@ -229,12 +229,19 @@ class DrFold:
 
     @classmethod
     def of(cls, fit_fold: Dataset, eval_fold: Dataset,
-           config: DrPipelineConfig) -> "DrFold":
+           config: DrPipelineConfig,
+           fit_values: tuple | None = None) -> "DrFold":
         """Each distinct (basis, feature block) of the fit fold is
         evaluated once and its Gram built once, so with basis_s = basis_h
         and basis_q = basis_f (the same objects) the fit fold costs two
-        evaluations and two Grams."""
+        evaluations and two Grams.  A caller that already has basis_h(fit
+        x) and basis_f(fit z) passes them as fit_values, and the fit fold
+        then costs the two Grams only."""
         evaluated = {}
+        if fit_values is not None:
+            for basis, block, mat in zip((config.basis_h, config.basis_f),
+                                         "xz", fit_values):
+                evaluated[id(basis), block] = (mat, empirical_gram(mat))
 
         def values(basis: SieveBasis, block: str) -> tuple:
             key = (id(basis), block)

@@ -238,8 +238,9 @@ def _shared_fits(spec: ExperimentSpec, cell: CellSetup):
     DrFold, otherwise the factored system of the fit fold and the eval
     fold's target matrix."""
     if spec.estimator == "dr":
-        cell.fit_values = None
-        return DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell))
+        values, cell.fit_values = cell.fit_values, None
+        return DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell),
+                         values)
     return (_factor(spec, cell),
             cell.target.matrix(cell.eval_fold, cell.basis_x, "x"))
 

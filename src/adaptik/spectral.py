@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 
+# Grid points of classical_dp_select whose residuals one broadcast computes;
+# the spectral rate sweeps stop after ~10 points, so one block usually does.
+_GRID_BLOCK = 16
+
+
 class GridExhaustedError(RuntimeError):
     """The geometric lambda grid ran out before the residual bound was met."""
 
@@ -283,23 +288,40 @@ def classical_dp_select(
     certifies the lower bracket k*delta <= ||T h_lam' - r|| with
     lam' = lam / rho <= l * lam whenever 1/rho <= l.
     """
-    if not (k > 0.0):
-        raise ValueError("k must be positive")
+    if not (0.0 < k < math.inf):
+        raise ValueError("k must be positive and finite")
     if not (l > 1.0):
         raise ValueError("l must exceed 1")
-    if not (lambda0 > 0.0):
-        raise ValueError("lambda0 must be positive")
+    if not (0.0 < lambda0 < math.inf):
+        raise ValueError("lambda0 must be positive and finite")
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
+    if not (max_steps >= 1):
+        raise ValueError("max_steps must be at least 1")
+    _check_dim(prob, r.r_coeffs)
     threshold = k * r.delta
     if float(np.linalg.norm(r.r_coeffs)) <= threshold:
         return INFINITE_LAMBDA, TikhonovSolution(INFINITE_LAMBDA, np.zeros(prob.dim))
+    # The residual T h_lam - r = sigma * (sigma r / (sigma^2 + lam)) - r of
+    # _GRID_BLOCK grid points comes from one broadcast, each row by the same
+    # operations as tikhonov_solve + residual_norm, and its norm by the
+    # reduction np.linalg.norm applies to a vector, so every decision is
+    # the per-point one; only the selected lam is solved for.
+    sig, obs = prob.singular_values, r.r_coeffs
+    sig_r, sig_sq = sig * obs, sig**2
+    lams = np.empty((_GRID_BLOCK, 1))
     lam = float(lambda0)
-    for _ in range(max_steps):
-        sol = tikhonov_solve(prob, r, lam)
-        if residual_norm(prob, r, sol) <= threshold:
-            return lam, sol
-        lam *= rho
+    for start in range(0, max_steps, _GRID_BLOCK):
+        size = min(_GRID_BLOCK, max_steps - start)
+        for j in range(size):
+            lams[j, 0] = lam
+            lam *= rho
+        resid = sig * (sig_r / (sig_sq + lams[:size])) - obs
+        for j in range(size):
+            row = resid[j]
+            if math.sqrt(row.dot(row)) <= threshold:
+                selected = float(lams[j, 0])
+                return selected, tikhonov_solve(prob, r, selected)
     raise GridExhaustedError(
         f"no grid point below lambda0={lambda0} met the residual bound "
         f"{threshold} within {max_steps} steps; delta may be inconsistent "

@@ -7,6 +7,12 @@ paths: plain grids, explicit loops, and generic optimizers only.
 import numpy as np
 
 from adaptik.sieve import empirical_gram
+from adaptik.spectral import (
+    INFINITE_LAMBDA,
+    TikhonovSolution,
+    residual_norm,
+    tikhonov_solve,
+)
 
 
 def inner_objective(f, g, b_cross, m):
@@ -91,3 +97,22 @@ def path_shows_bracket(path, delta):
     (lam_prev, fit_prev), (lam, fit) = path.entries[-2:]
     return (lam_prev <= 2.0 * lam
             and fit.empirical_loss <= delta <= fit_prev.empirical_loss)
+
+
+def classical_dp_walk(prob, r, k, lambda0, rho, max_steps):
+    """The classical discrepancy rule one grid point at a time: a full
+    Tikhonov solve and its residual norm at lam = lambda0, lambda0 * rho,
+    ... (by repeated multiplication).  Returns (grid index, lam, solution),
+    (None, inf, zero solution) for pure noise, or None when max_steps grid
+    points all miss the bound."""
+    threshold = k * r.delta
+    if float(np.linalg.norm(r.r_coeffs)) <= threshold:
+        return None, INFINITE_LAMBDA, TikhonovSolution(INFINITE_LAMBDA,
+                                                       np.zeros(prob.dim))
+    lam = float(lambda0)
+    for j in range(max_steps):
+        sol = tikhonov_solve(prob, r, lam)
+        if residual_norm(prob, r, sol) <= threshold:
+            return j, lam, sol
+        lam *= rho
+    return None

@@ -408,6 +408,24 @@ class TestProxyRep:
         assert not record.failures
         assert shapes == [(200, 17), (200, 31), (200, 17), (200, 17)]
 
+    def test_eight_basis_evaluations_per_dr_rep(self, monkeypatch):
+        # basis_x(x) and basis_z(z) of the fit fold while normalizing,
+        # which the DrFold factors from; basis_x at the fit fold's treated
+        # and untreated points for the dual's ate moment; then basis_x(x),
+        # basis_z(z) and the treated and untreated points of the eval fold
+        shapes = []
+        evaluate = SieveBasis.evaluate
+
+        def counting(self, points):
+            shapes.append(points.shape)
+            return evaluate(self, points)
+
+        monkeypatch.setattr(SieveBasis, "evaluate", counting)
+        record = run_experiment(_proxy_spec(estimator="dr", reps=1))
+        assert not record.failures
+        assert shapes == [(200, 17), (200, 31), (200, 17), (200, 17),
+                          (200, 17), (200, 31), (200, 17), (200, 17)]
+
     @pytest.mark.parametrize("block, col, value", [
         ("x", 1, 0.7), ("x", 1, 0.0), ("z", 1, -1.3), ("z", 1, 0.0)])
     @pytest.mark.parametrize("estimator", ["rdiv", "trae", "dr"])

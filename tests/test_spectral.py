@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import classical_dp_walk
 
+from adaptik import spectral
 from adaptik.spectral import (
     INFINITE_LAMBDA,
     GridExhaustedError,
@@ -156,9 +159,10 @@ class TestClassicalDpSelect:
     def test_pure_noise_returns_infinity(self):
         prob = make_source_problem(1, 1.0, 1.0, [0.01])
         obs = NoisyObservation(np.array([0.01]), 0.1)
-        lam, sol = classical_dp_select(prob, obs, k=1.0)
+        lam, sol = classical_dp_select(prob, obs, k=1.0, max_steps=1)
         assert lam == INFINITE_LAMBDA
         assert sol.coeffs.tolist() == [0.0]
+        assert classical_dp_walk(prob, obs, 1.0, 2.0, 0.5, 1)[:2] == (None, lam)
 
     def test_single_mode_bracket_of_analytic_root(self):
         # residual lam/(1+lam) = 0.1 has root lam = 1/9 (bisection-checked);
@@ -196,6 +200,142 @@ class TestClassicalDpSelect:
         obs = NoisyObservation(np.array([1.0]), 1e-9)
         with pytest.raises(GridExhaustedError):
             classical_dp_select(prob, obs, k=1.0, max_steps=5)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(lambda0=math.inf), "lambda0"),
+        (dict(lambda0=math.nan), "lambda0"),
+        (dict(k=math.inf), "k"),
+        (dict(k=math.nan), "k"),
+        (dict(max_steps=0), "max_steps"),
+        (dict(max_steps=-1), "max_steps"),
+    ])
+    def test_rejects_bad_search_settings(self, kwargs, name):
+        prob = make_source_problem(1, 1.0, 1.0, [1.0])
+        obs = exact_observation(prob, delta=0.1)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            classical_dp_select(prob, obs, **kwargs)
+
+    def test_dimension_checked_before_the_sentinel(self):
+        prob = make_source_problem(2, 1.0, 1.0, [1.0, 1.0])
+        obs = NoisyObservation(np.array([0.01]), 1.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            classical_dp_select(prob, obs)
+
+
+def _k_stopping_at(prob, obs, lambda0, rho, stop):
+    """A k whose bound the walk first meets at grid index `stop`: midway
+    between the residual norms at grid points stop - 1 and stop (||r||
+    stands in for the point before index 0)."""
+    lam, norms = float(lambda0), [float(np.linalg.norm(obs.r_coeffs))]
+    for _ in range(stop + 1):
+        norms.append(residual_norm(prob, obs, tikhonov_solve(prob, obs, lam)))
+        lam *= rho
+    return (norms[-1] + norms[-2]) / 2.0 / obs.delta
+
+
+def _exhausted_message(lambda0, k, delta, max_steps):
+    return re.escape(
+        f"no grid point below lambda0={lambda0} met the residual bound "
+        f"{k * delta} within {max_steps} steps; delta may be inconsistent "
+        "with the problem")
+
+
+def _assert_matches_walk(prob, obs, k, lambda0, rho, max_steps):
+    """classical_dp_select agrees bit for bit with the per-point walk;
+    returns the walk's result."""
+    expected = classical_dp_walk(prob, obs, k, lambda0, rho, max_steps)
+    if expected is None:
+        with pytest.raises(GridExhaustedError,
+                           match=_exhausted_message(lambda0, k, obs.delta,
+                                                    max_steps)):
+            classical_dp_select(prob, obs, k=k, lambda0=lambda0, rho=rho,
+                                max_steps=max_steps)
+        return None
+    lam, sol = classical_dp_select(prob, obs, k=k, lambda0=lambda0, rho=rho,
+                                   max_steps=max_steps)
+    _, lam_walk, sol_walk = expected
+    assert lam == lam_walk
+    assert sol.lam == sol_walk.lam
+    assert np.array_equal(sol.coeffs, sol_walk.coeffs)
+    return expected
+
+
+class TestBlockWalk:
+    """The walk over blocks of grid points selects the lam and returns the
+    coefficients of a solve and residual at every grid point in turn."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.sampled_from([1, 7, 200]),
+        rho=st.sampled_from([0.5, 0.9, 0.99]),
+        log_lambda0=st.floats(-4.0, 3.0),
+        log_delta=st.floats(-9.0, -1.0),
+        stop=st.one_of(st.none(), st.sampled_from([0, 15, 16, 17, 33]),
+                       st.integers(0, 60)),
+        log_k=st.floats(-0.5, 3.5),
+        max_steps=st.one_of(st.sampled_from([1, 15, 16, 17, 33, 500]),
+                            st.integers(1, 70)),
+        steps_past_stop=st.one_of(st.none(), st.integers(0, 2)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_point_walk(self, d, rho, log_lambda0, log_delta,
+                                        stop, log_k, max_steps,
+                                        steps_past_stop, seed):
+        # with stop None the k is free, so the data can also be pure noise;
+        # steps_past_stop puts the end of the grid just before, at or just
+        # after the stop
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, d=d)
+        obs = perturb_observation(prob, 2.0**log_delta, rng)
+        lambda0 = 10.0**log_lambda0
+        k = 10.0**log_k
+        if stop is not None:
+            k = _k_stopping_at(prob, obs, lambda0, rho, stop)
+            # below sigma^2 * eps the residuals round to zero, and no k
+            # stops there
+            assume(k > 0.0)
+            if steps_past_stop is not None:
+                max_steps = max(stop + steps_past_stop, 1)
+        _assert_matches_walk(prob, obs, k, lambda0, rho, max_steps)
+
+    @pytest.mark.parametrize("d, rho", [(1, 0.5), (7, 0.9), (200, 0.99)])
+    @pytest.mark.parametrize("stop", [0, 15, 16, 17, 33])
+    def test_stops_at_block_edges(self, d, rho, stop):
+        # the grid runs out exactly when max_steps does not reach the stop
+        rng = np.random.default_rng(stop)
+        prob = random_problem(rng, d=d)
+        obs = perturb_observation(prob, 0.01, rng)
+        k = _k_stopping_at(prob, obs, 1.0, rho, stop)
+        for max_steps in {max(stop, 1), stop + 1, stop + 2, 500}:
+            expected = _assert_matches_walk(prob, obs, k, 1.0, rho, max_steps)
+            if max_steps > stop:
+                assert expected[0] == stop
+            else:
+                assert expected is None
+
+    def test_one_solve_per_selection(self, monkeypatch):
+        solved = []
+        solve = spectral.tikhonov_solve
+
+        def counting(prob, r, lam):
+            solved.append(lam)
+            return solve(prob, r, lam)
+
+        monkeypatch.setattr(spectral, "tikhonov_solve", counting)
+        prob = make_source_problem(200, 1.0, 1.0, np.ones(200))
+        rng = np.random.default_rng(0)
+        for delta in (2.0**-3, 2.0**-6, 2.0**-9):
+            obs = perturb_observation(prob, delta, rng)
+            solved.clear()
+            lam, _ = classical_dp_select(prob, obs)
+            assert solved == [lam]
+        # the pure-noise sentinel and an exhausted grid solve nothing
+        solved.clear()
+        lam, _ = classical_dp_select(prob, obs, k=1e6)
+        assert lam == INFINITE_LAMBDA
+        with pytest.raises(GridExhaustedError):
+            classical_dp_select(prob, obs, max_steps=3)
+        assert solved == []
 
 
 class TestNoiseGenerator:
