@@ -23,16 +23,15 @@ from adaptik.discrepancy import (
 )
 from adaptik.dgp import NpivParams, ProxyNcParams, gen_npiv, gen_proxy_nc
 from adaptik.estimators import NumericalError
-from adaptik.functional import DrFold
 from adaptik.harness import (
     ExperimentSpec,
     RunRecord,
-    dr_config,
     estimator_handle,
     fit_rate_by_strategy,
     prepare_cell,
     report_text,
     run_experiment,
+    shared_fits,
 )
 from adaptik.sieve import save_dataset_csv
 from adaptik.spectral import GridExhaustedError, exact_observation, load_problem
@@ -146,17 +145,16 @@ def _cmd_fit(args) -> int:
         raise UsageError(f"--lambda must be finite and nonnegative, got {args.lam}")
     n = spec.sizes[0]
     cell = prepare_cell(spec, n, rep=0)
+    shared = shared_fits(spec, cell)
     if spec.estimator == "dr":
-        fold = DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell))
-        estimate = fold.run(args.lam).estimate
+        estimate = shared.run(args.lam).estimate
         record = estimate.to_record()
         record.update(lambda_primal=args.lam, lambda_dual=args.lam,
                       iterations=2, abs_error=abs(estimate.theta_hat
                                                   - cell.theta0))
     else:
-        handle = estimator_handle(spec, cell)
-        fit = handle.system(cell.fit_fold).solve(args.lam)
-        target = cell.target.matrix(cell.eval_fold, cell.basis_x, "x")
+        system, target = shared
+        fit = system.solve(args.lam)
         theta = float((target @ fit.coeffs).mean())
         record = fit.to_record()
         record.update(iterations=1, n=n, theta_hat=theta,

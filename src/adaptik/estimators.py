@@ -23,7 +23,11 @@ dual fit is the same problem on the records with X and Z swapped
 (Dataset.swapped), with the target moment in place of the outcome one.
 
 Every estimator minimizes L(c) + lam c'G c with L(c) = const - 2 rhs'c
-+ c'A c, where G is the empirical Gram of the hypothesis basis.  A
++ c'A c, where G is the empirical Gram of the hypothesis basis.  These
+are second moments of (psi(X), phi(Z), Y), so a system is built from the
+fold's stacked Gram of [psi | phi | y] alone (sieve.stacked_gram): RDIV's
+stage 2 is A = B'G_z B, rhs = B'(Phi'y/n), and TRAE's B and outcome g
+are blocks of it; no n-row product is formed after the Gram.  A
 TikhonovSystem factors this once per fold: it whitens by G and
 diagonalizes the whitened A into G-orthonormal V with V'A V = diag(mu).
 Each lambda is then the filter w = p / (mu + lam), p = V'rhs, giving
@@ -44,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from adaptik.sieve import Dataset, SieveBasis, empirical_gram
+# empirical_gram stays importable here for perfbench's tracer alias test
+from adaptik.sieve import Dataset, SieveBasis, empirical_gram, stacked_gram  # noqa: F401
 
 __all__ = [
     "NumericalError",
@@ -97,7 +102,6 @@ class OperatorEstimate:
     """Stage-1 regression operator: column k of B maps psi_k(X) onto the Z-sieve."""
 
     b: np.ndarray           # (J, K)
-    gram_z: np.ndarray      # (J, J)
     ridge_stage1: float
     basis_x: SieveBasis
     basis_z: SieveBasis
@@ -105,10 +109,6 @@ class OperatorEstimate:
     def __post_init__(self):
         if not np.all(np.isfinite(self.b)):
             raise NumericalError("operator estimate has non-finite entries")
-
-    def conditional_mean(self, phi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """(T^ h)(z_i) for h = sum_k coeffs_k psi_k, given phi = Phi(z)."""
-        return phi @ (self.b @ coeffs)
 
 
 @dataclass(frozen=True)
@@ -289,15 +289,15 @@ def rdiv_stage1(
     mean Gram eigenvalue is used; an explicit 0 demands a nonsingular
     Gram and raises with a condition estimate otherwise.
     """
-    phi = basis_z.evaluate(data.z)
-    return _stage1(basis_x.evaluate(data.x), phi, empirical_gram(phi),
-                   basis_x, basis_z, ridge_stage1)
+    return _stage1(_fold_gram(data, basis_x, basis_z)[0], basis_x, basis_z,
+                   ridge_stage1)
 
 
-def _stage1(psi: np.ndarray, phi: np.ndarray, gram_z: np.ndarray,
-            basis_x: SieveBasis, basis_z: SieveBasis,
+def _stage1(gram: np.ndarray, basis_x: SieveBasis, basis_z: SieveBasis,
             ridge_stage1: float | None) -> OperatorEstimate:
-    cross = phi.T @ psi / psi.shape[0]
+    """Stage 1 from the stacked Gram of [basis_x(x) | basis_z(z) | y]."""
+    k = basis_x.n_funcs
+    gram_z, cross = gram[k:-1, k:-1], gram[k:-1, :k]
     j = gram_z.shape[0]
     if ridge_stage1 is None:
         ridge_stage1 = 1e-6 * float(np.trace(gram_z)) / j
@@ -310,17 +310,16 @@ def _stage1(psi: np.ndarray, phi: np.ndarray, gram_z: np.ndarray,
             f"(condition estimate {np.linalg.cond(gram_z):.3e})"
         )
     b = _solve_spd(a, cross, "rdiv stage 1")
-    return OperatorEstimate(b, gram_z, float(ridge_stage1), basis_x, basis_z)
+    return OperatorEstimate(b, float(ridge_stage1), basis_x, basis_z)
 
 
-def _rdiv_system(data: Dataset, op: OperatorEstimate, phi: np.ndarray,
-                 gram_psi: np.ndarray) -> TikhonovSystem:
-    """The stage-2 system, given phi = Phi(z) of data and the Gram of Psi(x)."""
-    a_mat = phi @ op.b  # (n, K): (T^ psi_k)(z_i)
-    return TikhonovSystem.factor(
-        empirical_gram(a_mat), a_mat.T @ data.y / data.n,
-        float(data.y @ data.y / data.n), gram_psi,
-    )
+def _rdiv_system(op: OperatorEstimate, gram: np.ndarray) -> TikhonovSystem:
+    """Stage 2 from the stacked Gram of the stage-2 sample: the moments of
+    Phi B c are B'G_z B and B'(Phi'y/n), with G_z that sample's Z-Gram."""
+    k = op.b.shape[1]
+    a = op.b.T @ gram[k:-1, k:-1] @ op.b
+    return TikhonovSystem.factor((a + a.T) / 2.0, op.b.T @ gram[k:-1, -1],
+                                 float(gram[-1, -1]), gram[:k, :k])
 
 
 def rdiv_fit(data: Dataset, op: OperatorEstimate, lam: float) -> FitResult:
@@ -330,14 +329,13 @@ def rdiv_fit(data: Dataset, op: OperatorEstimate, lam: float) -> FitResult:
     for the unregularized baseline and gives the minimum-G_x-norm
     least-squares fit.
     """
-    return _rdiv_system(data, op, op.basis_z.evaluate(data.z),
-                        empirical_gram(op.basis_x.evaluate(data.x))).solve(lam)
+    return _rdiv_system(op, _fold_gram(data, op.basis_x, op.basis_z)[0]).solve(lam)
 
 
 def rdiv_loss(data: Dataset, op: OperatorEstimate, coeffs: np.ndarray) -> float:
     """(1/n) sum_i (y_i - phi(z_i)' B c)^2."""
     phi = op.basis_z.evaluate(data.z)
-    resid = data.y - op.conditional_mean(phi, np.asarray(coeffs, dtype=np.float64))
+    resid = data.y - phi @ (op.b @ np.asarray(coeffs, dtype=np.float64))
     return float(resid @ resid / data.n)
 
 
@@ -347,18 +345,20 @@ def _default_inner_ridge(m: np.ndarray) -> float:
     return 1e-8 * float(np.trace(m)) / m.shape[0]
 
 
-def _adversary_mats(
-    data: Dataset,
-    moment: MomentFunctional,
-    adv_basis: SieveBasis,
-    hyp: np.ndarray,
-    adv: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(g, B) of the inner maximum, given hyp = hypothesis basis(x) and
-    adv = adversary basis(z) of data."""
-    g = moment.matrix(data, adv_basis, "z", adv).mean(axis=0)
-    b = adv.T @ hyp / data.n  # (J, K)
-    return g, b
+def _fold_gram(data: Dataset, basis_h: SieveBasis,
+               basis_f: SieveBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked Gram of [basis_h(x) | basis_f(z) | y] on data, and the
+    unscaled basis_f(z)."""
+    hyp = basis_h.unscaled().evaluate(data.x)
+    adv = basis_f.unscaled().evaluate(data.z)
+    return stacked_gram((hyp, adv), data.y, (basis_h, basis_f)), adv
+
+
+def _adversary_mats(gram: np.ndarray, k: int, g: np.ndarray | None) -> tuple:
+    """(M, g, B) of the inner maximum from the stacked Gram of [hypothesis
+    (k) | adversary | y]; g defaults to the outcome moment's, Phi'y/n."""
+    adv = slice(k, -1)
+    return gram[adv, adv], gram[adv, -1] if g is None else g, gram[adv, :k]
 
 
 def trae_inner_max(
@@ -375,10 +375,9 @@ def trae_inner_max(
     value = (g - B c)' f; with ridge 0 the value is the exact maximum of
     E_n[2 m(W; f) - 2 h(X) f(Z) - f(Z)^2] over the span of basis_f.
     """
-    hyp = basis_h.evaluate(data.x)
-    adv = basis_f.evaluate(data.z)
-    m = empirical_gram(adv)
-    g, b = _adversary_mats(data, moment, basis_f, hyp, adv)
+    gram, adv = _fold_gram(data, basis_h, basis_f)
+    g = TraeEstimator(moment, basis_h, basis_f).adversary_mean(data, adv)
+    m, g, b = _adversary_mats(gram, basis_h.n_funcs, g)
     if ridge_inner is None:
         ridge_inner = _default_inner_ridge(m)
     if ridge_inner < 0.0:
@@ -437,18 +436,12 @@ class RdivEstimator:
     ridge_stage1: float | None = None
 
     def system(self, data: Dataset) -> TikhonovSystem:
-        psi = self.basis_x.evaluate(data.x)
-        phi = self.basis_z.evaluate(data.z)
-        return self.system_from(data, psi, phi, empirical_gram(psi),
-                                empirical_gram(phi))
+        return self.system_from(_fold_gram(data, self.basis_x, self.basis_z)[0])
 
-    def system_from(self, data: Dataset, psi: np.ndarray, phi: np.ndarray,
-                    gram_psi: np.ndarray, gram_phi: np.ndarray) -> TikhonovSystem:
-        """The system of data given psi = basis_x(x), phi = basis_z(z) and
-        their empirical Grams, as TraeEstimator.system_from."""
-        op = _stage1(psi, phi, gram_phi, self.basis_x, self.basis_z,
-                     self.ridge_stage1)
-        return _rdiv_system(data, op, phi, gram_psi)
+    def system_from(self, gram: np.ndarray) -> TikhonovSystem:
+        """The system from the stacked Gram of [basis_x(x) | basis_z(z) | y]."""
+        op = _stage1(gram, self.basis_x, self.basis_z, self.ridge_stage1)
+        return _rdiv_system(op, gram)
 
 
 @dataclass(frozen=True)
@@ -459,23 +452,28 @@ class TraeEstimator:
     ridge_inner: float | None = None
 
     def system(self, data: Dataset) -> TikhonovSystem:
-        psi = self.basis_h.evaluate(data.x)
-        phi = self.basis_f.evaluate(data.z)
-        return self.system_from(data, psi, phi, empirical_gram(psi),
-                                empirical_gram(phi))
+        gram, adv = _fold_gram(data, self.basis_h, self.basis_f)
+        return self.system_from(gram, self.adversary_mean(data, adv))
 
-    def system_from(self, data: Dataset, psi: np.ndarray, phi: np.ndarray,
-                    gram_psi: np.ndarray, gram_phi: np.ndarray) -> TikhonovSystem:
-        """The system of data given psi = basis_h(x), phi = basis_f(z) and
-        their empirical Grams, so evaluations can be shared; gram_phi is
-        the adversary Gram M."""
-        g, b = _adversary_mats(data, self.moment, self.basis_f, psi, phi)
+    def adversary_mean(self, data: Dataset, adv: np.ndarray) -> np.ndarray | None:
+        """g_j = E_n[m(W; phi_j)] given adv = unscaled basis_f(z) of data;
+        None for the outcome moment, whose g is Phi'y/n of the stacked Gram."""
+        if self.moment.kind != "outcome":
+            values = adv * self.basis_f.normalization
+            return self.moment.matrix(data, self.basis_f, "z", values).mean(axis=0)
+
+    def system_from(self, gram: np.ndarray,
+                    g: np.ndarray | None = None) -> TikhonovSystem:
+        """The system from the stacked Gram of [basis_h(x) | basis_f(z) | y]
+        and, for a moment other than the outcome one, adversary_mean g."""
+        k = self.basis_h.n_funcs
+        m, g, b = _adversary_mats(gram, k, g)
         ridge = self.ridge_inner
         if ridge is None:
-            ridge = _default_inner_ridge(gram_phi)
-        minv = _solve_spd(gram_phi + ridge * np.eye(gram_phi.shape[0]),
+            ridge = _default_inner_ridge(m)
+        minv = _solve_spd(m + ridge * np.eye(m.shape[0]),
                           np.column_stack([g, b]), "trae system")
         minv_g, minv_b = minv[:, 0], minv[:, 1:]
         return TikhonovSystem.factor(b.T @ minv_b, b.T @ minv_g,
-                                     float(g @ minv_g), gram_psi,
+                                     float(g @ minv_g), gram[:k, :k],
                                      (minv_g, minv_b))

@@ -13,10 +13,10 @@ per-record values, which estimates the influence-function variance.
 
 One split is a DrFold: DrFold.of factors the primal and dual TRAE
 systems of the fit fold (the dual is the primal problem with X and Z
-swapped and the target moment in place of the outcome one) and builds
-the eval fold's DrEvaluation, evaluating each distinct (basis, fold,
-feature block) once; DrFold.run(strategy) tunes both sides by the
-search ("dp") or a fixed lambda and estimates.
+swapped and the target moment in place of the outcome one), each from
+one stacked Gram, and builds the eval fold's DrEvaluation, evaluating
+each distinct (basis, fold, feature block) once; DrFold.run(strategy)
+tunes both sides by the search ("dp") or a fixed lambda and estimates.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from adaptik.estimators import (  # noqa: F401
     trae_dual_fit,
     trae_fit,
 )
-from adaptik.sieve import Dataset, SieveBasis, empirical_gram
+from adaptik.sieve import Dataset, SieveBasis, stacked_gram
 from adaptik.util import stream_rng
 
 __all__ = [
@@ -231,37 +231,36 @@ class DrFold:
     def of(cls, fit_fold: Dataset, eval_fold: Dataset,
            config: DrPipelineConfig,
            fit_values: tuple | None = None) -> "DrFold":
-        """Each distinct (basis, feature block) of the fit fold is
-        evaluated once and its Gram built once, so with basis_s = basis_h
-        and basis_q = basis_f (the same objects) the fit fold costs two
-        evaluations and two Grams.  A caller that already has basis_h(fit
-        x) and basis_f(fit z) passes them as fit_values, and the fit fold
-        then costs the two Grams only."""
-        evaluated = {}
+        """Each distinct (basis, feature block) of the fit fold is evaluated
+        once, unscaled, or taken from fit_values = (basis_h(x), basis_f(z)).
+        Each side stacks its own Gram, in trae_fit's and trae_dual_fit's
+        column order: a SYRK entry's last bits depend on its position."""
+        unscaled = {}
         if fit_values is not None:
             for basis, block, mat in zip((config.basis_h, config.basis_f),
                                          "xz", fit_values):
-                evaluated[id(basis), block] = (mat, empirical_gram(mat))
+                unscaled[id(basis), block] = mat
 
-        def values(basis: SieveBasis, block: str) -> tuple:
+        def values(basis: SieveBasis, block: str) -> np.ndarray:
             key = (id(basis), block)
-            if key not in evaluated:
-                mat = basis.evaluate(getattr(fit_fold, block))
-                evaluated[key] = (mat, empirical_gram(mat))
-            return evaluated[key]
+            if key not in unscaled:
+                unscaled[key] = basis.unscaled().evaluate(getattr(fit_fold, block))
+            return unscaled[key]
 
-        psi_h, gram_h = values(config.basis_h, "x")
-        phi_f, gram_f = values(config.basis_f, "z")
-        phi_q, gram_q = values(config.basis_q, "z")
-        psi_s, gram_s = values(config.basis_s, "x")
+        def gram(hyp: SieveBasis, adv: SieveBasis, blocks: str) -> np.ndarray:
+            mats = (values(hyp, blocks[0]), values(adv, blocks[1]))
+            return stacked_gram(mats, fit_fold.y, (hyp, adv))
+
         primal = TraeEstimator(config.outcome_moment, config.basis_h,
                                config.basis_f, config.ridge_inner)
         dual = TraeEstimator(config.target_moment, config.basis_q,
                              config.basis_s, config.ridge_inner)
         return cls(
             config, fit_fold,
-            primal.system_from(fit_fold, psi_h, phi_f, gram_h, gram_f),
-            dual.system_from(fit_fold.swapped(), phi_q, psi_s, gram_q, gram_s),
+            primal.system_from(gram(config.basis_h, config.basis_f, "xz")),
+            dual.system_from(gram(config.basis_q, config.basis_s, "zx"),
+                             dual.adversary_mean(fit_fold.swapped(),
+                                                 values(config.basis_s, "x"))),
             DrEvaluation.of(eval_fold, config.basis_h, config.basis_q,
                             config.target_moment, config.outcome_moment),
         )

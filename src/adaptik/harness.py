@@ -49,7 +49,7 @@ from adaptik.estimators import (
     outcome_moment,
 )
 from adaptik.functional import DrFold, DrPipelineConfig, SplitPlan, split
-from adaptik.sieve import additive_basis, empirical_gram, normalize_basis
+from adaptik.sieve import additive_basis, normalize_basis, scale_gram, stacked_gram
 from adaptik.util import stream_rng
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "RunRecord",
     "RateFit",
     "prepare_cell",
+    "shared_fits",
     "estimator_handle",
     "dr_config",
     "run_experiment",
@@ -162,7 +163,10 @@ def _make_dgp(spec: ExperimentSpec):
     return lambda n, rng: gen_npiv(params, n, rng)
 
 
-def _proxy_bases(fit_fold):
+def _proxy_bases(fit_fold, keep_values: bool):
+    """Bases normalized by the diagonal of the fit fold's stacked Gram,
+    that Gram rescaled, and the unscaled values it was built from if
+    keep_values (else None; each block is then freed once stacked)."""
     # cube terms invert the observation transform, so the latent-linear
     # bridge and conditional means are spanned per coordinate; squares on
     # the instrument side would only inflate the adversary dimension
@@ -171,13 +175,20 @@ def _proxy_bases(fit_fold):
     bx = additive_basis(d_x, powers=(1, 2, 3), treat_col=0,
                         interact_cols=tuple(range(1, d_x)))
     bz = additive_basis(d_z, powers=(1, 3), treat_col=0)
-    return normalize_basis(bx, fit_fold.x), normalize_basis(bz, fit_fold.z)
+    values = (b.evaluate(p) for b, p in ((bx, fit_fold.x), (bz, fit_fold.z)))
+    values = tuple(values) if keep_values else values  # unit-scale values
+    gram = stacked_gram(values, fit_fold.y, (bx, bz))
+    moments = np.diag(gram)
+    bx = normalize_basis(bx, moments[:bx.n_funcs])
+    bz = normalize_basis(bz, moments[bx.n_funcs:-1])
+    return bx, bz, scale_gram(gram, (bx, bz)), values if keep_values else None
 
 
 @dataclass
 class CellSetup:
-    """Data, folds, bases and target moment for one (n, rep) cell, and
-    basis_x(fit x), basis_z(fit z) if normalizing computed them."""
+    """Data, folds, bases and target moment for one (n, rep) cell; the fit
+    fold's stacked Gram (and for dr its unscaled values) if normalizing
+    computed it."""
 
     data: object
     truth: object
@@ -188,6 +199,7 @@ class CellSetup:
     basis_x: object
     basis_z: object
     target: object
+    fit_gram: np.ndarray | None = None
     fit_values: tuple | None = None
 
 
@@ -204,16 +216,15 @@ def prepare_cell(spec: ExperimentSpec, n: int, rep: int) -> CellSetup:
     theta0 = truth if isinstance(truth, float) else truth.theta0
     plan = SplitPlan(split_seed)
     fit_fold, eval_fold = split(data, plan)
-    values = None
+    gram = values = None
     if spec.dgp == "proxy_nc":
         target = ate_moment(treatment_col=0)
-        (bx, psi), (bz, phi) = _proxy_bases(fit_fold)
-        values = (psi, phi)
+        bx, bz, gram, values = _proxy_bases(fit_fold, spec.estimator == "dr")
     else:
         target = mean_moment()
         bx = bz = truth.basis
     return CellSetup(data, truth, theta0, plan, fit_fold, eval_fold, bx, bz,
-                     target, values)
+                     target, gram, values)
 
 
 def estimator_handle(spec: ExperimentSpec, cell: CellSetup):
@@ -233,7 +244,7 @@ def dr_config(spec: ExperimentSpec, cell: CellSetup) -> DrPipelineConfig:
     )
 
 
-def _shared_fits(spec: ExperimentSpec, cell: CellSetup):
+def shared_fits(spec: ExperimentSpec, cell: CellSetup):
     """What every strategy of a rep solves from: for dr the cell's
     DrFold, otherwise the factored system of the fit fold and the eval
     fold's target matrix."""
@@ -241,19 +252,10 @@ def _shared_fits(spec: ExperimentSpec, cell: CellSetup):
         values, cell.fit_values = cell.fit_values, None
         return DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell),
                          values)
-    return (_factor(spec, cell),
-            cell.target.matrix(cell.eval_fold, cell.basis_x, "x"))
-
-
-def _factor(spec: ExperimentSpec, cell: CellSetup):
-    """The fit fold's system, from the cell's fit values if it has them;
-    it takes them off the cell, so they are freed when it returns."""
     handle = estimator_handle(spec, cell)
-    if cell.fit_values is None:
-        return handle.system(cell.fit_fold)
-    (psi, phi), cell.fit_values = cell.fit_values, None
-    return handle.system_from(cell.fit_fold, psi, phi, empirical_gram(psi),
-                              empirical_gram(phi))
+    system = (handle.system(cell.fit_fold) if cell.fit_gram is None
+              else handle.system_from(cell.fit_gram))
+    return system, cell.target.matrix(cell.eval_fold, cell.basis_x, "x")
 
 
 def _run_rep(payload) -> list:
@@ -268,7 +270,7 @@ def _run_rep(payload) -> list:
     start = time.perf_counter()
     try:
         cell = prepare_cell(spec, n, rep)
-        shared = _shared_fits(spec, cell)
+        shared = shared_fits(spec, cell)
     except Exception as exc:  # per-rep failures must not kill the sweep
         return [_error_row(n, s, rep, exc) for s in spec.strategies]
     shared_s = time.perf_counter() - start

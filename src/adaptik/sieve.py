@@ -1,8 +1,9 @@
 """Finite linear function classes (sieve bases) and dataset plumbing.
 
-A SieveBasis maps an (m, d) array of points to an (m, K) matrix of basis
-evaluations.  All estimators consume bases only through `evaluate` and
-`empirical_gram`, so the families here (tensor polynomials,
+A SieveBasis maps an (m, d) array of points to a column-major (m, K)
+matrix of basis evaluations.  Estimators consume a fold through its
+`stacked_gram`, the second moments of [values | y] from one SYRK, so
+the families here (tensor polynomials,
 integer-frequency trigonometric functions, additive per-coordinate
 dictionaries, arbitrary fixed dictionaries) are interchangeable.
 
@@ -29,6 +30,8 @@ __all__ = [
     "additive_basis",
     "normalize_basis",
     "empirical_gram",
+    "stacked_gram",
+    "scale_gram",
     "save_dataset_csv",
 ]
 
@@ -64,7 +67,8 @@ class SieveBasis:
         object.__setattr__(self, "normalization", norm)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate all K functions at each row of `points`, scaled."""
+        """Evaluate all K functions at each row of `points`, scaled, as the
+        column-major (m, K) transpose of a (K, m) buffer, row by function."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             if self.input_dim != 1:
@@ -76,44 +80,46 @@ class SieveBasis:
             raise ValueError(
                 f"points must be (m, {self.input_dim}), got shape {pts.shape}"
             )
-        return _scale(_raw_eval(self, pts), self.normalization)
+        vals = _raw_eval(self, pts)
+        vals *= self.normalization[:, None]
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("basis evaluation produced non-finite values")
+        return vals.T
 
-
-def _scale(vals: np.ndarray, normalization: np.ndarray) -> np.ndarray:
-    vals *= normalization
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("basis evaluation produced non-finite values")
-    return vals
+    def unscaled(self) -> "SieveBasis":
+        """The same functions with unit normalization."""
+        return replace(self, normalization=np.ones(self.n_funcs))
 
 
 def _raw_eval(basis: SieveBasis, pts: np.ndarray) -> np.ndarray:
+    """The (K, m) values of the basis functions before normalization."""
     m = pts.shape[0]
     p = basis.params
     if basis.kind == "polynomial":
         expo = np.asarray(p["exponents"], dtype=np.float64)  # (K, d)
-        out = np.ones((m, basis.n_funcs))
+        out = np.ones((basis.n_funcs, m))
         for j in range(basis.input_dim):
             col = pts[:, j]
             for k in range(basis.n_funcs):
                 e = expo[k, j]
                 if e:
-                    out[:, k] *= col**e
+                    out[k] *= col**e
         return out
     if basis.kind == "trigonometric":
         x = pts[:, 0]
-        out = np.empty((m, basis.n_funcs))
-        out[:, 0] = 1.0
+        out = np.empty((basis.n_funcs, m))
+        out[0] = 1.0
         for k in range(1, basis.n_funcs):
             freq = (k + 1) // 2
-            out[:, k] = np.sin(freq * x) if k % 2 == 1 else np.cos(freq * x)
+            out[k] = np.sin(freq * x) if k % 2 == 1 else np.cos(freq * x)
         return out
     # custom: either a structured additive spec or a tuple of callables
     if "additive" in p:
         return _additive_eval(p["additive"], pts)
     funcs = p["funcs"]
-    out = np.empty((m, basis.n_funcs))
+    out = np.empty((basis.n_funcs, m))
     for k, f in enumerate(funcs):
-        out[:, k] = np.asarray(f(pts), dtype=np.float64).reshape(m)
+        out[k] = np.asarray(f(pts), dtype=np.float64).reshape(m)
     return out
 
 
@@ -123,12 +129,12 @@ def _additive_eval(spec: tuple, pts: np.ndarray) -> np.ndarray:
     m, d = pts.shape
     coords = np.ascontiguousarray(pts.T)
     n_plain = d - (treat_col is not None)
-    out = np.empty((m, 1 + (treat_col is not None) + n_plain * len(powers)
-                    + len(interact_cols)))
-    out[:, 0] = 1.0
+    out = np.empty((1 + (treat_col is not None) + n_plain * len(powers)
+                    + len(interact_cols), m))
+    out[0] = 1.0
     k = 1
     if treat_col is not None:
-        out[:, k] = coords[treat_col]
+        out[k] = coords[treat_col]
         k += 1
     pw = np.empty((max(powers), m))  # pw[e - 1] = x ** e
     for j in range(d):
@@ -138,10 +144,10 @@ def _additive_eval(spec: tuple, pts: np.ndarray) -> np.ndarray:
         for e in range(1, len(pw)):
             np.multiply(pw[e - 1], coords[j], out=pw[e])
         for e in powers:
-            out[:, k] = pw[e - 1]
+            out[k] = pw[e - 1]
             k += 1
     for j in interact_cols:
-        np.multiply(coords[treat_col], coords[j], out=out[:, k])
+        np.multiply(coords[treat_col], coords[j], out=out[k])
         k += 1
     return out
 
@@ -210,20 +216,13 @@ def additive_basis(
     )
 
 
-def normalize_basis(basis: SieveBasis,
-                    sample: np.ndarray) -> tuple[SieveBasis, np.ndarray]:
-    """Rescale each function to unit empirical second moment on `sample`.
-
-    Returns the rescaled basis and its values on `sample`, which equal
-    its `evaluate(sample)` bit for bit.  Near-degenerate functions (RMS
-    below 1e-12) keep their current scale so the basis never produces
-    infinities.
-    """
-    vals = replace(basis, normalization=np.ones(basis.n_funcs)).evaluate(sample)
-    rms = np.sqrt(np.mean((vals * basis.normalization)**2, axis=0))
+def normalize_basis(basis: SieveBasis, second_moments: np.ndarray) -> SieveBasis:
+    """Rescale each function to unit second moment, given those of its
+    current values on a sample (the diagonal of their Gram).  Functions
+    with RMS at most 1e-12 keep their scale, so nothing becomes infinite."""
+    rms = np.sqrt(second_moments)
     scale = np.where(rms > 1e-12, 1.0 / np.maximum(rms, 1e-12), 1.0)
-    out = replace(basis, normalization=basis.normalization * scale)
-    return out, _scale(vals, out.normalization)
+    return replace(basis, normalization=basis.normalization * scale)
 
 
 @dataclass(frozen=True)
@@ -291,6 +290,27 @@ def empirical_gram(m: np.ndarray) -> np.ndarray:
         raise ValueError("need a nonempty 2-d matrix")
     g = m.T @ m / m.shape[0]
     return (g + g.T) / 2.0
+
+
+def stacked_gram(values, y: np.ndarray, bases) -> np.ndarray:
+    """The empirical Gram of [bases' values | y] from their unscaled values
+    (any iterable; a generator holds one block at a time), copied into
+    adjacent columns of one column-major buffer: one SYRK for all of it."""
+    buf = np.empty((len(y), sum(b.n_funcs for b in bases) + 1), order="F")
+    values, k = iter(values), 0
+    for basis in bases:
+        buf[:, k:k + basis.n_funcs] = next(values)
+        k += basis.n_funcs
+    buf[:, k] = y
+    return scale_gram(empirical_gram(buf), bases)
+
+
+def scale_gram(gram: np.ndarray, bases) -> np.ndarray:
+    """D gram D, D = diag(normalizations of bases, 1): the normalizations
+    enter every stacked Gram this way, also when they are computed from
+    the Gram itself, so the result does not depend on when they were."""
+    d = np.concatenate([b.normalization for b in bases] + [np.ones(1)])
+    return gram * np.outer(d, d)
 
 
 # -- CSV output ------------------------------------------------------------

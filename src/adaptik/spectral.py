@@ -286,7 +286,7 @@ def classical_dp_select(
     lambda0 * rho**j is walked downward and the first (largest) lam with
     ||T h_lam - r|| <= k * delta is returned; the preceding grid point then
     certifies the lower bracket k*delta <= ||T h_lam' - r|| with
-    lam' = lam / rho <= l * lam whenever 1/rho <= l.
+    lam' = lam / rho <= l * lam, so 1/rho > l is rejected.
     """
     if not (0.0 < k < math.inf):
         raise ValueError("k must be positive and finite")
@@ -296,6 +296,9 @@ def classical_dp_select(
         raise ValueError("lambda0 must be positive and finite")
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
+    if 1.0 / rho > l:
+        raise ValueError(f"1/rho = {1.0 / rho} exceeds l = {l}, so the grid "
+                         "cannot certify the bracket lam' <= l * lam")
     if not (max_steps >= 1):
         raise ValueError("max_steps must be at least 1")
     _check_dim(prob, r.r_coeffs)

@@ -6,7 +6,6 @@ paths: plain grids, explicit loops, and generic optimizers only.
 
 import numpy as np
 
-from adaptik.sieve import empirical_gram
 from adaptik.spectral import (
     INFINITE_LAMBDA,
     TikhonovSolution,
@@ -50,14 +49,78 @@ def grid_inner_max(g, b_cross, m, lo=-3.0, hi=3.0, step=1e-3):
     return best_f, best_val
 
 
+def row_major_evaluate(basis, pts):
+    """basis.evaluate(pts) written column by column into a row-major (m, K)
+    array, one elementwise operation per value as the basis code applies
+    them, for the polynomial, trigonometric and additive kinds."""
+    pts = np.asarray(pts, dtype=np.float64)
+    m = pts.shape[0]
+    out = np.ones((m, basis.n_funcs))
+    if basis.kind == "polynomial":
+        expo = np.asarray(basis.params["exponents"], dtype=np.float64)
+        for j in range(basis.input_dim):
+            for k in range(basis.n_funcs):
+                if expo[k, j]:
+                    out[:, k] *= pts[:, j] ** expo[k, j]
+    elif basis.kind == "trigonometric":
+        for k in range(1, basis.n_funcs):
+            freq = (k + 1) // 2
+            out[:, k] = (np.sin if k % 2 == 1 else np.cos)(freq * pts[:, 0])
+    else:
+        powers, treat_col, interact_cols = basis.params["additive"]
+        cols = [np.ones(m)]
+        if treat_col is not None:
+            cols.append(pts[:, treat_col])
+        for j in range(pts.shape[1]):
+            if j != treat_col:
+                pw = [pts[:, j]]
+                for _ in range(1, max(powers)):
+                    pw.append(pw[-1] * pts[:, j])
+                cols.extend(pw[e - 1] for e in powers)
+        cols.extend(pts[:, treat_col] * pts[:, j] for j in interact_cols)
+        out = np.column_stack(cols)
+    out *= basis.normalization
+    return out
+
+
 def trae_mats(data, moment, basis_h, basis_f):
-    """The (M, g, B, G_h) matrices of the adversarial problem, rebuilt plainly."""
-    hyp = basis_h.evaluate(data.x)
-    adv = basis_f.evaluate(data.z)
-    m = empirical_gram(adv)
+    """The (M, g, B, G_h) matrices of the adversarial problem, rebuilt
+    plainly: g = mean(m(W; phi)), B = Phi'Psi/n on separately evaluated
+    row-major values."""
+    hyp = np.ascontiguousarray(basis_h.evaluate(data.x))
+    adv = np.ascontiguousarray(basis_f.evaluate(data.z))
+    m = adv.T @ adv / data.n
     g = moment.matrix(data, basis_f, "z").mean(axis=0)
     b = adv.T @ hyp / data.n
-    return m, g, b, empirical_gram(hyp)
+    return m, g, b, hyp.T @ hyp / data.n
+
+
+def trae_reference_system(data, moment, basis_h, basis_f, ridge_inner):
+    """(A, rhs, const, G_h) of TRAE's quadratic with inner ridge
+    ridge_inner, from trae_mats and a dense solve."""
+    m, g, b, gram_h = trae_mats(data, moment, basis_h, basis_f)
+    minv = np.linalg.solve(m + ridge_inner * np.eye(len(g)),
+                           np.column_stack([g, b]))
+    return b.T @ minv[:, 1:], b.T @ minv[:, 0], g @ minv[:, 0], gram_h
+
+
+def rdiv_reference_system(data, op):
+    """(A, rhs, const, G_x) of RDIV stage 2 on data with stage-1 operator
+    op, from the n-row product Phi B: A = (Phi B)'(Phi B)/n."""
+    phi = np.ascontiguousarray(op.basis_z.evaluate(data.z))
+    psi = np.ascontiguousarray(op.basis_x.evaluate(data.x))
+    fitted = phi @ op.b
+    n = data.n
+    return (fitted.T @ fitted / n, fitted.T @ data.y / n, data.y @ data.y / n,
+            psi.T @ psi / n)
+
+
+def dense_tikhonov(system, lam):
+    """(coefficients, loss) minimizing const - 2 rhs'c + c'A c + lam c'G c
+    by one dense solve of (A + lam G) c = rhs."""
+    a, rhs, const, gram = system
+    c = np.linalg.solve(a + lam * gram, rhs)
+    return c, float(const - 2.0 * rhs @ c + c @ a @ c)
 
 
 def nested_grid_trae_objective(data, moment, basis_h, basis_f, lam,

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from oracles import grid_inner_max, nested_grid_trae_objective, trae_mats
+from oracles import (
+    dense_tikhonov,
+    grid_inner_max,
+    nested_grid_trae_objective,
+    rdiv_reference_system,
+    trae_mats,
+    trae_reference_system,
+)
 
 from adaptik.estimators import (
     NumericalError,
@@ -352,3 +361,60 @@ class TestProperties:
         rec = fit.to_record()
         assert set(rec) == {"coeffs", "lambda", "empirical_loss",
                             "norm_penalty", "inner_adversary"}
+
+
+def oracle_data(seed, n):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n, 1))
+    z = 0.8 * x + 0.2 * rng.uniform(-1.0, 1.0, size=(n, 1))
+    y = np.sin(2.0 * x[:, 0]) + 0.3 * rng.normal(size=n)
+    return Dataset(x, z, y)
+
+
+def assert_matches_reference(fit, system, lam):
+    coeffs, loss = dense_tikhonov(system, lam)
+    np.testing.assert_allclose(fit.coeffs, coeffs, rtol=1e-9,
+                               atol=1e-9 * float(np.abs(coeffs).max()))
+    assert fit.empirical_loss == pytest.approx(loss, rel=1e-9,
+                                               abs=1e-9 * system[2])
+
+
+oracle_cases = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 400),
+                    k=st.integers(1, 4), extra=st.integers(0, 2),
+                    lam=st.sampled_from([0.0, 1e-3, 0.1]))
+
+
+class TestGramOnlySystems:
+    """Systems built from a stacked Gram alone solve the same quadratic as
+    the n-row reference systems in tests/oracles.py."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**oracle_cases)
+    def test_rdiv_matches_the_phi_b_reference(self, seed, n, k, extra, lam):
+        data = oracle_data(seed, n)
+        bx, bz = polynomial_basis(1, k - 1), polynomial_basis(1, k - 1 + extra)
+        fit = RdivEstimator(bx, bz).system(data).solve(lam)
+        op = rdiv_stage1(data, bx, bz)
+        assert_matches_reference(fit, rdiv_reference_system(data, op), lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**oracle_cases)
+    def test_rdiv_fit_uses_the_stage2_sample(self, seed, n, k, extra, lam):
+        # B'G_z B must take G_z from the stage-2 sample, not from stage 1's
+        bx, bz = polynomial_basis(1, k - 1), polynomial_basis(1, k - 1 + extra)
+        op = rdiv_stage1(oracle_data(seed, n), bx, bz)
+        stage2 = oracle_data(seed ^ 0x5EED, n + 17)
+        fit = rdiv_fit(stage2, op, lam)
+        assert_matches_reference(fit, rdiv_reference_system(stage2, op), lam)
+
+    @pytest.mark.parametrize("moment", [outcome_moment(), mean_moment()],
+                             ids=["outcome", "mean"])
+    @settings(max_examples=40, deadline=None)
+    @given(**oracle_cases)
+    def test_trae_matches_the_mean_and_cross_product_reference(
+            self, moment, seed, n, k, extra, lam):
+        data = oracle_data(seed, n)
+        bh, bf = polynomial_basis(1, k - 1), polynomial_basis(1, k - 1 + extra)
+        fit = TraeEstimator(moment, bh, bf, ridge_inner=0.0).system(data).solve(lam)
+        assert_matches_reference(
+            fit, trae_reference_system(data, moment, bh, bf, 0.0), lam)

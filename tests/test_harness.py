@@ -385,6 +385,44 @@ class TestOneBlasThread:
         assert np.allclose(a.T @ a, np.einsum("ij,ik->jk", a, a))
 
 
+def _row_cells(rows):
+    return [[repr(r[c]) for c in harness.CSV_COLUMNS if c != "wall_ms"]
+            for r in rows]
+
+
+class TestThreadCountIndependence:
+    """Gram blocks from one SYRK, and the systems factored from them, have
+    the same bits under one and two OpenBLAS threads; a GEMM cross
+    product over m >= 1000 rows does not."""
+
+    def test_dr_rows_at_n_2000_equal_the_pipeline_at_two_threads(
+            self, two_blas_threads):
+        # the sweep pins one thread; the public steps run at two
+        assert set(_mapped_openblas_threads()) == {2}
+        spec = _proxy_spec(estimator="dr", sizes=(2000,), reps=1)
+        record = run_experiment(spec)
+        assert not record.failures
+        assert set(_mapped_openblas_threads()) == {2}
+        assert _row_cells(record.rows) == _row_cells(
+            TestDrRows._pipeline_rows(spec))
+
+    @pytest.mark.parametrize("estimator", ["rdiv", "trae"])
+    def test_systems_at_n_2000_are_bit_identical(self, two_blas_threads,
+                                                 estimator):
+        assert set(_mapped_openblas_threads()) == {2}
+        spec = _proxy_spec(estimator=estimator, sizes=(2000,))
+        cell = harness.prepare_cell(spec, 2000, 0)
+        handle = harness.estimator_handle(spec, cell)
+        two = handle.system(cell.fit_fold)
+        with harness._one_blas_thread():
+            one = handle.system(cell.fit_fold)
+        for name in ("vecs", "mu", "p", "const", "floor"):
+            assert np.array_equal(getattr(one, name), getattr(two, name)), name
+        for a, b in zip(one.adversary or (), two.adversary or ()):
+            assert np.array_equal(a, b)
+        assert np.array_equal(one.solve(0.01).coeffs, two.solve(0.01).coeffs)
+
+
 def _proxy_spec(**overrides):
     return tiny_spec(**{"dgp": "proxy_nc", "sizes": (400,),
                         "strategies": ("dp", 0.0, 0.01), **overrides})
@@ -469,6 +507,49 @@ class TestProxyRep:
             assert np.all(np.isfinite(fit.coeffs))
             assert np.all(np.abs(null.T @ fit.coeffs)
                           <= 1e-9 * np.linalg.norm(fit.coeffs))
+
+
+    @pytest.mark.parametrize("estimator", ["rdiv", "trae", "dr"])
+    def test_all_treated_fit_fold(self, monkeypatch, estimator):
+        # A = 1 on every fit-fold record: the treatment function of each
+        # basis duplicates its intercept there, while the eval fold keeps
+        # both arms; rows stay finite or fail typed, and the lambda = 0
+        # fit has no weight on the duplicated direction
+        def treated_split(data, plan):
+            fit_fold, eval_fold = split(data, plan)
+            x, z = np.array(fit_fold.x), np.array(fit_fold.z)
+            x[:, 0] = z[:, 0] = 1.0
+            return Dataset(x, z, fit_fold.y, fit_fold.w_extra), eval_fold
+
+        monkeypatch.setattr(harness, "split", treated_split)
+        spec = _proxy_spec(estimator=estimator)
+        record = run_experiment(spec)
+        assert len(record.rows) + len(record.failures) == 6
+        assert all(f["error"].startswith("NumericalError")
+                   for f in record.failures)
+        for row in record.rows:
+            assert math.isfinite(row["abs_error"])
+            assert math.isfinite(row["lambda_dp"])
+
+        cell = harness.prepare_cell(spec, 400, 0)
+        assert np.all(cell.fit_fold.x[:, 0] == 1.0)
+        assert 0.0 < cell.eval_fold.x[:, 0].mean() < 1.0
+        if estimator == "dr":
+            fold = DrFold.of(cell.fit_fold, cell.eval_fold,
+                             harness.dr_config(spec, cell))
+            result = fold.run(0.0)
+            fits = [(result.h_fit, cell.basis_x), (result.q_fit, cell.basis_z)]
+        else:
+            fits = [(harness.estimator_handle(spec, cell).system(
+                cell.fit_fold).solve(0.0), cell.basis_x)]
+        for fit, basis in fits:
+            # intercept minus treatment, each in the basis's own scale
+            null = np.zeros(basis.n_funcs)
+            null[:2] = 1.0 / basis.normalization[:2]
+            null[1] *= -1.0
+            assert np.all(np.isfinite(fit.coeffs))
+            assert (abs(null @ fit.coeffs)
+                    <= 1e-9 * np.linalg.norm(null) * np.linalg.norm(fit.coeffs))
 
 
 def _has_mallopt() -> bool:

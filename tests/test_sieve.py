@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import row_major_evaluate
 
 from adaptik.sieve import (
     Dataset,
@@ -11,6 +12,8 @@ from adaptik.sieve import (
     normalize_basis,
     polynomial_basis,
     save_dataset_csv,
+    scale_gram,
+    stacked_gram,
     trigonometric_basis,
 )
 
@@ -95,26 +98,82 @@ class TestEvaluate:
     def test_normalize_gives_unit_second_moment(self):
         rng = np.random.default_rng(1)
         sample = rng.normal(size=(200, 1)) * 3.0
-        basis, _ = normalize_basis(polynomial_basis(1, 3), sample)
-        vals = basis.evaluate(sample)
+        basis = polynomial_basis(1, 3)
+        moments = np.diag(empirical_gram(basis.evaluate(sample)))
+        vals = normalize_basis(basis, moments).evaluate(sample)
         np.testing.assert_allclose(np.mean(vals**2, axis=0), 1.0, rtol=1e-10)
 
     @pytest.mark.parametrize("scale", [1.0, np.sqrt(2.0)])
-    def test_normalize_returns_the_values_of_its_basis(self, scale):
-        # the returned values are what the returned basis evaluates to,
-        # bit for bit, also when the input basis is already scaled and
-        # for a function whose RMS is below 1e-12, which keeps its scale
-        sample = np.random.default_rng(2).normal(size=(300, 1)) * 3.0
+    def test_normalize_rescales_the_gram_of_its_basis(self, scale):
+        # the normalized basis has unit second moments and its stacked
+        # Gram matches its values', also when the input basis is already
+        # scaled and for a function whose RMS is below 1e-12, which keeps
+        # its scale
+        rng = np.random.default_rng(2)
+        sample = rng.normal(size=(300, 1)) * 3.0
+        y = rng.normal(size=300)
         funcs = [lambda p: p[:, 0], lambda p: 1e-14 * p[:, 0] ** 2,
                  lambda p: np.cos(p[:, 0])]
         basis = custom_basis(funcs, 1)
         basis = type(basis)(basis.kind, 1, 3, np.array([1.0, scale, scale]),
                             basis.params)
-        out, vals = normalize_basis(basis, sample)
-        assert vals.tobytes() == out.evaluate(sample).tobytes()
+        unscaled = (basis.unscaled().evaluate(sample),)
+        out = normalize_basis(basis, np.diag(stacked_gram(unscaled, y, (basis,)))[:-1])
         assert out.normalization[1] == scale
-        np.testing.assert_allclose(np.mean(vals[:, [0, 2]] ** 2, axis=0), 1.0,
-                                   rtol=1e-12)
+        gram = stacked_gram(unscaled, y, (out,))
+        direct = empirical_gram(np.column_stack([out.evaluate(sample), y]))
+        np.testing.assert_allclose(gram, direct, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(np.diag(gram)[[0, 2]], 1.0, rtol=1e-12)
+
+
+class TestColumnMajor:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+           kind=st.sampled_from(["polynomial", "trigonometric", "additive"]))
+    def test_equals_the_row_major_reference_bit_for_bit(self, seed, m, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "polynomial":
+            basis, pts = polynomial_basis(2, 3), rng.normal(size=(m, 2)) * 2.0
+        elif kind == "trigonometric":
+            basis = trigonometric_basis(9)
+            pts = rng.uniform(-np.pi, np.pi, size=(m, 1))
+        else:
+            basis = additive_basis(4, powers=(1, 3), treat_col=0,
+                                   interact_cols=(1, 3))
+            pts = rng.normal(size=(m, 4))
+            pts[:, 0] = rng.integers(0, 2, size=m)
+        scaled = type(basis)(basis.kind, basis.input_dim, basis.n_funcs,
+                             rng.uniform(0.5, 2.0, size=basis.n_funcs),
+                             basis.params)
+        for b in (basis, scaled):
+            vals = b.evaluate(pts)
+            assert vals.shape == (m, b.n_funcs) and vals.flags.f_contiguous
+            assert (np.ascontiguousarray(vals).tobytes()
+                    == row_major_evaluate(b, pts).tobytes())
+
+
+class TestStackedGram:
+    def test_equals_the_gram_of_the_scaled_values(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-np.pi, np.pi, size=(50, 1))
+        z, y = rng.normal(size=(50, 2)), rng.normal(size=50)
+        bx, bz = trigonometric_basis(5), polynomial_basis(2, 2)
+        gram = stacked_gram((bx.unscaled().evaluate(x), bz.unscaled().evaluate(z)),
+                            y, (bx, bz))
+        direct = empirical_gram(np.column_stack([bx.evaluate(x), bz.evaluate(z), y]))
+        np.testing.assert_allclose(gram, direct, rtol=1e-13)
+        assert np.array_equal(gram, gram.T)
+
+    def test_rescaling_later_gives_the_same_bits(self):
+        # normalizing computes the normalization from a unit-scale Gram and
+        # rescales it; that must equal stacking under the normalization
+        sample = np.random.default_rng(4).normal(size=(40, 1))
+        y = np.cos(sample[:, 0])
+        basis = trigonometric_basis(5)
+        vals = (basis.unscaled().evaluate(sample),)
+        unit = stacked_gram(vals, y, (basis.unscaled(),))
+        assert np.array_equal(scale_gram(unit, (basis,)),
+                              stacked_gram(vals, y, (basis,)))
 
 
 class TestGram:

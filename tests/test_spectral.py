@@ -215,6 +215,28 @@ class TestClassicalDpSelect:
         with pytest.raises(ValueError, match=f"^{name} must"):
             classical_dp_select(prob, obs, **kwargs)
 
+    @pytest.mark.parametrize("rho, l", [(0.5, 1.01), (0.25, 2.0), (0.9, 1.1)])
+    def test_rejects_a_grid_coarser_than_l(self, rho, l):
+        # the preceding grid point lam / rho certifies the bracket only
+        # when it is at most l * lam
+        prob = make_source_problem(1, 1.0, 1.0, [1.0])
+        obs = exact_observation(prob, delta=0.1)
+        with pytest.raises(ValueError, match="exceeds l"):
+            classical_dp_select(prob, obs, rho=rho, l=l)
+
+    def test_default_l_admits_the_default_rho(self):
+        # 1/rho = l exactly at the defaults; a wider l selects the same lam,
+        # and the preceding grid point lies within l * lam and above k*delta
+        rng = np.random.default_rng(8)
+        prob = random_problem(rng, d=50)
+        obs = perturb_observation(prob, 0.01, rng)
+        lam, sol = classical_dp_select(prob, obs)
+        wide_lam, wide_sol = classical_dp_select(prob, obs, l=10.0)
+        assert lam == wide_lam and np.array_equal(sol.coeffs, wide_sol.coeffs)
+        prev = tikhonov_solve(prob, obs, lam / 0.5)
+        assert lam / 0.5 <= 2.0 * lam
+        assert residual_norm(prob, obs, prev) > 1.5 * obs.delta
+
     def test_dimension_checked_before_the_sentinel(self):
         prob = make_source_problem(2, 1.0, 1.0, [1.0, 1.0])
         obs = NoisyObservation(np.array([0.01]), 1.0)
