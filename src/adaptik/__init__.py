@@ -23,6 +23,7 @@ from adaptik.spectral import (
     tikhonov_ideal,
     weak_metric,
     strong_metric,
+    SpectralResidualFitter,
     classical_dp_select,
 )
 from adaptik.sieve import (
@@ -38,7 +39,6 @@ from adaptik.estimators import (
     FitResult,
     MomentFunctional,
     OperatorEstimate,
-    RegularizedPath,
     RdivEstimator,
     TraeEstimator,
     outcome_moment,
@@ -57,7 +57,6 @@ from adaptik.discrepancy import (
     DpOutcome,
     noise_level,
     run_dp,
-    SpectralResidualFitter,
 )
 from adaptik.functional import (
     SplitPlan,

@@ -14,13 +14,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from adaptik.discrepancy import (
-    DpConfig,
-    DpFitError,
-    NoiseSchedule,
-    SpectralResidualFitter,
-    run_dp,
-)
+from adaptik.discrepancy import DpConfig, DpFitError, NoiseSchedule, run_dp
 from adaptik.dgp import NpivParams, ProxyNcParams, gen_npiv, gen_proxy_nc
 from adaptik.estimators import NumericalError
 from adaptik.harness import (
@@ -34,7 +28,8 @@ from adaptik.harness import (
     shared_fits,
 )
 from adaptik.sieve import save_dataset_csv
-from adaptik.spectral import GridExhaustedError, exact_observation, load_problem
+from adaptik.spectral import (GridExhaustedError, SpectralResidualFitter,
+                              exact_observation, load_problem)
 from adaptik.util import stream_rng
 
 _SCHEDULE_FLAG = {"rdiv": "rdiv_sqrt", "trae": "trae_squared", "fixed": "fixed"}
@@ -106,7 +101,18 @@ def _load_spec(path: str, seed_override: int | None) -> ExperimentSpec:
         raise UsageError(f"bad config {path}: {exc}") from None
 
 
+def _load_record(path: str) -> RunRecord:
+    try:
+        return RunRecord.from_csv(path)
+    except FileNotFoundError:
+        raise UsageError(f"record file not found: {path}") from None
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"{path} is not a run record: {exc!r}") from None
+
+
 def _cmd_generate(args) -> int:
+    if args.n < 2:
+        raise UsageError(f"--n must be at least 2, got {args.n}")
     rng = stream_rng(args.seed)
     if args.dgp == "proxy_nc":
         params = ProxyNcParams.default(args.master_seed)
@@ -214,7 +220,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    record = RunRecord.from_csv(args.record)
+    record = _load_record(args.record)
     if not record.rows:
         raise UsageError(f"record {args.record} has no rows")
     if all(math.isnan(row[args.metric]) for row in record.rows):
@@ -232,7 +238,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    record = RunRecord.from_csv(args.record)
+    record = _load_record(args.record)
     print(report_text(record))
     return 0
 

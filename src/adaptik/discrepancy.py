@@ -1,11 +1,12 @@
 """Geometric lambda search driven by a noise-level schedule.
 
-The loop is estimator-agnostic: it calls fitter.system(data) once and
-then system.solve(lam) -> FitResult along the path.  Starting from
-lambda0 the weight is shrunk by rho until the empirical loss drops to
-the configured noise level delta, recording the whole path.  A
-successful stop after at least one rejection, with rho >= 1/2, certifies
-the factor-2 bracket
+`walk` is the one geometric-grid loop: it shrinks lambda from lambda0
+by rho until the loss reaches delta, taking the losses of 16 grid points
+at a time from system.losses(lams), each equal bit for bit to
+system.solve(lam).empirical_loss, and solves nothing.  `run_dp` walks
+an estimator's factored system to the schedule's delta and solves once,
+at the last lambda tested.  A stop after at least one rejection, with
+rho >= 1/2, certifies the factor-2 bracket
 
     loss(lam) <= delta <= loss(lam_prev),   lam_prev = lam / rho <= 2 lam,
 
@@ -23,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adaptik.estimators import FitResult, RegularizedPath
-from adaptik.spectral import (
-    NoisyObservation,
-    SpectralProblem,
-    residual_norm,
-    tikhonov_solve,
-)
+from adaptik.estimators import FitResult
 
 __all__ = [
     "NoiseSchedule",
@@ -37,10 +32,12 @@ __all__ = [
     "DpOutcome",
     "DpFitError",
     "noise_level",
+    "walk",
     "run_dp",
     "tune",
-    "SpectralResidualFitter",
 ]
+
+_GRID_BLOCK = 16  # searches mostly stop within ~10 points
 
 _SCHEDULE_KINDS = ("rdiv_sqrt", "trae_squared", "fixed")
 
@@ -104,15 +101,16 @@ class DpConfig:
 class DpOutcome:
     """Selected lambda, its fit, the search path, and the bracket status.
 
-    `iterations` counts fits performed; `bracket_ok` is true when the
-    stop happened after at least one rejection and the predecessor's
-    lambda is at most twice the selected one, so the path certifies
+    `path` holds the (lambda, loss) pairs of the grid points tested and
+    `iterations` counts them; `bracket_ok` is true when the stop
+    happened after at least one rejection and the predecessor's lambda
+    is at most twice the selected one, so the path certifies
     loss(lam) <= delta <= loss(lam_prev) with lam_prev <= 2 lam.
     """
 
     lambda_dp: float
     fit: FitResult
-    path: RegularizedPath
+    path: tuple
     bracket_ok: bool
     iterations: int
     converged: bool
@@ -121,11 +119,10 @@ class DpOutcome:
     def table(self) -> str:
         """Fixed-width path table: iteration, lambda, loss, delta, stop flag."""
         lines = [f"{'iter':>4}  {'lambda':>12}  {'loss':>14}  {'delta':>12}  stop"]
-        for i, (lam, fit) in enumerate(self.path.entries):
+        for i, (lam, loss) in enumerate(self.path):
             stop = "yes" if (i == len(self.path) - 1 and self.converged) else "no"
             lines.append(
-                f"{i:>4}  {lam:>12.6g}  {fit.empirical_loss:>14.8g}  "
-                f"{self.delta:>12.6g}  {stop}"
+                f"{i:>4}  {lam:>12.6g}  {loss:>14.8g}  {self.delta:>12.6g}  {stop}"
             )
         return "\n".join(lines)
 
@@ -137,45 +134,56 @@ class DpOutcome:
             bracket_ok=self.bracket_ok,
             converged=self.converged,
             delta=self.delta,
-            path=[(lam, fit.empirical_loss) for lam, fit in self.path.entries],
+            path=list(self.path),
         )
         return rec
+
+
+def walk(system, delta: float, lambda0: float, rho: float,
+         max_iters: int) -> tuple[list, bool]:
+    """The (lambda, loss) pairs of the grid lambda0, lambda0 * rho, ... up
+    to the first loss <= delta, or of max_iters points; and whether the
+    walk stopped there.  A non-finite loss raises DpFitError with its
+    lambda."""
+    path = []
+    lams = np.empty((_GRID_BLOCK, 1))
+    lam = float(lambda0)
+    for start in range(0, max_iters, _GRID_BLOCK):
+        size = min(_GRID_BLOCK, max_iters - start)
+        for j in range(size):
+            lams[j, 0] = lam
+            lam *= rho
+        for lam_j, loss in zip(lams[:size, 0].tolist(),
+                               system.losses(lams[:size])):
+            path.append((lam_j, loss))
+            if not math.isfinite(loss):
+                raise DpFitError(lam_j, "empirical loss is not finite")
+            if loss <= delta:
+                return path, True
+    return path, False
 
 
 def run_dp(fitter, data, config: DpConfig) -> DpOutcome:
     """Shrink lambda geometrically until the empirical loss reaches delta.
 
-    Solves must be deterministic given the data.  A failure building the
-    system propagates unchanged; a failed solve raises DpFitError with
-    its lambda.  delta is evaluated at the size of the supplied
-    (estimation-fold) data; `data` may be None for fitters that carry
-    their own observations, in which case only the fixed schedule works.
+    A failure building the system propagates unchanged; a failed solve
+    raises DpFitError with its lambda.  delta is evaluated at the size
+    of the supplied (estimation-fold) data; `data` may be None for
+    fitters that carry their own observations, in which case only the
+    fixed schedule works.
     """
-    n = getattr(data, "n", None)
-    delta = noise_level(config.schedule, n)
+    delta = noise_level(config.schedule, getattr(data, "n", None))
     system = fitter.system(data)
-    lam = float(config.lambda0)
-    entries: list[tuple[float, FitResult]] = []
-    converged = False
-    for _ in range(config.max_iters):
-        try:
-            fit = system.solve(lam)
-        except Exception as exc:
-            raise DpFitError(lam, str(exc)) from exc
-        entries.append((lam, fit))
-        if fit.empirical_loss <= delta:
-            converged = True
-            break
-        lam = lam * config.rho
-    path = RegularizedPath(tuple(entries))
-    lam_sel, fit_sel = entries[-1]
-    bracket_ok = (
-        converged
-        and len(entries) >= 2
-        and entries[-2][1].empirical_loss >= delta
-        and entries[-2][0] <= 2.0 * lam_sel
-    )
-    return DpOutcome(lam_sel, fit_sel, path, bracket_ok, len(entries), converged,
+    path, converged = walk(system, delta, config.lambda0, config.rho,
+                           config.max_iters)
+    lam = path[-1][0]
+    try:
+        fit = system.solve(lam)
+    except Exception as exc:
+        raise DpFitError(lam, str(exc)) from exc
+    bracket_ok = (converged and len(path) >= 2 and path[-2][1] >= delta
+                  and path[-2][0] <= 2.0 * lam)
+    return DpOutcome(lam, fit, tuple(path), bracket_ok, len(path), converged,
                      delta)
 
 
@@ -190,25 +198,3 @@ def tune(system, data, config: DpConfig,
         outcome = run_dp(system, data, config)
         return outcome.fit, outcome
     return system.solve(strategy), None
-
-
-@dataclass(frozen=True)
-class SpectralResidualFitter:
-    """Adapter driving the DP loop with the closed-form spectral oracle.
-
-    The reported loss is the observation-space residual ||T h_lam - r||,
-    so the loop reproduces classical residual-based selection exactly.
-    The problem is already diagonal, so the fitter is its own system.
-    """
-
-    prob: SpectralProblem
-    obs: NoisyObservation
-
-    def system(self, data) -> "SpectralResidualFitter":
-        return self
-
-    def solve(self, lam: float) -> FitResult:
-        sol = tikhonov_solve(self.prob, self.obs, lam)
-        resid = residual_norm(self.prob, self.obs, sol)
-        penalty = float(np.dot(sol.coeffs, sol.coeffs))
-        return FitResult(sol.coeffs, lam, resid, penalty)

@@ -31,7 +31,8 @@ are blocks of it; no n-row product is formed after the Gram.  A
 TikhonovSystem factors this once per fold: it whitens by G and
 diagonalizes the whitened A into G-orthonormal V with V'A V = diag(mu).
 Each lambda is then the filter w = p / (mu + lam), p = V'rhs, giving
-coefficients V w, penalty sum w^2 and loss const - sum w^2 (mu + 2 lam).
+coefficients V w, penalty sum w^2 and loss const - sum w^2 (mu + 2 lam);
+the search asks for the losses of a block of lambdas in one broadcast.
 Directions with mu + lam <= sqrt(eps) * max(mu), and basis directions
 with G-eigenvalue <= sqrt(eps) times the largest, get weight 0, so
 lam = 0 gives the minimum-G-norm minimizer of L, whatever the sieve's
@@ -56,7 +57,6 @@ __all__ = [
     "OperatorEstimate",
     "MomentFunctional",
     "FitResult",
-    "RegularizedPath",
     "TikhonovSystem",
     "outcome_moment",
     "ate_moment",
@@ -198,27 +198,6 @@ class FitResult:
         return rec
 
 
-@dataclass(frozen=True)
-class RegularizedPath:
-    """(lambda, fit) pairs from a DP search, lambda strictly decreasing."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        lams = [lam for lam, _ in self.entries]
-        if any(b >= a for a, b in zip(lams, lams[1:])):
-            raise ValueError("path lambdas must be strictly decreasing")
-
-    def lambdas(self) -> list[float]:
-        return [lam for lam, _ in self.entries]
-
-    def losses(self) -> list[float]:
-        return [fit.empirical_loss for _, fit in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 # relative eigenvalue cutoff of TikhonovSystem (see the module docstring)
 _CUTOFF = math.sqrt(np.finfo(np.float64).eps)
 
@@ -255,6 +234,16 @@ class TikhonovSystem:
     def system(self, data) -> "TikhonovSystem":
         """A factored system is its own fitter, so run_dp accepts it."""
         return self
+
+    def losses(self, lams: np.ndarray):
+        """The loss at each lambda of the column lams, as solve computes
+        it; each row is reduced when it is reached."""
+        denom = self.mu + lams
+        keep = denom > self.floor
+        w = np.zeros(denom.shape)
+        w[keep] = np.broadcast_to(self.p, denom.shape)[keep] / denom[keep]
+        return (self.const - float(row**2 @ (self.mu + 2.0 * lam))
+                for row, lam in zip(w, lams[:, 0].tolist()))
 
     def solve(self, lam: float) -> FitResult:
         """The penalized minimizer at lam, in O(K r) after the factorization."""

@@ -111,12 +111,21 @@ class ExperimentSpec:
             if s != "dp" and not 0.0 <= s < math.inf:
                 raise ValueError("strategy must be 'dp' or a finite nonnegative "
                                  f"lambda, got {s!r}")
+        sizes = tuple(int(n) for n in self.sizes)
+        for key, values in (("sizes", sizes), ("strategies", strategies)):
+            dups = [v for i, v in enumerate(values) if v in values[:i]]
+            if dups:
+                raise ValueError(f"{key} lists {dups[0]!r} twice")
         object.__setattr__(self, "strategies", strategies)
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "dgp_params", dict(self.dgp_params))
-        # built once, so a bad search setting fails here, not in every row
+        # built once, so a bad search setting or DGP parameter fails
+        # here, not in every row
         object.__setattr__(self, "_dp", DpConfig(
             self.schedule(), self.lambda0, self.rho, self.max_iters))
+        object.__setattr__(self, "_dgp_params", (
+            ProxyNcParams.default if self.dgp == "proxy_nc" else NpivParams
+        )(**self.dgp_params))
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -148,20 +157,17 @@ class ExperimentSpec:
     def dp_config(self) -> DpConfig:
         return self._dp
 
+    def draw(self, n: int, rng):
+        """(dataset, truth) of size n from the spec's DGP."""
+        gen = gen_proxy_nc if self.dgp == "proxy_nc" else gen_npiv
+        return gen(self._dgp_params, n, rng)
+
 
 def strategy_label(strategy) -> str:
     return "dp" if strategy == "dp" else f"fixed_{strategy!r}"
 
 
 # -- cell pipelines -------------------------------------------------------------
-
-def _make_dgp(spec: ExperimentSpec):
-    if spec.dgp == "proxy_nc":
-        params = ProxyNcParams.default(**spec.dgp_params)
-        return lambda n, rng: gen_proxy_nc(params, n, rng)
-    params = NpivParams(**spec.dgp_params)
-    return lambda n, rng: gen_npiv(params, n, rng)
-
 
 def _proxy_bases(fit_fold, keep_values: bool):
     """Bases normalized by the diagonal of the fit fold's stacked Gram,
@@ -212,7 +218,7 @@ def prepare_cell(spec: ExperimentSpec, n: int, rep: int) -> CellSetup:
     rng = stream_rng(int(spec.spec_hash(), 16), n, rep)
     data_seed = int(rng.integers(2**63))
     split_seed = int(rng.integers(2**63))
-    data, truth = _make_dgp(spec)(n, stream_rng(data_seed))
+    data, truth = spec.draw(n, stream_rng(data_seed))
     theta0 = truth if isinstance(truth, float) else truth.theta0
     plan = SplitPlan(split_seed)
     fit_fold, eval_fold = split(data, plan)
@@ -305,8 +311,8 @@ def _run_rep(payload) -> list:
 def _fit_strategy(spec: ExperimentSpec, cell: CellSetup, shared, strategy):
     """(theta_hat, h coefficients, lambda, iterations) of one strategy.
 
-    For dr, lambda is the primal's; a DP strategy counts the fits of
-    both searches, a fixed lambda counts 1.
+    For dr, lambda is the primal's; a DP strategy counts the grid points
+    both searches tested, a fixed lambda counts 1.
     """
     if spec.estimator == "dr":
         result = shared.run(strategy)

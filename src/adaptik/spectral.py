@@ -11,7 +11,8 @@ w0_i.  Everything downstream is closed form:
   * weak metric    ||T (h - h0)||        (sigma-weighted 2-norm)
   * classical residual-based discrepancy selection of lam on a
     geometric grid, with lam = inf as the "return the zero solution"
-    sentinel when the data are pure noise.
+    sentinel when the data are pure noise: discrepancy.walk on the
+    residual norm, then one solve at the selected lam.
 
 The module also exposes the constants of the two regularization-path
 inequalities used by the test suite (the quadratic lower bound on the
@@ -28,6 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
+from adaptik.discrepancy import walk
+from adaptik.estimators import FitResult
+
 INFINITE_LAMBDA = math.inf
 
 __all__ = [
@@ -43,6 +47,7 @@ __all__ = [
     "tikhonov_ideal",
     "weak_metric",
     "strong_metric",
+    "SpectralResidualFitter",
     "classical_dp_select",
     "weak_lower_bound_constant",
     "holder_constant",
@@ -51,11 +56,6 @@ __all__ = [
     "save_problem",
     "load_problem",
 ]
-
-
-# Grid points of classical_dp_select whose residuals one broadcast computes;
-# the spectral rate sweeps stop after ~10 points, so one block usually does.
-_GRID_BLOCK = 16
 
 
 class GridExhaustedError(RuntimeError):
@@ -270,6 +270,31 @@ def residual_norm(
     return float(np.linalg.norm(prob.singular_values * sol.coeffs - r.r_coeffs))
 
 
+@dataclass(frozen=True)
+class SpectralResidualFitter:
+    """The search's system for the spectral oracle; its loss is the
+    residual ||T h_lam - r|| of classical residual-based selection."""
+
+    prob: SpectralProblem
+    obs: NoisyObservation
+
+    def system(self, data) -> "SpectralResidualFitter":
+        return self
+
+    def losses(self, lams: np.ndarray):
+        """The residual norms at the column lams: rows of one broadcast by
+        solve's operations, each reduced as np.linalg.norm when reached."""
+        sig, obs = self.prob.singular_values, self.obs.r_coeffs
+        resid = sig * (sig * obs / (sig**2 + lams)) - obs
+        return (math.sqrt(row.dot(row)) for row in resid)
+
+    def solve(self, lam: float) -> FitResult:
+        sol = tikhonov_solve(self.prob, self.obs, lam)
+        resid = residual_norm(self.prob, self.obs, sol)
+        penalty = float(np.dot(sol.coeffs, sol.coeffs))
+        return FitResult(sol.coeffs, lam, resid, penalty)
+
+
 def classical_dp_select(
     prob: SpectralProblem,
     r: NoisyObservation,
@@ -286,7 +311,8 @@ def classical_dp_select(
     lambda0 * rho**j is walked downward and the first (largest) lam with
     ||T h_lam - r|| <= k * delta is returned; the preceding grid point then
     certifies the lower bracket k*delta <= ||T h_lam' - r|| with
-    lam' = lam / rho <= l * lam, so 1/rho > l is rejected.
+    lam' = lam / rho <= l * lam, so 1/rho > l is rejected.  Only the
+    selected lam is solved for.
     """
     if not (0.0 < k < math.inf):
         raise ValueError("k must be positive and finite")
@@ -305,31 +331,16 @@ def classical_dp_select(
     threshold = k * r.delta
     if float(np.linalg.norm(r.r_coeffs)) <= threshold:
         return INFINITE_LAMBDA, TikhonovSolution(INFINITE_LAMBDA, np.zeros(prob.dim))
-    # The residual T h_lam - r = sigma * (sigma r / (sigma^2 + lam)) - r of
-    # _GRID_BLOCK grid points comes from one broadcast, each row by the same
-    # operations as tikhonov_solve + residual_norm, and its norm by the
-    # reduction np.linalg.norm applies to a vector, so every decision is
-    # the per-point one; only the selected lam is solved for.
-    sig, obs = prob.singular_values, r.r_coeffs
-    sig_r, sig_sq = sig * obs, sig**2
-    lams = np.empty((_GRID_BLOCK, 1))
-    lam = float(lambda0)
-    for start in range(0, max_steps, _GRID_BLOCK):
-        size = min(_GRID_BLOCK, max_steps - start)
-        for j in range(size):
-            lams[j, 0] = lam
-            lam *= rho
-        resid = sig * (sig_r / (sig_sq + lams[:size])) - obs
-        for j in range(size):
-            row = resid[j]
-            if math.sqrt(row.dot(row)) <= threshold:
-                selected = float(lams[j, 0])
-                return selected, tikhonov_solve(prob, r, selected)
-    raise GridExhaustedError(
-        f"no grid point below lambda0={lambda0} met the residual bound "
-        f"{threshold} within {max_steps} steps; delta may be inconsistent "
-        "with the problem"
-    )
+    path, converged = walk(SpectralResidualFitter(prob, r), threshold,
+                           lambda0, rho, max_steps)
+    if not converged:
+        raise GridExhaustedError(
+            f"no grid point below lambda0={lambda0} met the residual bound "
+            f"{threshold} within {max_steps} steps; delta may be inconsistent "
+            "with the problem"
+        )
+    selected = path[-1][0]
+    return selected, tikhonov_solve(prob, r, selected)
 
 
 def weak_lower_bound_constant(prob: SpectralProblem) -> float:

@@ -153,13 +153,32 @@ def nested_grid_trae_objective(data, moment, basis_h, basis_f, lam,
 
 
 def path_shows_bracket(path, delta):
-    """Whether the last two entries of a DP path show
+    """Whether the last two (lambda, loss) pairs of a DP path show
     loss(lam) <= delta <= loss(lam_prev) with lam_prev <= 2 lam."""
     if len(path) < 2:
         return False
-    (lam_prev, fit_prev), (lam, fit) = path.entries[-2:]
-    return (lam_prev <= 2.0 * lam
-            and fit.empirical_loss <= delta <= fit_prev.empirical_loss)
+    (lam_prev, loss_prev), (lam, loss) = path[-2:]
+    return lam_prev <= 2.0 * lam and loss <= delta <= loss_prev
+
+
+def dp_walk(system, delta, lambda0, rho, max_iters):
+    """The discrepancy search one grid point at a time: a full solve at
+    lam = lambda0, lambda0 * rho, ... (by repeated multiplication) until
+    the loss reaches delta or max_iters points are tried.  Returns (the
+    (lam, loss) pairs, the last fit, converged, bracket_ok)."""
+    lam = float(lambda0)
+    path = []
+    converged = False
+    for _ in range(max_iters):
+        fit = system.solve(lam)
+        path.append((lam, fit.empirical_loss))
+        if fit.empirical_loss <= delta:
+            converged = True
+            break
+        lam = lam * rho
+    bracket_ok = (converged and len(path) >= 2 and path[-2][1] >= delta
+                  and path[-2][0] <= 2.0 * path[-1][0])
+    return path, fit, converged, bracket_ok
 
 
 def classical_dp_walk(prob, r, k, lambda0, rho, max_steps):

@@ -18,12 +18,7 @@ from oracles import (
     trae_mats,
 )
 
-from adaptik.discrepancy import (
-    DpConfig,
-    NoiseSchedule,
-    SpectralResidualFitter,
-    run_dp,
-)
+from adaptik.discrepancy import DpConfig, NoiseSchedule, run_dp
 from adaptik.dgp import NpivParams, gen_npiv
 from adaptik.estimators import (
     RdivEstimator,
@@ -44,6 +39,7 @@ from adaptik.functional import (
 from adaptik.harness import ExperimentSpec, fit_rate, run_experiment
 from adaptik.sieve import Dataset, empirical_gram, polynomial_basis
 from adaptik.spectral import (
+    SpectralResidualFitter,
     classical_dp_select,
     exact_observation,
     holder_constant,
@@ -323,7 +319,7 @@ class TestCriterion8LossMonotonicity:
             bx, bz = polynomial_basis(1, 2), polynomial_basis(1, 2)
             for est in (RdivEstimator(bx, bz),
                         TraeEstimator(outcome_moment(), bx, bz)):
-                losses = run_dp(est, data, config).path.losses()
+                losses = [loss for _, loss in run_dp(est, data, config).path]
                 for a, b in zip(losses, losses[1:]):
                     worst = max(worst, b - a)
         ok = worst <= 1e-9

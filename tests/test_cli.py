@@ -197,6 +197,37 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
 
+    def test_dgp_params_typo_is_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, dgp_params={"bogus": 1})
+        out = str(tmp_path / "run")
+        assert main(["experiment", "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "bogus" in err
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("command", ["report", "rates"])
+    @pytest.mark.parametrize("content, message", [
+        (None, "not found"),
+        ("a,b\n1,2\n", "not a run record"),
+        ("n,strategy,rep,abs_error,strong_sq,weak_sq,lambda_dp,iters,wall_ms\n"
+         "x,dp,0,1,1,1,1,1,1\n", "not a run record")])
+    def test_bad_record_is_usage_error(self, tmp_path, capsys, command,
+                                       content, message):
+        path = tmp_path / "record.csv"
+        if content is not None:
+            path.write_text(content)
+        assert main([command, "--record", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and message in err
+
+    @pytest.mark.parametrize("dgp", ["proxy_nc", "npiv"])
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_too_few_records_is_usage_error(self, tmp_path, capsys, dgp, n):
+        out = tmp_path / "data"
+        assert main(["generate", "--dgp", dgp, "--n", n, "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "data.csv").exists()
+
     @pytest.mark.parametrize("metric", ["strong_sq", "weak_sq"])
     def test_rates_of_a_metric_proxy_nc_does_not_record(self, tmp_path, capsys,
                                                         metric):

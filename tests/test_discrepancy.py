@@ -2,19 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from oracles import path_shows_bracket
+from oracles import dp_walk, path_shows_bracket
 
 from adaptik.discrepancy import (
     DpConfig,
     DpFitError,
     NoiseSchedule,
-    SpectralResidualFitter,
     noise_level,
     run_dp,
 )
 from adaptik.estimators import FitResult, RdivEstimator, TraeEstimator, outcome_moment
 from adaptik.sieve import Dataset, polynomial_basis
-from adaptik.spectral import exact_observation, make_source_problem, perturb_observation
+from adaptik.spectral import (
+    SpectralResidualFitter,
+    exact_observation,
+    make_source_problem,
+    perturb_observation,
+)
 
 
 def single_mode():
@@ -76,7 +80,7 @@ class TestRunDp:
         assert outcome.iterations == 4
         assert outcome.bracket_ok
         assert path_shows_bracket(outcome.path, 0.25)
-        losses = outcome.path.losses()
+        losses = [loss for _, loss in outcome.path]
         assert losses[:3] == pytest.approx([2 / 3, 1 / 2, 1 / 3], rel=1e-12)
         assert losses[3] == pytest.approx(0.2, rel=1e-12)
 
@@ -91,7 +95,7 @@ class TestRunDp:
         config = DpConfig(NoiseSchedule("fixed", 1e-12), rho=0.7, max_iters=12)
         outcome = run_dp(single_mode(), None, config)
         lam = 2.0
-        for path_lam in outcome.path.lambdas():
+        for path_lam, _ in outcome.path:
             assert path_lam == lam
             lam = lam * 0.7
 
@@ -100,9 +104,10 @@ class TestRunDp:
             def system(self, data):
                 return self
 
+            def losses(self, lams):
+                return [math.nan if lam < 1.0 else 1.0 for lam in lams[:, 0]]
+
             def solve(self, lam):
-                if lam < 1.0:
-                    raise RuntimeError("boom")
                 return FitResult(np.zeros(1), lam, 1.0, 0.0)
 
         config = DpConfig(NoiseSchedule("fixed", 1e-6), max_iters=10)
@@ -133,7 +138,7 @@ class TestRunDp:
         a = run_dp(SpectralResidualFitter(prob, obs), None, config)
         b = run_dp(SpectralResidualFitter(prob, obs), None, config)
         assert a.lambda_dp == b.lambda_dp
-        assert a.path.losses() == b.path.losses()
+        assert a.path == b.path
         assert np.array_equal(a.fit.coeffs, b.fit.coeffs)
 
     def test_audit_record_carries_full_path(self):
@@ -142,8 +147,8 @@ class TestRunDp:
         rec = outcome.to_record()
         assert rec["iterations"] == 4
         assert rec["bracket_ok"] and rec["converged"]
-        assert rec["path"] == [(lam, fit.empirical_loss)
-                               for lam, fit in outcome.path.entries]
+        expected, _, _, _ = dp_walk(single_mode(), 0.25, 2.0, 0.5, 20)
+        assert rec["path"] == expected
         table = outcome.table()
         assert table.splitlines()[-1].endswith("yes")
         assert len(table.splitlines()) == 5
@@ -168,7 +173,7 @@ class TestDataDrivenPaths:
                 handle = TraeEstimator(outcome_moment(), bx, bz)
             config = DpConfig(NoiseSchedule("fixed", 1e-10), max_iters=12)
             outcome = run_dp(handle, data, config)
-            losses = outcome.path.losses()
+            losses = [loss for _, loss in outcome.path]
             assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_schedule_uses_fold_size(self):

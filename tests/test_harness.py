@@ -74,6 +74,26 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             tiny_spec(**{key: value})
 
+    @pytest.mark.parametrize("key, values, dup", [
+        ("sizes", (300, 300), "300"), ("sizes", (200, 300, 200.0), "200"),
+        ("strategies", ("dp", 0.01, "dp"), "'dp'"),
+        ("strategies", ("dp", 0, 0.0), "0.0")])
+    def test_duplicates_rejected_at_construction(self, key, values, dup):
+        # a copy would be counted as another rep by report and aggregate
+        with pytest.raises(ValueError, match=f"^{key} lists {dup} twice$"):
+            tiny_spec(**{key: values})
+
+    @pytest.mark.parametrize("dgp, params", [
+        ("npiv", {"bogus": 1}), ("proxy_nc", {"master_seed": 1, "bogus": 1})])
+    def test_dgp_params_checked_at_construction(self, monkeypatch, dgp, params):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("data drawn for an invalid spec")
+
+        monkeypatch.setattr(harness, "gen_npiv", no_draw)
+        monkeypatch.setattr(harness, "gen_proxy_nc", no_draw)
+        with pytest.raises(TypeError, match="bogus"):
+            tiny_spec(dgp=dgp, dgp_params=params)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_builds_no_search_config(self, monkeypatch, jobs):
         # the spec's DpConfig, built once, serves every row

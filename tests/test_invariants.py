@@ -12,16 +12,17 @@ records, and the coefficients must scale linearly with y.
 The DP search on a random factored system must walk lambda geometrically
 from lambda0, never raise the loss from one step to the next, report bracket_ok exactly
 when its own path shows the factor-2 bracket, and end a search that
-does not converge at max_iters.
+does not converge at max_iters.  Its block walk must agree exactly with
+a solve at every grid point in turn.
 """
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import path_shows_bracket
+from oracles import dp_walk, path_shows_bracket
 
 from adaptik.discrepancy import DpConfig, NoiseSchedule, run_dp
 from adaptik.estimators import (
@@ -133,15 +134,23 @@ def test_coefficients_scale_linearly_with_y(kind, seed, n, k, j, lam, factor):
     assert_close(fit(kind, scaled, bh, bf, lam).coeffs, factor * base.coeffs)
 
 
-def random_system(seed, k, n):
+def random_system(seed, k, n, singular=False):
     """The factored least-squares system of a random (n, k) design
-    against a random Gram: L(c) = |y - A c|^2 / n."""
+    against a random Gram: L(c) = |y - A c|^2 / n.  With singular (and
+    k > 1) the design's last column repeats its first and the linear
+    term leaves the range of A by 1e-6, so L falls without bound along
+    a null direction of A that only the eigenvalue cutoff drops."""
     rng = np.random.default_rng(seed)
     a_mat = rng.normal(size=(n, k))
+    if singular:
+        a_mat[:, -1] = a_mat[:, 0]
     y = rng.normal(size=n)
     gram = empirical_gram(rng.normal(size=(n, k)))
-    return TikhonovSystem.factor(empirical_gram(a_mat), a_mat.T @ y / n,
-                                 float(y @ y / n), gram)
+    rhs = a_mat.T @ y / n
+    if singular:
+        rhs[-1] += 1e-6
+    return TikhonovSystem.factor(empirical_gram(a_mat), rhs, float(y @ y / n),
+                                 gram)
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,7 +171,8 @@ def test_dp_path_is_geometric_monotone_and_certified(seed, k, lambda0, rho,
         config = DpConfig(NoiseSchedule("fixed", low + frac * (const - low)),
                           lambda0, rho, max_iters)
     outcome = run_dp(system, None, config)
-    lams, losses = outcome.path.lambdas(), outcome.path.losses()
+    lams = [lam for lam, _ in outcome.path]
+    losses = [loss for _, loss in outcome.path]
     assert lams[0] == lambda0
     assert all(b == a * rho for a, b in zip(lams, lams[1:]))
     assert all(b <= a + 1e-12 * const for a, b in zip(losses, losses[1:]))
@@ -170,3 +180,94 @@ def test_dp_path_is_geometric_monotone_and_certified(seed, k, lambda0, rho,
     if not outcome.converged:
         assert outcome.iterations == len(lams) == max_iters
         assert losses[-1] > outcome.delta
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, k=st.integers(1, 5), singular=st.booleans(),
+       log_lams=st.lists(st.floats(-18.0, 2.0), min_size=1, max_size=16))
+def test_block_losses_are_the_solves_losses(seed, k, singular, log_lams):
+    system = random_system(seed, k, 2 * k + 5 + seed % 20, singular)
+    lams = 10.0 ** np.array(log_lams)[:, None]
+    assert list(system.losses(lams)) == [system.solve(lam).empirical_loss
+                                         for lam in lams[:, 0].tolist()]
+
+
+def _delta_stopping_at(system, lambda0, rho, stop):
+    """A delta the search first meets at grid index `stop`, midway between
+    the losses at grid points stop - 1 and stop, or None if no delta does."""
+    losses = [loss for _, loss in
+              dp_walk(system, -np.inf, lambda0, rho, stop + 1)[0]]
+    if stop == 0:
+        return losses[0]
+    delta = (losses[stop - 1] + losses[stop]) / 2.0
+    return delta if losses[stop] <= delta < min(losses[:stop]) else None
+
+
+def _assert_walk_matches(system, delta, lambda0, rho, max_iters):
+    """run_dp equals the per-point walk exactly; returns the walk's path."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # rho < 1/2 warns
+        config = DpConfig(NoiseSchedule("fixed", delta), lambda0, rho,
+                          max_iters)
+    outcome = run_dp(system, None, config)
+    path, fit, converged, bracket_ok = dp_walk(system, delta, lambda0, rho,
+                                               max_iters)
+    assert outcome.lambda_dp == path[-1][0] == fit.lam
+    assert outcome.iterations == len(path)
+    assert outcome.converged == converged
+    assert outcome.bracket_ok == bracket_ok
+    assert list(outcome.path) == path
+    assert np.array_equal(outcome.fit.coeffs, fit.coeffs)
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, k=st.integers(1, 5), lambda0=st.floats(1e-3, 10.0),
+       rho=st.floats(0.3, 0.9),
+       max_iters=st.one_of(st.sampled_from([1, 15, 16, 17, 31, 33, 34, 50]),
+                           st.integers(1, 60)),
+       stop=st.one_of(st.none(), st.sampled_from([0, 15, 16, 17, 33])),
+       steps_past_stop=st.one_of(st.none(), st.integers(-1, 2)),
+       frac=st.floats(-0.5, 1.2), singular=st.booleans())
+def test_block_walk_equals_a_solve_per_grid_point(seed, k, lambda0, rho,
+                                                  max_iters, stop,
+                                                  steps_past_stop, frac,
+                                                  singular):
+    # with stop None delta is drawn as in the path test above or, for
+    # frac < 0, below the loss at lambda = 0, so that the search runs to
+    # lambdas below the eigenvalue cutoff; otherwise it stops the search
+    # at grid index stop, and steps_past_stop puts the end of the grid
+    # just before, at or just after it
+    system = random_system(seed, k, 2 * k + 5 + seed % 20, singular)
+    low = system.solve(0.0).empirical_loss
+    delta = low * (1.0 + frac) if frac < 0 else low + frac * (system.const - low)
+    if stop is not None:
+        delta = _delta_stopping_at(system, lambda0, rho, stop)
+        if steps_past_stop is not None:
+            max_iters = max(stop + 1 + steps_past_stop, 1)
+    assume(delta is not None and delta > 0.0)  # the fixed schedule's c_d
+    path = _assert_walk_matches(system, delta, lambda0, rho, max_iters)
+    if stop is not None:
+        assert len(path) == min(stop + 1, max_iters)
+
+
+@pytest.mark.parametrize("singular", [False, True])
+@pytest.mark.parametrize("stop", [0, 15, 16, 17, 33])
+def test_block_walk_stops_at_block_edges(stop, singular):
+    system = random_system(stop, 3, 20, singular)
+    delta = _delta_stopping_at(system, 2.0, 0.7, stop)
+    assert delta is not None
+    for max_iters in sorted({max(stop, 1), stop + 1, stop + 2, 20, 35}):
+        path = _assert_walk_matches(system, delta, 2.0, 0.7, max_iters)
+        assert len(path) == min(stop + 1, max_iters)
+
+
+@pytest.mark.parametrize("max_iters", [31, 50])
+def test_block_walk_below_the_eigenvalue_cutoff(max_iters):
+    # the walk never stops and ends at 2 * 0.5**49, far below the cutoff
+    # (~6e-8 here), where only the cutoff keeps the loss from falling
+    system = random_system(5, 3, 20, singular=True)
+    assert system.floor > 2.0 * 0.5**30
+    delta = system.solve(0.0).empirical_loss / 2.0
+    path = _assert_walk_matches(system, delta, 2.0, 0.5, max_iters)
+    assert len(path) == max_iters

@@ -13,6 +13,7 @@ from adaptik.spectral import (
     GridExhaustedError,
     NoisyObservation,
     SpectralProblem,
+    SpectralResidualFitter,
     classical_dp_select,
     exact_observation,
     holder_constant,
@@ -334,6 +335,18 @@ class TestBlockWalk:
                 assert expected[0] == stop
             else:
                 assert expected is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from([1, 7, 200]), seed=st.integers(0, 2**32 - 1),
+           log_lams=st.lists(st.floats(-12.0, 3.0), min_size=1, max_size=16))
+    def test_block_losses_are_the_solves_losses(self, d, seed, log_lams):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, d=d)
+        fitter = SpectralResidualFitter(prob, perturb_observation(prob, 0.01,
+                                                                  rng))
+        lams = 10.0 ** np.array(log_lams)[:, None]
+        assert list(fitter.losses(lams)) == [fitter.solve(lam).empirical_loss
+                                             for lam in lams[:, 0].tolist()]
 
     def test_one_solve_per_selection(self, monkeypatch):
         solved = []
