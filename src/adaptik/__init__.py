@@ -65,7 +65,6 @@ from adaptik.functional import (
     DrPipelineResult,
     DrFold,
     split,
-    dr_estimate,
     adaptive_dr_pipeline,
     coverage_experiment,
 )

@@ -11,7 +11,6 @@ import dataclasses
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 from adaptik.discrepancy import DpConfig, DpFitError, NoiseSchedule, run_dp
@@ -29,7 +28,7 @@ from adaptik.harness import (
 )
 from adaptik.sieve import save_dataset_csv
 from adaptik.spectral import (GridExhaustedError, SpectralResidualFitter,
-                              exact_observation, load_problem)
+                              exact_observation, make_source_problem)
 from adaptik.util import stream_rng
 
 _SCHEDULE_FLAG = {"rdiv": "rdiv_sqrt", "trae": "trae_squared", "fixed": "fixed"}
@@ -62,7 +61,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dp", help="adaptive lambda search with a printed path table")
     p.add_argument("--config", default=None,
-                   help="experiment config; without it the bundled spectral fixture runs")
+                   help="experiment config; without it a one-mode spectral problem runs")
     p.add_argument("--schedule", choices=sorted(_SCHEDULE_FLAG), default=None)
     p.add_argument("--cd", type=float, default=None)
     p.add_argument("--lambda0", type=float, default=None)
@@ -187,22 +186,22 @@ def _dp_config(args, base: DpConfig) -> DpConfig:
 
 def _cmd_dp(args) -> int:
     if args.config is None:
-        fixture = resources.files("adaptik").joinpath("fixtures/single_mode.json")
-        prob = load_problem(fixture)
-        fitter = SpectralResidualFitter(prob, exact_observation(prob, delta=0.25))
-        config = _dp_config(args, DpConfig(NoiseSchedule("fixed", 0.25)))
-        outcome = run_dp(fitter, None, config)
+        prob = make_source_problem(1, 1.0, 1.0, [1.0])
+        system = SpectralResidualFitter(prob, exact_observation(prob, delta=0.25))
+        n, base = None, DpConfig(NoiseSchedule("fixed", 0.25))
     else:
         # the flags tune the search only: the spec, and so the drawn
-        # data, stay exactly those of the config's experiment
+        # data and the system, stay exactly those of the config's
+        # experiment
         spec = _load_spec(args.config, args.seed)
         cell = prepare_cell(spec, spec.sizes[0], rep=0)
-        outcome = run_dp(estimator_handle(spec, cell), cell.fit_fold,
-                         _dp_config(args, spec.dp_config()))
+        system = estimator_handle(spec, cell).system_from(cell.fit_gram)
+        n, base = cell.fit_fold.n, spec.dp_config()
+    outcome = run_dp(system, n, _dp_config(args, base))
     print(outcome.table())
     status = "converged" if outcome.converged else "not converged"
     print(f"selected lambda: {outcome.lambda_dp:.6g} ({status}, "
-          f"{outcome.iterations} fits, bracket_ok={outcome.bracket_ok})")
+          f"{outcome.iterations} grid points, bracket_ok={outcome.bracket_ok})")
     return 0
 
 

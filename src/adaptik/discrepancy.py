@@ -4,9 +4,9 @@
 by rho until the loss reaches delta, taking the losses of 16 grid points
 at a time from system.losses(lams), each equal bit for bit to
 system.solve(lam).empirical_loss, and solves nothing.  `run_dp` walks
-an estimator's factored system to the schedule's delta and solves once,
-at the last lambda tested.  A stop after at least one rejection, with
-rho >= 1/2, certifies the factor-2 bracket
+the factored system it is given to the schedule's delta and solves
+once, at the last lambda tested.  A stop after at least one rejection,
+with rho >= 1/2, certifies the factor-2 bracket
 
     loss(lam) <= delta <= loss(lam_prev),   lam_prev = lam / rho <= 2 lam,
 
@@ -163,17 +163,15 @@ def walk(system, delta: float, lambda0: float, rho: float,
     return path, False
 
 
-def run_dp(fitter, data, config: DpConfig) -> DpOutcome:
-    """Shrink lambda geometrically until the empirical loss reaches delta.
+def run_dp(system, n: int | None, config: DpConfig) -> DpOutcome:
+    """Shrink lambda geometrically until the system's empirical loss
+    reaches delta, then solve once, at the last lambda tested.
 
-    A failure building the system propagates unchanged; a failed solve
-    raises DpFitError with its lambda.  delta is evaluated at the size
-    of the supplied (estimation-fold) data; `data` may be None for
-    fitters that carry their own observations, in which case only the
-    fixed schedule works.
+    delta is the schedule at n, the size of the fold the system was
+    built from; with n None only the fixed schedule works.  A failed
+    solve raises DpFitError with its lambda.
     """
-    delta = noise_level(config.schedule, getattr(data, "n", None))
-    system = fitter.system(data)
+    delta = noise_level(config.schedule, n)
     path, converged = walk(system, delta, config.lambda0, config.rho,
                            config.max_iters)
     lam = path[-1][0]
@@ -187,14 +185,15 @@ def run_dp(fitter, data, config: DpConfig) -> DpOutcome:
                      delta)
 
 
-def tune(system, data, config: DpConfig,
+def tune(system, n: int | None, config: DpConfig,
          strategy) -> tuple[FitResult, DpOutcome | None]:
-    """The fit of one lambda strategy on a factored system.
+    """The fit of one lambda strategy on a factored system built from a
+    fold of size n.
 
-    strategy "dp" runs the search on data (for its size) and returns
-    the search outcome too; a number is a fixed lambda, solved once.
+    strategy "dp" runs the search and returns its outcome too; a number
+    is a fixed lambda, solved once.
     """
     if strategy == "dp":
-        outcome = run_dp(system, data, config)
+        outcome = run_dp(system, n, config)
         return outcome.fit, outcome
     return system.solve(strategy), None

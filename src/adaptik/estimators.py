@@ -231,10 +231,6 @@ class TikhonovSystem:
         floor = _CUTOFF * max(float(mu.max(initial=0.0)), 0.0)
         return cls(vecs, mu, vecs.T @ rhs, float(const), floor, adversary)
 
-    def system(self, data) -> "TikhonovSystem":
-        """A factored system is its own fitter, so run_dp accepts it."""
-        return self
-
     def losses(self, lams: np.ndarray):
         """The loss at each lambda of the column lams, as solve computes
         it; each row is reduced when it is reached."""
@@ -415,8 +411,8 @@ def trae_dual_fit(
 
 # -- uniform estimator handles ------------------------------------------------
 #
-# Each handle builds the TikhonovSystem of a fold; the DP loop factors
-# once per search and solves at every lambda of the grid.
+# Each handle builds the TikhonovSystem of a fold, from its data or from
+# its stacked Gram; the search and every fixed lambda solve from it.
 
 @dataclass(frozen=True)
 class RdivEstimator:

@@ -51,7 +51,6 @@ __all__ = [
     "DrPipelineResult",
     "CoverageResult",
     "split",
-    "dr_estimate",
     "DrFold",
     "adaptive_dr_pipeline",
     "coverage_experiment",
@@ -165,26 +164,6 @@ class DrEvaluation:
         )
 
 
-def dr_estimate(
-    eval_fold: Dataset,
-    h_fit: FitResult,
-    basis_h: SieveBasis,
-    q_fit: FitResult,
-    basis_q: SieveBasis,
-    moment_h: MomentFunctional,
-    moment_q: MomentFunctional,
-    level: float = 0.95,
-) -> FunctionalEstimate:
-    """Evaluate the doubly robust combination on held-out records.
-
-    moment_h is the target functional applied to the primal fit (its
-    test functions read X); moment_q is the outcome-side moment applied
-    to the dual fit (reading Z).  Fits must come from the other fold.
-    """
-    evaluation = DrEvaluation.of(eval_fold, basis_h, basis_q, moment_h, moment_q)
-    return evaluation.estimate(h_fit, q_fit, level)
-
-
 @dataclass(frozen=True)
 class DrPipelineConfig:
     """Everything the adaptive pipeline needs besides the data.
@@ -229,12 +208,13 @@ class DrFold:
 
     @classmethod
     def of(cls, fit_fold: Dataset, eval_fold: Dataset,
-           config: DrPipelineConfig,
-           fit_values: tuple | None = None) -> "DrFold":
+           config: DrPipelineConfig, fit_values: tuple | None = None,
+           fit_gram: np.ndarray | None = None) -> "DrFold":
         """Each distinct (basis, feature block) of the fit fold is evaluated
         once, unscaled, or taken from fit_values = (basis_h(x), basis_f(z)).
         Each side stacks its own Gram, in trae_fit's and trae_dual_fit's
-        column order: a SYRK entry's last bits depend on its position."""
+        column order: a SYRK entry's last bits depend on its position.
+        fit_gram, if given, is the primal's, [basis_h(x) | basis_f(z) | y]."""
         unscaled = {}
         if fit_values is not None:
             for basis, block, mat in zip((config.basis_h, config.basis_f),
@@ -257,7 +237,8 @@ class DrFold:
                              config.basis_s, config.ridge_inner)
         return cls(
             config, fit_fold,
-            primal.system_from(gram(config.basis_h, config.basis_f, "xz")),
+            primal.system_from(gram(config.basis_h, config.basis_f, "xz")
+                               if fit_gram is None else fit_gram),
             dual.system_from(gram(config.basis_q, config.basis_s, "zx"),
                              dual.adversary_mean(fit_fold.swapped(),
                                                  values(config.basis_s, "x"))),
@@ -268,9 +249,9 @@ class DrFold:
     def run(self, strategy) -> DrPipelineResult:
         """Tune both sides by one lambda strategy ("dp" or a lambda >= 0)
         and estimate on the eval fold."""
-        h_fit, dp_primal = tune(self.primal, self.fit_fold,
+        h_fit, dp_primal = tune(self.primal, self.fit_fold.n,
                                 self.config.dp_primal, strategy)
-        q_fit, dp_dual = tune(self.dual, self.fit_fold,
+        q_fit, dp_dual = tune(self.dual, self.fit_fold.n,
                               self.config.dp_dual, strategy)
         estimate = self.evaluation.estimate(h_fit, q_fit, self.config.level)
         return DrPipelineResult(estimate, h_fit, q_fit, dp_primal, dp_dual)

@@ -169,32 +169,22 @@ def strategy_label(strategy) -> str:
 
 # -- cell pipelines -------------------------------------------------------------
 
-def _proxy_bases(fit_fold, keep_values: bool):
-    """Bases normalized by the diagonal of the fit fold's stacked Gram,
-    that Gram rescaled, and the unscaled values it was built from if
-    keep_values (else None; each block is then freed once stacked)."""
+def _proxy_bases(d_x: int, d_z: int):
+    """The proxy_nc sieves, before normalization."""
     # cube terms invert the observation transform, so the latent-linear
     # bridge and conditional means are spanned per coordinate; squares on
     # the instrument side would only inflate the adversary dimension
-    d_x = fit_fold.x.shape[1]
-    d_z = fit_fold.z.shape[1]
-    bx = additive_basis(d_x, powers=(1, 2, 3), treat_col=0,
-                        interact_cols=tuple(range(1, d_x)))
-    bz = additive_basis(d_z, powers=(1, 3), treat_col=0)
-    values = (b.evaluate(p) for b, p in ((bx, fit_fold.x), (bz, fit_fold.z)))
-    values = tuple(values) if keep_values else values  # unit-scale values
-    gram = stacked_gram(values, fit_fold.y, (bx, bz))
-    moments = np.diag(gram)
-    bx = normalize_basis(bx, moments[:bx.n_funcs])
-    bz = normalize_basis(bz, moments[bx.n_funcs:-1])
-    return bx, bz, scale_gram(gram, (bx, bz)), values if keep_values else None
+    return (additive_basis(d_x, powers=(1, 2, 3), treat_col=0,
+                           interact_cols=tuple(range(1, d_x))),
+            additive_basis(d_z, powers=(1, 3), treat_col=0))
 
 
 @dataclass
 class CellSetup:
-    """Data, folds, bases and target moment for one (n, rep) cell; the fit
-    fold's stacked Gram (and for dr its unscaled values) if normalizing
-    computed it."""
+    """Data, folds, bases and target moment for one (n, rep) cell, and the
+    fit fold's stacked Gram of [basis_x(x) | basis_z(z) | y], which every
+    fit of the cell is built from (for dr also the unscaled values it was
+    stacked from)."""
 
     data: object
     truth: object
@@ -205,15 +195,18 @@ class CellSetup:
     basis_x: object
     basis_z: object
     target: object
-    fit_gram: np.ndarray | None = None
+    fit_gram: np.ndarray
     fit_values: tuple | None = None
 
 
 def prepare_cell(spec: ExperimentSpec, n: int, rep: int) -> CellSetup:
-    """Draw the cell's dataset, split it, and build its sieve bases.
+    """Draw the cell's dataset, split it, build its sieve bases and the
+    fit fold's stacked Gram.
 
-    Data and split streams depend only on (spec hash, n, rep), so the
-    lambda strategies of a rep are compared on the same draw.
+    The unscaled bases are evaluated once and stacked by one SYRK, then
+    scaled; proxy_nc first normalizes its bases by the diagonal of that
+    Gram.  Data and split streams depend only on (spec hash, n, rep), so
+    the lambda strategies of a rep are compared on the same draw.
     """
     rng = stream_rng(int(spec.spec_hash(), 16), n, rep)
     data_seed = int(rng.integers(2**63))
@@ -222,15 +215,26 @@ def prepare_cell(spec: ExperimentSpec, n: int, rep: int) -> CellSetup:
     theta0 = truth if isinstance(truth, float) else truth.theta0
     plan = SplitPlan(split_seed)
     fit_fold, eval_fold = split(data, plan)
-    gram = values = None
     if spec.dgp == "proxy_nc":
         target = ate_moment(treatment_col=0)
-        bx, bz, gram, values = _proxy_bases(fit_fold, spec.estimator == "dr")
+        bx, bz = _proxy_bases(fit_fold.x.shape[1], fit_fold.z.shape[1])
     else:
         target = mean_moment()
         bx = bz = truth.basis
+    # dr's DrFold reuses the values; otherwise each block is freed once
+    # stacked
+    keep_values = spec.estimator == "dr"
+    values = (b.unscaled().evaluate(p)
+              for b, p in ((bx, fit_fold.x), (bz, fit_fold.z)))
+    values = tuple(values) if keep_values else values
+    gram = stacked_gram(values, fit_fold.y, (bx, bz))
+    if spec.dgp == "proxy_nc":
+        moments = np.diag(gram)
+        bx = normalize_basis(bx, moments[:bx.n_funcs])
+        bz = normalize_basis(bz, moments[bx.n_funcs:-1])
+        gram = scale_gram(gram, (bx, bz))
     return CellSetup(data, truth, theta0, plan, fit_fold, eval_fold, bx, bz,
-                     target, gram, values)
+                     target, gram, values if keep_values else None)
 
 
 def estimator_handle(spec: ExperimentSpec, cell: CellSetup):
@@ -257,11 +261,9 @@ def shared_fits(spec: ExperimentSpec, cell: CellSetup):
     if spec.estimator == "dr":
         values, cell.fit_values = cell.fit_values, None
         return DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell),
-                         values)
-    handle = estimator_handle(spec, cell)
-    system = (handle.system(cell.fit_fold) if cell.fit_gram is None
-              else handle.system_from(cell.fit_gram))
-    return system, cell.target.matrix(cell.eval_fold, cell.basis_x, "x")
+                         values, cell.fit_gram)
+    return (estimator_handle(spec, cell).system_from(cell.fit_gram),
+            cell.target.matrix(cell.eval_fold, cell.basis_x, "x"))
 
 
 def _run_rep(payload) -> list:
@@ -322,7 +324,7 @@ def _fit_strategy(spec: ExperimentSpec, cell: CellSetup, shared, strategy):
         h_fit = result.h_fit
         return result.estimate.theta_hat, h_fit.coeffs, h_fit.lam, iters
     system, target = shared
-    fit, outcome = tune(system, cell.fit_fold, spec.dp_config(), strategy)
+    fit, outcome = tune(system, cell.fit_fold.n, spec.dp_config(), strategy)
     iters = 1 if outcome is None else outcome.iterations
     return float((target @ fit.coeffs).mean()), fit.coeffs, fit.lam, iters
 

@@ -22,10 +22,8 @@ asserted exactly rather than with fitted tolerances.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -51,10 +49,6 @@ __all__ = [
     "classical_dp_select",
     "weak_lower_bound_constant",
     "holder_constant",
-    "problem_to_json",
-    "problem_from_json",
-    "save_problem",
-    "load_problem",
 ]
 
 
@@ -278,9 +272,6 @@ class SpectralResidualFitter:
     prob: SpectralProblem
     obs: NoisyObservation
 
-    def system(self, data) -> "SpectralResidualFitter":
-        return self
-
     def losses(self, lams: np.ndarray):
         """The residual norms at the column lams: rows of one broadcast by
         solve's operations, each reduced as np.linalg.norm when reached."""
@@ -372,39 +363,3 @@ def holder_constant(prob: SpectralProblem) -> tuple[float, float]:
         sig = prob.singular_values
         c_h = float(np.sqrt(np.sum(w0**2 * sig ** (2.0 * beta - 4.0))))
     return c_h, gamma
-
-
-# -- serialization ------------------------------------------------------------
-#
-# Plain JSON with Python's shortest-repr float encoding, which round-trips
-# every finite double bit-exactly.
-
-def problem_to_json(prob: SpectralProblem) -> str:
-    doc = {
-        "singular_values": prob.singular_values.tolist(),
-        "h0_coeffs": prob.h0_coeffs.tolist(),
-        "beta": prob.beta,
-        "w0_coeffs": prob.w0_coeffs.tolist(),
-    }
-    return json.dumps(doc, indent=2)
-
-
-def problem_from_json(text: str) -> SpectralProblem:
-    doc = json.loads(text)
-    try:
-        return SpectralProblem(
-            np.asarray(doc["singular_values"], dtype=np.float64),
-            np.asarray(doc["h0_coeffs"], dtype=np.float64),
-            float(doc["beta"]),
-            np.asarray(doc["w0_coeffs"], dtype=np.float64),
-        )
-    except KeyError as exc:
-        raise ValueError(f"problem document is missing field {exc}") from exc
-
-
-def save_problem(prob: SpectralProblem, path: str | Path) -> None:
-    Path(path).write_text(problem_to_json(prob) + "\n")
-
-
-def load_problem(path: str | Path) -> SpectralProblem:
-    return problem_from_json(Path(path).read_text())

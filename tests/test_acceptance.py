@@ -319,7 +319,8 @@ class TestCriterion8LossMonotonicity:
             bx, bz = polynomial_basis(1, 2), polynomial_basis(1, 2)
             for est in (RdivEstimator(bx, bz),
                         TraeEstimator(outcome_moment(), bx, bz)):
-                losses = [loss for _, loss in run_dp(est, data, config).path]
+                outcome = run_dp(est.system(data), data.n, config)
+                losses = [loss for _, loss in outcome.path]
                 for a, b in zip(losses, losses[1:]):
                     worst = max(worst, b - a)
         ok = worst <= 1e-9

@@ -24,8 +24,6 @@ ALLOWED = {
     "weak_lower_bound_constant", "treatment_rate",
     # bases the tests build small problems from
     "polynomial_basis", "custom_basis",
-    # the writer of spectral problem files, which load_problem reads
-    "save_problem",
 }
 
 

@@ -66,21 +66,26 @@ class TestDpCommand:
         out = capsys.readouterr().out
         assert "selected lambda" in out
 
-    def test_config_search_is_the_experiment_dp_row(self, tmp_path, capsys):
+    @pytest.mark.parametrize("estimator", ["rdiv", "trae", "dr"])
+    @pytest.mark.parametrize("dgp", ["npiv", "proxy_nc"])
+    def test_config_search_is_the_experiment_dp_row(self, tmp_path, capsys,
+                                                    dgp, estimator):
         # without flags, dp --config runs the search of the config's own
-        # experiment: its data, lambda0, rho and max_iters
-        config = write_config(tmp_path, lambda0=1.0, rho=0.7, max_iters=6,
-                              reps=1)
+        # experiment: its data, lambda0, rho and max_iters; for dr that is
+        # the primal's search, while a dr row's iters counts both sides
+        config = write_config(tmp_path, dgp=dgp, estimator=estimator,
+                              lambda0=1.0, rho=0.7, max_iters=6, reps=1)
         assert main(["dp", "--config", config]) == 0
         out = capsys.readouterr().out
         match = re.search(r"selected lambda: (\S+) \((?:not )?converged, "
-                          r"(\d+) fits", out)
+                          r"(\d+) grid points", out)
         spec = ExperimentSpec.from_dict(json.loads(Path(config).read_text()))
         row = next(r for r in run_experiment(spec).rows
                    if r["strategy"] == "dp" and r["n"] == spec.sizes[0]
                    and r["rep"] == 0)
         assert float(match.group(1)) == pytest.approx(row["lambda_dp"], rel=1e-5)
-        assert int(match.group(2)) == row["iters"]
+        if estimator != "dr":
+            assert int(match.group(2)) == row["iters"]
         first_lambda = float(out.splitlines()[1].split()[1])
         assert first_lambda == 1.0
 

@@ -101,9 +101,6 @@ class TestRunDp:
 
     def test_fitter_failure_carries_lambda(self):
         class Broken:
-            def system(self, data):
-                return self
-
             def losses(self, lams):
                 return [math.nan if lam < 1.0 else 1.0 for lam in lams[:, 0]]
 
@@ -172,7 +169,7 @@ class TestDataDrivenPaths:
             else:
                 handle = TraeEstimator(outcome_moment(), bx, bz)
             config = DpConfig(NoiseSchedule("fixed", 1e-10), max_iters=12)
-            outcome = run_dp(handle, data, config)
+            outcome = run_dp(handle.system(data), data.n, config)
             losses = [loss for _, loss in outcome.path]
             assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
@@ -182,7 +179,7 @@ class TestDataDrivenPaths:
         handle = TraeEstimator(outcome_moment(), polynomial_basis(1, 2),
                                polynomial_basis(1, 2))
         config = DpConfig(NoiseSchedule("trae_squared", 15.0))
-        outcome = run_dp(handle, data, config)
+        outcome = run_dp(handle.system(data), data.n, config)
         assert outcome.delta == pytest.approx(15.0 * math.log(100) / 100)
 
 

@@ -15,8 +15,8 @@ from adaptik.functional import (
     DrPipelineConfig,
     SplitPlan,
     adaptive_dr_pipeline,
+    DrEvaluation,
     coverage_experiment,
-    dr_estimate,
     split,
 )
 from adaptik.sieve import Dataset, SieveBasis, custom_basis, trigonometric_basis
@@ -94,8 +94,9 @@ class TestDrEstimate:
         data, truth = npiv_data(1)
         basis = truth.basis
         h = FitResult(np.asarray(truth.h0_coeffs), 0.1, 0.0, 0.0)
-        est = dr_estimate(data, h, basis, zero_fit(basis.n_funcs), basis,
-                          mean_moment(), outcome_moment())
+        est = DrEvaluation.of(data, basis, basis, mean_moment(),
+                              outcome_moment()).estimate(
+            h, zero_fit(basis.n_funcs))
         plugin = float(truth.h0(data.x).mean())
         assert est.theta_hat == pytest.approx(plugin, abs=1e-12)
 
@@ -103,8 +104,9 @@ class TestDrEstimate:
         data, truth = npiv_data(2)
         basis = truth.basis
         q = FitResult(np.eye(basis.n_funcs)[0], 0.1, 0.0, 0.0)  # q(z) = 1
-        est = dr_estimate(data, zero_fit(basis.n_funcs), basis, q, basis,
-                          mean_moment(), outcome_moment())
+        est = DrEvaluation.of(data, basis, basis, mean_moment(),
+                              outcome_moment()).estimate(
+            zero_fit(basis.n_funcs), q)
         assert est.theta_hat == pytest.approx(float(data.y.mean()), abs=1e-12)
 
     def test_components_recompose_theta(self):
@@ -113,8 +115,8 @@ class TestDrEstimate:
         rng = stream_rng(7)
         h = FitResult(rng.normal(size=basis.n_funcs), 0.1, 0.0, 0.0)
         q = FitResult(rng.normal(size=basis.n_funcs), 0.1, 0.0, 0.0)
-        est = dr_estimate(data, h, basis, q, basis, mean_moment(),
-                          outcome_moment())
+        est = DrEvaluation.of(data, basis, basis, mean_moment(),
+                              outcome_moment()).estimate(h, q)
         c = est.components
         recombined = (c["target_moment"] + c["outcome_moment"] - c["cross"]).mean()
         assert est.theta_hat == pytest.approx(float(recombined), abs=1e-12)
@@ -130,10 +132,10 @@ class TestDrEstimate:
         basis = truth.basis
         h = FitResult(np.asarray(truth.h0_coeffs), 0.1, 0.0, 0.0)
         q = FitResult(np.eye(basis.n_funcs)[0], 0.1, 0.0, 0.0)
-        wide = dr_estimate(data, h, basis, q, basis, mean_moment(),
-                           outcome_moment(), level=0.99)
-        narrow = dr_estimate(data, h, basis, q, basis, mean_moment(),
-                             outcome_moment(), level=0.5)
+        evaluation = DrEvaluation.of(data, basis, basis, mean_moment(),
+                                     outcome_moment())
+        wide = evaluation.estimate(h, q, level=0.99)
+        narrow = evaluation.estimate(h, q, level=0.5)
         assert wide.ci_low <= wide.theta_hat <= wide.ci_high
         assert (wide.ci_high - wide.ci_low) > (narrow.ci_high - narrow.ci_low)
 
@@ -143,11 +145,11 @@ class TestDrEstimate:
         rng = stream_rng(8)
         h = FitResult(rng.normal(size=basis.n_funcs), 0.1, 0.0, 0.0)
         q = FitResult(rng.normal(size=basis.n_funcs), 0.1, 0.0, 0.0)
-        base = dr_estimate(data, h, basis, q, basis, mean_moment(),
-                           outcome_moment())
+        base = DrEvaluation.of(data, basis, basis, mean_moment(),
+                               outcome_moment()).estimate(h, q)
         shifted_data = Dataset(data.x, data.z, data.y + 2.5)
-        shifted = dr_estimate(shifted_data, h, basis, q, basis, mean_moment(),
-                              outcome_moment())
+        shifted = DrEvaluation.of(shifted_data, basis, basis, mean_moment(),
+                                  outcome_moment()).estimate(h, q)
         # only the outcome-moment component moves, by 2.5 * mean(q)
         qz = basis.evaluate(data.z) @ q.coeffs
         assert shifted.theta_hat - base.theta_hat == pytest.approx(
@@ -201,8 +203,9 @@ class TestAdaptivePipeline:
                          bases["basis_f"], 0.05)
         q_fit = trae_dual_fit(fit_fold, mean_moment(), bases["basis_q"],
                               bases["basis_s"], 0.05)
-        direct = dr_estimate(eval_fold, h_fit, bases["basis_h"], q_fit,
-                             bases["basis_q"], mean_moment(), outcome_moment())
+        direct = DrEvaluation.of(eval_fold, bases["basis_h"], bases["basis_q"],
+                                 mean_moment(), outcome_moment()).estimate(
+            h_fit, q_fit)
         assert result.estimate.to_record() == direct.to_record()
         for key, values in direct.components.items():
             np.testing.assert_array_equal(result.estimate.components[key], values)

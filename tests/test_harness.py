@@ -11,7 +11,7 @@ import pytest
 from adaptik import harness
 from adaptik.dgp import gen_proxy_nc
 from adaptik.estimators import TikhonovSystem, trae_dual_fit, trae_fit
-from adaptik.functional import DrFold, adaptive_dr_pipeline, dr_estimate, split
+from adaptik.functional import DrEvaluation, DrFold, adaptive_dr_pipeline, split
 from adaptik.harness import (
     ExperimentSpec,
     RunRecord,
@@ -269,6 +269,23 @@ class TestPerRepContract:
             for label in ("fixed_0.01", "dp") for rep in range(3)]
 
 
+class TestSharedFits:
+    @pytest.mark.parametrize("estimator", ["rdiv", "trae"])
+    @pytest.mark.parametrize("dgp", ["npiv", "proxy_nc"])
+    def test_system_from_the_cell_gram_is_the_handles_own(self, dgp, estimator):
+        # the system factored from prepare_cell's stacked Gram has the
+        # bits of the one the handle builds from the fit fold itself
+        spec = tiny_spec(dgp=dgp, estimator=estimator)
+        cell = harness.prepare_cell(spec, spec.sizes[0], 0)
+        shared = harness.shared_fits(spec, cell)[0]
+        own = harness.estimator_handle(spec, cell).system(cell.fit_fold)
+        for name in ("vecs", "mu", "p", "const", "floor"):
+            assert np.array_equal(getattr(shared, name), getattr(own, name)), name
+        assert (shared.adversary is None) == (own.adversary is None)
+        for a, b in zip(shared.adversary or (), own.adversary or ()):
+            assert np.array_equal(a, b)
+
+
 class TestDrRows:
     """A dr rep shares its systems and eval matrices across strategies."""
 
@@ -296,10 +313,10 @@ class TestDrRows:
                         q_fit = trae_dual_fit(fit_fold, config.target_moment,
                                               config.basis_q, config.basis_s,
                                               strategy)
-                        theta = dr_estimate(
-                            eval_fold, h_fit, config.basis_h, q_fit,
-                            config.basis_q, config.target_moment,
-                            config.outcome_moment).theta_hat
+                        theta = DrEvaluation.of(
+                            eval_fold, config.basis_h, config.basis_q,
+                            config.target_moment, config.outcome_moment,
+                        ).estimate(h_fit, q_fit).theta_hat
                         coeffs, lam, iters = h_fit.coeffs, strategy, 1
                     npiv = spec.dgp == "npiv"
                     rows.append({

@@ -17,13 +17,9 @@ from adaptik.spectral import (
     classical_dp_select,
     exact_observation,
     holder_constant,
-    load_problem,
     make_source_problem,
     perturb_observation,
-    problem_from_json,
-    problem_to_json,
     residual_norm,
-    save_problem,
     strong_metric,
     tikhonov_ideal,
     tikhonov_solve,
@@ -448,26 +444,3 @@ class TestPathInequalities:
                 ) ** (beta / (1.0 + beta))
                 assert lhs <= rhs + 1e-10
 
-
-class TestSerialization:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(31)
-        prob = random_problem(rng, d=40)
-        path = tmp_path / "prob.json"
-        save_problem(prob, path)
-        back = load_problem(path)
-        assert np.array_equal(back.singular_values, prob.singular_values)
-        assert np.array_equal(back.h0_coeffs, prob.h0_coeffs)
-        assert np.array_equal(back.w0_coeffs, prob.w0_coeffs)
-        assert back.beta == prob.beta
-
-    def test_json_field_names(self):
-        prob = make_source_problem(2, 1.0, 1.0, [1.0, 1.0])
-        doc = problem_to_json(prob)
-        for name in ("singular_values", "h0_coeffs", "beta", "w0_coeffs"):
-            assert name in doc
-        assert problem_from_json(doc).dim == 2
-
-    def test_missing_field_is_reported(self):
-        with pytest.raises(ValueError, match="missing field"):
-            problem_from_json('{"singular_values": [1.0]}')
