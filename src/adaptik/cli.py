@@ -222,6 +222,9 @@ def _cmd_rates(args) -> int:
     record = _load_record(args.record)
     if not record.rows:
         raise UsageError(f"record {args.record} has no rows")
+    sizes = len({row["n"] for row in record.rows})
+    if sizes < 3:
+        raise UsageError(f"record {args.record} has {sizes} distinct n, rates need 3")
     if all(math.isnan(row[args.metric]) for row in record.rows):
         raise UsageError(f"record {args.record} has no {args.metric} values "
                          "(the column is NaN, as for proxy_nc runs)")

@@ -126,18 +126,6 @@ class DpOutcome:
             )
         return "\n".join(lines)
 
-    def to_record(self) -> dict:
-        """Full-path audit record, embeddable in harness run files."""
-        rec = self.fit.to_record()
-        rec.update(
-            iterations=self.iterations,
-            bracket_ok=self.bracket_ok,
-            converged=self.converged,
-            delta=self.delta,
-            path=list(self.path),
-        )
-        return rec
-
 
 def walk(system, delta: float, lambda0: float, rho: float,
          max_iters: int) -> tuple[list, bool]:

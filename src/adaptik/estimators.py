@@ -421,6 +421,7 @@ class RdivEstimator:
     ridge_stage1: float | None = None
 
     def system(self, data: Dataset) -> TikhonovSystem:
+        """Tests' from-data reference (TestSharedFits, TestThreadCountIndependence)."""
         return self.system_from(_fold_gram(data, self.basis_x, self.basis_z)[0])
 
     def system_from(self, gram: np.ndarray) -> TikhonovSystem:
@@ -437,6 +438,8 @@ class TraeEstimator:
     ridge_inner: float | None = None
 
     def system(self, data: Dataset) -> TikhonovSystem:
+        """From data, for trae_fit and as the reference TestSharedFits and
+        TestThreadCountIndependence check Gram-built systems against."""
         gram, adv = _fold_gram(data, self.basis_h, self.basis_f)
         return self.system_from(gram, self.adversary_mean(data, adv))
 

@@ -59,24 +59,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Deterministic fit/eval partition: shuffle by seed, cut by fraction."""
+    """Deterministic fit/eval partition: shuffle by seed, cut in half."""
 
     seed: int
-    fit_fraction: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.fit_fraction < 1.0):
-            raise ValueError("fit_fraction must lie strictly between 0 and 1")
 
 
 def split(data: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
-    """Disjoint, exhaustive (fit, eval) folds with sizes within 1 of the
-    requested fractions."""
+    """Disjoint, exhaustive (fit, eval) folds with sizes within 1 of
+    half the records each."""
     if data.n < 4:
         raise ValueError("need at least 4 records to split")
     perm = stream_rng(plan.seed, 0x5B17).permutation(data.n)
-    n_fit = round(data.n * plan.fit_fraction)
-    n_fit = min(max(n_fit, 1), data.n - 1)
+    n_fit = round(data.n * 0.5)  # 2 <= n_fit <= n - 2 for n >= 4
     return data.take(perm[:n_fit]), data.take(perm[n_fit:])
 
 
@@ -183,7 +177,6 @@ class DrPipelineConfig:
     dp_dual: DpConfig
     split_plan: SplitPlan
     level: float = 0.95
-    ridge_inner: float | None = None
 
 
 @dataclass(frozen=True)
@@ -210,38 +203,23 @@ class DrFold:
     def of(cls, fit_fold: Dataset, eval_fold: Dataset,
            config: DrPipelineConfig, fit_values: tuple | None = None,
            fit_gram: np.ndarray | None = None) -> "DrFold":
-        """Each distinct (basis, feature block) of the fit fold is evaluated
-        once, unscaled, or taken from fit_values = (basis_h(x), basis_f(z)).
-        Each side stacks its own Gram, in trae_fit's and trae_dual_fit's
-        column order: a SYRK entry's last bits depend on its position.
-        fit_gram, if given, is the primal's, [basis_h(x) | basis_f(z) | y]."""
-        unscaled = {}
-        if fit_values is not None:
-            for basis, block, mat in zip((config.basis_h, config.basis_f),
-                                         "xz", fit_values):
-                unscaled[id(basis), block] = mat
-
-        def values(basis: SieveBasis, block: str) -> np.ndarray:
-            key = (id(basis), block)
-            if key not in unscaled:
-                unscaled[key] = basis.unscaled().evaluate(getattr(fit_fold, block))
-            return unscaled[key]
-
-        def gram(hyp: SieveBasis, adv: SieveBasis, blocks: str) -> np.ndarray:
-            mats = (values(hyp, blocks[0]), values(adv, blocks[1]))
-            return stacked_gram(mats, fit_fold.y, (hyp, adv))
-
-        primal = TraeEstimator(config.outcome_moment, config.basis_h,
-                               config.basis_f, config.ridge_inner)
-        dual = TraeEstimator(config.target_moment, config.basis_q,
-                             config.basis_s, config.ridge_inner)
+        """Fit-fold basis_h(x), basis_f(z) come unscaled from fit_values or one
+        evaluation each; basis_q(z), basis_s(x) are evaluated only if other bases.
+        Each side stacks its Gram in trae_fit's and trae_dual_fit's column order
+        (a SYRK entry's last bits depend on position); fit_gram is the primal's."""
+        c = config
+        hx, fz = fit_values or (c.basis_h.unscaled().evaluate(fit_fold.x),
+                                c.basis_f.unscaled().evaluate(fit_fold.z))
+        qz = fz if c.basis_q is c.basis_f else c.basis_q.unscaled().evaluate(fit_fold.z)
+        sx = hx if c.basis_s is c.basis_h else c.basis_s.unscaled().evaluate(fit_fold.x)
+        if fit_gram is None:
+            fit_gram = stacked_gram((hx, fz), fit_fold.y, (c.basis_h, c.basis_f))
+        primal = TraeEstimator(c.outcome_moment, c.basis_h, c.basis_f)
+        dual = TraeEstimator(c.target_moment, c.basis_q, c.basis_s)
         return cls(
-            config, fit_fold,
-            primal.system_from(gram(config.basis_h, config.basis_f, "xz")
-                               if fit_gram is None else fit_gram),
-            dual.system_from(gram(config.basis_q, config.basis_s, "zx"),
-                             dual.adversary_mean(fit_fold.swapped(),
-                                                 values(config.basis_s, "x"))),
+            config, fit_fold, primal.system_from(fit_gram),
+            dual.system_from(stacked_gram((qz, sx), fit_fold.y, (c.basis_q, c.basis_s)),
+                             dual.adversary_mean(fit_fold.swapped(), sx)),
             DrEvaluation.of(eval_fold, config.basis_h, config.basis_q,
                             config.target_moment, config.outcome_moment),
         )

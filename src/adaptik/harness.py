@@ -112,6 +112,8 @@ class ExperimentSpec:
                 raise ValueError("strategy must be 'dp' or a finite nonnegative "
                                  f"lambda, got {s!r}")
         sizes = tuple(int(n) for n in self.sizes)
+        if min(sizes) < 4:  # the fewest records split can cut
+            raise ValueError(f"sizes must be at least 4, got {min(sizes)}")
         for key, values in (("sizes", sizes), ("strategies", strategies)):
             dups = [v for i, v in enumerate(values) if v in values[:i]]
             if dups:

@@ -1,4 +1,5 @@
-"""Every public name of adaptik has a caller outside the tests.
+"""Every public name of adaptik has a caller outside the tests, and the
+package namespace is its modules.
 
 A name in the __all__ of an adaptik module counts as used when the
 program mentions it: a file under src/, scripts/ or perfbench/.  Its own
@@ -6,6 +7,7 @@ definition, its __all__ entry and the package __init__'s re-export do
 not count.  The scan is plain text, so a mention in a comment counts.
 """
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -64,3 +66,19 @@ def test_no_public_name_is_called_only_by_tests():
 
 def test_allow_list_names_public_names():
     assert ALLOWED <= {name for _, name in public_names()}
+
+
+def test_package_namespace_is_its_modules():
+    # names are imported from their modules; the package binds only the
+    # version and the run_dp alias the benchmark's tracer test reads
+    tree = ast.parse((ROOT / "src" / "adaptik" / "__init__.py").read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+    assert bound == {"run_dp", "__version__"}

@@ -193,7 +193,9 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("rho", 2.0), ("cd", float("nan")), ("lambda0", float("inf"))])
+        ("rho", 2.0), ("cd", float("nan")), ("lambda0", float("inf")),
+        # sizes split cannot cut
+        ("sizes", [3, 200]), ("sizes", [-5])])
     def test_out_of_range_search_setting_is_usage_error(self, tmp_path, capsys,
                                                         key, value):
         config = write_config(tmp_path, **{key: value})
@@ -232,6 +234,16 @@ class TestExitCodes:
         assert main(["generate", "--dgp", dgp, "--n", n, "--out", str(out)]) == 1
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "data.csv").exists()
+
+    def test_rates_of_fewer_than_three_sizes_is_usage_error(self, tmp_path,
+                                                            capsys):
+        config = write_config(tmp_path, sizes=[200, 300], reps=1)
+        out = str(tmp_path / "run")
+        assert main(["experiment", "--config", config, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["rates", "--record", out + ".csv"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "2 distinct n" in err
 
     @pytest.mark.parametrize("metric", ["strong_sq", "weak_sq"])
     def test_rates_of_a_metric_proxy_nc_does_not_record(self, tmp_path, capsys,

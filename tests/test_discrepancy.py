@@ -141,11 +141,10 @@ class TestRunDp:
     def test_audit_record_carries_full_path(self):
         config = DpConfig(NoiseSchedule("fixed", 0.25))
         outcome = run_dp(single_mode(), None, config)
-        rec = outcome.to_record()
-        assert rec["iterations"] == 4
-        assert rec["bracket_ok"] and rec["converged"]
+        assert outcome.iterations == 4
+        assert outcome.bracket_ok and outcome.converged
         expected, _, _, _ = dp_walk(single_mode(), 0.25, 2.0, 0.5, 20)
-        assert rec["path"] == expected
+        assert list(outcome.path) == expected
         table = outcome.table()
         assert table.splitlines()[-1].endswith("yes")
         assert len(table.splitlines()) == 5

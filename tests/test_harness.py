@@ -66,6 +66,10 @@ class TestExperimentSpec:
                 tiny_spec(strategies=("dp", bad))
         with pytest.raises(ValueError):
             tiny_spec(reps=0)
+        # split needs at least 4 records
+        for sizes in ((3,), (0,), (-5,)):
+            with pytest.raises(ValueError, match="at least 4"):
+                tiny_spec(sizes=sizes)
 
     @pytest.mark.parametrize("key, value", [
         ("rho", 2.0), ("cd", math.nan), ("lambda0", math.inf),
