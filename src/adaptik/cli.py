@@ -102,16 +102,27 @@ def _load_spec(path: str, seed_override: int | None) -> ExperimentSpec:
 
 def _load_record(path: str) -> RunRecord:
     try:
-        return RunRecord.from_csv(path)
+        record = RunRecord.from_csv(path)
+        summary = Path(path).with_suffix(".summary.json")
+        if summary.exists():  # the CSV holds no failed rows; the summary does
+            record.failures = json.loads(summary.read_text())["failures"]
+        return record
     except FileNotFoundError:
         raise UsageError(f"record file not found: {path}") from None
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path} is not a run record: {exc!r}") from None
+
+
+def _out_prefix(out: str) -> str:
+    if not Path(out).parent.is_dir():
+        raise UsageError(f"--out directory {Path(out).parent} does not exist")
+    return out
 
 
 def _cmd_generate(args) -> int:
     if args.n < 2:
         raise UsageError(f"--n must be at least 2, got {args.n}")
+    _out_prefix(args.out)
     rng = stream_rng(args.seed)
     if args.dgp == "proxy_nc":
         params = ProxyNcParams.default(args.master_seed)
@@ -209,8 +220,8 @@ def _cmd_experiment(args) -> int:
     spec = _load_spec(args.config, args.seed)
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
+    out = _out_prefix(args.out or spec.out or "run")
     record = run_experiment(spec, jobs=args.jobs)
-    out = args.out or spec.out or "run"
     record.to_csv(f"{out}.csv")
     Path(f"{out}.summary.json").write_text(record.summary_json() + "\n")
     print(f"wrote {out}.csv ({len(record.rows)} rows, "

@@ -87,8 +87,9 @@ class DpConfig:
             raise ValueError("lambda0 must be finite and positive")
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if (not isinstance(self.max_iters, (int, np.integer))
+                or isinstance(self.max_iters, bool) or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
         if self.rho < 0.5:
             warnings.warn(
                 "rho < 1/2 widens the bracket factor 1/rho beyond 2",

@@ -76,11 +76,6 @@ class NumericalError(RuntimeError):
     """A solve produced non-finite values or an irrecoverably singular system."""
 
 
-def _invertible(a: np.ndarray, cond_cap: float = 1e12) -> bool:
-    cond = np.linalg.cond(a)
-    return bool(np.isfinite(cond) and cond < cond_cap)
-
-
 def _solve_spd(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
     """Solve a symmetric positive definite system by Cholesky."""
     try:
@@ -95,30 +90,43 @@ def _solve_spd(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
     return x
 
 
+def _ridge_solve(m: np.ndarray, rhs: np.ndarray, ridge: float | None,
+                 scale: float, context: str) -> np.ndarray:
+    """Solve (m + ridge I) x = rhs for a Gram m.  ridge None means
+    scale times the mean eigenvalue of m; an explicit 0 demands a
+    nonsingular m and raises with a condition estimate otherwise."""
+    j = m.shape[0]
+    if ridge is None:
+        ridge = scale * float(np.trace(m)) / j
+    if ridge < 0.0:
+        raise ValueError(f"{context}: ridge must be nonnegative, got {ridge}")
+    if ridge == 0.0:
+        cond = np.linalg.cond(m)
+        if not (np.isfinite(cond) and cond < 1e12):
+            raise NumericalError(f"{context}: Gram is singular with zero ridge "
+                                 f"(condition estimate {cond:.3e})")
+    return _solve_spd(m + ridge * np.eye(j), rhs, context)
+
+
 # -- domain types ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OperatorEstimate:
     """Stage-1 regression operator: column k of B maps psi_k(X) onto the Z-sieve."""
 
-    b: np.ndarray           # (J, K)
-    ridge_stage1: float
+    b: np.ndarray           # (J, K), finite: _solve_spd checks it
     basis_x: SieveBasis
     basis_z: SieveBasis
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.b)):
-            raise NumericalError("operator estimate has non-finite entries")
 
 
 @dataclass(frozen=True)
 class MomentFunctional:
     """A known linear functional f -> m(W; f), evaluated on sieve elements.
 
-    `matrix(data, basis, arg)` returns the (n, K) array with entry
-    (i, k) = m(W_i; phi_k) where the test functions read the `arg`
-    feature block ("x" or "z").  Linearity in f is then automatic:
-    per-record values of m(W; f_c) are matrix @ c.
+    `matrix(points, y, basis)` returns the (n, K) array with entry
+    (i, k) = m(W_i; phi_k), where phi_k reads the feature block points
+    (the records' x or z) and y is their outcome.  Linearity in f is
+    then automatic: per-record values of m(W; f_c) are matrix @ c.
     """
 
     kind: str
@@ -128,45 +136,36 @@ class MomentFunctional:
         if self.kind not in ("outcome", "ate", "mean"):
             raise ValueError(f"unknown moment kind {self.kind!r}")
 
-    def matrix(self, data: Dataset, basis: SieveBasis, arg: str,
+    def matrix(self, points: np.ndarray, y: np.ndarray, basis: SieveBasis,
                values: np.ndarray | None = None) -> np.ndarray:
-        """values, if given, is basis evaluated on the arg block of data;
-        the outcome and mean kinds use it instead of evaluating again."""
-        pts = _feature_block(data, arg)
+        """values, if given, is basis evaluated on points; the outcome and
+        mean kinds use it instead of evaluating again."""
         if self.kind == "ate":
-            pts = np.array(pts)
+            pts = np.array(points)
             pts[:, self.treatment_col] = 1.0
             out = basis.evaluate(pts)
             pts[:, self.treatment_col] = 0.0
             out -= basis.evaluate(pts)
             return out
         if values is None:
-            values = basis.evaluate(pts)
+            values = basis.evaluate(points)
         if self.kind == "outcome":
-            return data.y[:, None] * values
+            return y[:, None] * values
         return values
 
 
-def _feature_block(data: Dataset, arg: str) -> np.ndarray:
-    if arg == "x":
-        return data.x
-    if arg == "z":
-        return data.z
-    raise ValueError(f"arg must be 'x' or 'z', got {arg!r}")
-
-
 def outcome_moment() -> MomentFunctional:
-    """m(W; f) = Y * f(arg), the moment whose representer is E[Y | Z]."""
+    """m(W; f) = Y * f(points), the moment whose representer is E[Y | Z]."""
     return MomentFunctional("outcome")
 
 
 def ate_moment(treatment_col: int = 0) -> MomentFunctional:
-    """m(W; h) = h(arg with treatment 1) - h(arg with treatment 0)."""
+    """m(W; h) = h(points with treatment 1) - h(points with treatment 0)."""
     return MomentFunctional("ate", treatment_col=treatment_col)
 
 
 def mean_moment() -> MomentFunctional:
-    """m(W; h) = h(arg), whose expectation is the mean of h."""
+    """m(W; h) = h(points), whose expectation is the mean of h."""
     return MomentFunctional("mean")
 
 
@@ -282,20 +281,9 @@ def _stage1(gram: np.ndarray, basis_x: SieveBasis, basis_z: SieveBasis,
             ridge_stage1: float | None) -> OperatorEstimate:
     """Stage 1 from the stacked Gram of [basis_x(x) | basis_z(z) | y]."""
     k = basis_x.n_funcs
-    gram_z, cross = gram[k:-1, k:-1], gram[k:-1, :k]
-    j = gram_z.shape[0]
-    if ridge_stage1 is None:
-        ridge_stage1 = 1e-6 * float(np.trace(gram_z)) / j
-    if ridge_stage1 < 0.0:
-        raise ValueError("ridge_stage1 must be nonnegative")
-    a = gram_z + ridge_stage1 * np.eye(j)
-    if ridge_stage1 == 0.0 and not _invertible(gram_z):
-        raise NumericalError(
-            "stage-1 normal equations are singular with zero ridge "
-            f"(condition estimate {np.linalg.cond(gram_z):.3e})"
-        )
-    b = _solve_spd(a, cross, "rdiv stage 1")
-    return OperatorEstimate(b, float(ridge_stage1), basis_x, basis_z)
+    b = _ridge_solve(gram[k:-1, k:-1], gram[k:-1, :k], ridge_stage1, 1e-6,
+                     "rdiv stage 1")
+    return OperatorEstimate(b, basis_x, basis_z)
 
 
 def _rdiv_system(op: OperatorEstimate, gram: np.ndarray) -> TikhonovSystem:
@@ -325,10 +313,6 @@ def rdiv_loss(data: Dataset, op: OperatorEstimate, coeffs: np.ndarray) -> float:
 
 
 # -- TRAE ------------------------------------------------------------------------
-
-def _default_inner_ridge(m: np.ndarray) -> float:
-    return 1e-8 * float(np.trace(m)) / m.shape[0]
-
 
 def _fold_gram(data: Dataset, basis_h: SieveBasis,
                basis_f: SieveBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -361,19 +345,10 @@ def trae_inner_max(
     E_n[2 m(W; f) - 2 h(X) f(Z) - f(Z)^2] over the span of basis_f.
     """
     gram, adv = _fold_gram(data, basis_h, basis_f)
-    g = TraeEstimator(moment, basis_h, basis_f).adversary_mean(data, adv)
+    g = TraeEstimator(moment, basis_h, basis_f).adversary_mean(data.z, data.y, adv)
     m, g, b = _adversary_mats(gram, basis_h.n_funcs, g)
-    if ridge_inner is None:
-        ridge_inner = _default_inner_ridge(m)
-    if ridge_inner < 0.0:
-        raise ValueError("ridge_inner must be nonnegative")
-    if ridge_inner == 0.0 and not _invertible(m):
-        raise NumericalError(
-            "adversary Gram is singular with zero ridge "
-            f"(condition estimate {np.linalg.cond(m):.3e})"
-        )
     v = g - b @ np.asarray(coeffs_h, dtype=np.float64)
-    f = _solve_spd(m + ridge_inner * np.eye(m.shape[0]), v, "trae inner max")
+    f = _ridge_solve(m, v, ridge_inner, 1e-8, "trae inner max")
     return f, float(v @ f)
 
 
@@ -441,14 +416,16 @@ class TraeEstimator:
         """From data, for trae_fit and as the reference TestSharedFits and
         TestThreadCountIndependence check Gram-built systems against."""
         gram, adv = _fold_gram(data, self.basis_h, self.basis_f)
-        return self.system_from(gram, self.adversary_mean(data, adv))
+        return self.system_from(gram, self.adversary_mean(data.z, data.y, adv))
 
-    def adversary_mean(self, data: Dataset, adv: np.ndarray) -> np.ndarray | None:
-        """g_j = E_n[m(W; phi_j)] given adv = unscaled basis_f(z) of data;
-        None for the outcome moment, whose g is Phi'y/n of the stacked Gram."""
+    def adversary_mean(self, points: np.ndarray, y: np.ndarray,
+                       adv: np.ndarray) -> np.ndarray | None:
+        """g_j = E_n[m(W; phi_j)] given the adversary's feature block points,
+        the outcome y and adv = unscaled basis_f(points); None for the
+        outcome moment, whose g is Phi'y/n of the stacked Gram."""
         if self.moment.kind != "outcome":
             values = adv * self.basis_f.normalization
-            return self.moment.matrix(data, self.basis_f, "z", values).mean(axis=0)
+            return self.moment.matrix(points, y, self.basis_f, values).mean(axis=0)
 
     def system_from(self, gram: np.ndarray,
                     g: np.ndarray | None = None) -> TikhonovSystem:
@@ -456,11 +433,8 @@ class TraeEstimator:
         and, for a moment other than the outcome one, adversary_mean g."""
         k = self.basis_h.n_funcs
         m, g, b = _adversary_mats(gram, k, g)
-        ridge = self.ridge_inner
-        if ridge is None:
-            ridge = _default_inner_ridge(m)
-        minv = _solve_spd(m + ridge * np.eye(m.shape[0]),
-                          np.column_stack([g, b]), "trae system")
+        minv = _ridge_solve(m, np.column_stack([g, b]), self.ridge_inner,
+                            1e-8, "trae system")
         minv_g, minv_b = minv[:, 0], minv[:, 1:]
         return TikhonovSystem.factor(b.T @ minv_b, b.T @ minv_g,
                                      float(g @ minv_g), gram[:k, :k],

@@ -124,8 +124,8 @@ class DrEvaluation:
         moments reuse those values."""
         h = basis_h.evaluate(eval_fold.x)
         q = basis_q.evaluate(eval_fold.z)
-        return cls(moment_h.matrix(eval_fold, basis_h, "x", h),
-                   moment_q.matrix(eval_fold, basis_q, "z", q), h, q)
+        return cls(moment_h.matrix(eval_fold.x, eval_fold.y, basis_h, h),
+                   moment_q.matrix(eval_fold.z, eval_fold.y, basis_q, q), h, q)
 
     def estimate(self, h_fit: FitResult, q_fit: FitResult,
                  level: float = 0.95) -> FunctionalEstimate:
@@ -219,7 +219,7 @@ class DrFold:
         return cls(
             config, fit_fold, primal.system_from(fit_gram),
             dual.system_from(stacked_gram((qz, sx), fit_fold.y, (c.basis_q, c.basis_s)),
-                             dual.adversary_mean(fit_fold.swapped(), sx)),
+                             dual.adversary_mean(fit_fold.x, fit_fold.y, sx)),
             DrEvaluation.of(eval_fold, config.basis_h, config.basis_q,
                             config.target_moment, config.outcome_moment),
         )

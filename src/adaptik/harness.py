@@ -102,6 +102,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if not self.sizes or not self.strategies:
             raise ValueError("sizes and strategies must be nonempty")
+        object.__setattr__(self, "reps", _whole(self.reps, "reps"))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         strategies = tuple(
@@ -111,7 +112,7 @@ class ExperimentSpec:
             if s != "dp" and not 0.0 <= s < math.inf:
                 raise ValueError("strategy must be 'dp' or a finite nonnegative "
                                  f"lambda, got {s!r}")
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = tuple(_whole(n, "sizes") for n in self.sizes)
         if min(sizes) < 4:  # the fewest records split can cut
             raise ValueError(f"sizes must be at least 4, got {min(sizes)}")
         for key, values in (("sizes", sizes), ("strategies", strategies)):
@@ -163,6 +164,13 @@ class ExperimentSpec:
         """(dataset, truth) of size n from the spec's DGP."""
         gen = gen_proxy_nc if self.dgp == "proxy_nc" else gen_npiv
         return gen(self._dgp_params, n, rng)
+
+
+def _whole(value, key: str) -> int:
+    """A count given as a whole number (3 or 3.0, not 2.5 or True)."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{key} must be whole numbers, got {value!r}")
+    return int(value)
 
 
 def strategy_label(strategy) -> str:
@@ -265,7 +273,7 @@ def shared_fits(spec: ExperimentSpec, cell: CellSetup):
         return DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell),
                          values, cell.fit_gram)
     return (estimator_handle(spec, cell).system_from(cell.fit_gram),
-            cell.target.matrix(cell.eval_fold, cell.basis_x, "x"))
+            cell.target.matrix(cell.eval_fold.x, cell.eval_fold.y, cell.basis_x))
 
 
 def _run_rep(payload) -> list:
@@ -474,8 +482,11 @@ class RunRecord:
                 spec_hash = first.strip().split("=", 1)[1]
             else:
                 fh.seek(0)
+            reader = csv.DictReader(fh)
+            if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
+                raise ValueError(f"header is not {','.join(CSV_COLUMNS)}")
             rows = [{c: _CSV_TYPES.get(c, float)(rec[c]) for c in CSV_COLUMNS}
-                    for rec in csv.DictReader(fh)]
+                    for rec in reader]
         return cls(spec_hash, rows)
 
     def aggregate(self) -> list:

@@ -5,7 +5,8 @@ operator T: singular values sigma_i, true-solution coefficients a_i, and
 a smoothness (source-condition) exponent beta with a_i = sigma_i**beta *
 w0_i.  Everything downstream is closed form:
 
-  * Tikhonov solution from a noisy right-hand side r:
+  * Tikhonov solution from a noisy right-hand side r, a read-only
+    coefficient vector (solutions are coefficient vectors throughout):
         coeffs_i = sigma_i * r_i / (sigma_i**2 + lam)
   * strong metric  ||h - h0||            (coefficient 2-norm)
   * weak metric    ||T (h - h0)||        (sigma-weighted 2-norm)
@@ -35,7 +36,6 @@ INFINITE_LAMBDA = math.inf
 __all__ = [
     "INFINITE_LAMBDA",
     "SpectralProblem",
-    "TikhonovSolution",
     "NoisyObservation",
     "GridExhaustedError",
     "make_source_problem",
@@ -110,19 +110,6 @@ class SpectralProblem:
     def rhs_coeffs(self) -> np.ndarray:
         """Noiseless right-hand side: (T h0)_i = sigma_i * a_i."""
         return self.singular_values * self.h0_coeffs
-
-
-@dataclass(frozen=True)
-class TikhonovSolution:
-    """Solution coefficients at a given regularization weight."""
-
-    lam: float
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _freeze(self.coeffs))
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -214,7 +201,7 @@ def perturb_observation(
 
 def tikhonov_solve(
     prob: SpectralProblem, r: NoisyObservation, lam: float
-) -> TikhonovSolution:
+) -> np.ndarray:
     """Minimizer of ||T h - r||^2 + lam ||h||^2 in the singular basis.
 
     coeffs_i = sigma_i * r_i / (sigma_i**2 + lam).  lam = 0 is allowed
@@ -226,42 +213,37 @@ def tikhonov_solve(
         raise ValueError("lam must be nonnegative")
     sig = prob.singular_values
     if math.isinf(lam):
-        return TikhonovSolution(lam, np.zeros(prob.dim))
-    coeffs = sig * r.r_coeffs / (sig**2 + lam)
-    return TikhonovSolution(float(lam), coeffs)
+        return _freeze(np.zeros(prob.dim))
+    return _freeze(sig * r.r_coeffs / (sig**2 + lam))
 
 
-def tikhonov_ideal(prob: SpectralProblem, lam: float) -> TikhonovSolution:
+def tikhonov_ideal(prob: SpectralProblem, lam: float) -> np.ndarray:
     """Population-regularized solution: coeffs_i = sigma_i^2/(sigma_i^2+lam) a_i."""
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     sig = prob.singular_values
     if math.isinf(lam):
-        return TikhonovSolution(lam, np.zeros(prob.dim))
-    coeffs = sig**2 / (sig**2 + lam) * prob.h0_coeffs
-    return TikhonovSolution(float(lam), coeffs)
+        return _freeze(np.zeros(prob.dim))
+    return _freeze(sig**2 / (sig**2 + lam) * prob.h0_coeffs)
 
 
-def strong_metric(prob: SpectralProblem, sol: TikhonovSolution) -> float:
+def strong_metric(prob: SpectralProblem, coeffs: np.ndarray) -> float:
     """||h - h0||: plain 2-norm of the coefficient error."""
-    _check_dim(prob, sol.coeffs)
-    return float(np.linalg.norm(sol.coeffs - prob.h0_coeffs))
+    _check_dim(prob, coeffs)
+    return float(np.linalg.norm(coeffs - prob.h0_coeffs))
 
 
-def weak_metric(prob: SpectralProblem, sol: TikhonovSolution) -> float:
+def weak_metric(prob: SpectralProblem, coeffs: np.ndarray) -> float:
     """||T (h - h0)||: sigma-weighted 2-norm of the coefficient error."""
-    _check_dim(prob, sol.coeffs)
-    return float(
-        np.linalg.norm(prob.singular_values * (sol.coeffs - prob.h0_coeffs))
-    )
+    _check_dim(prob, coeffs)
+    return float(np.linalg.norm(prob.singular_values * (coeffs - prob.h0_coeffs)))
 
 
-def residual_norm(
-    prob: SpectralProblem, r: NoisyObservation, sol: TikhonovSolution
-) -> float:
-    """||T h - r|| for a candidate solution against the observed data."""
-    _check_dim(prob, sol.coeffs)
-    return float(np.linalg.norm(prob.singular_values * sol.coeffs - r.r_coeffs))
+def residual_norm(prob: SpectralProblem, r: NoisyObservation,
+                  coeffs: np.ndarray) -> float:
+    """||T h - r|| for candidate coefficients against the observed data."""
+    _check_dim(prob, coeffs)
+    return float(np.linalg.norm(prob.singular_values * coeffs - r.r_coeffs))
 
 
 @dataclass(frozen=True)
@@ -280,10 +262,9 @@ class SpectralResidualFitter:
         return (math.sqrt(row.dot(row)) for row in resid)
 
     def solve(self, lam: float) -> FitResult:
-        sol = tikhonov_solve(self.prob, self.obs, lam)
-        resid = residual_norm(self.prob, self.obs, sol)
-        penalty = float(np.dot(sol.coeffs, sol.coeffs))
-        return FitResult(sol.coeffs, lam, resid, penalty)
+        coeffs = tikhonov_solve(self.prob, self.obs, lam)
+        resid = residual_norm(self.prob, self.obs, coeffs)
+        return FitResult(coeffs, lam, resid, float(np.dot(coeffs, coeffs)))
 
 
 def classical_dp_select(
@@ -294,8 +275,9 @@ def classical_dp_select(
     lambda0: float = 2.0,
     rho: float = 0.5,
     max_steps: int = 500,
-) -> tuple[float, TikhonovSolution]:
-    """Classical residual discrepancy selection on a geometric grid.
+) -> tuple[float, np.ndarray]:
+    """Classical residual discrepancy selection on a geometric grid: the
+    selected lam and its coefficients.
 
     If ||r|| <= k * delta the data are indistinguishable from noise and the
     zero solution is returned with lam = inf.  Otherwise the grid
@@ -321,7 +303,7 @@ def classical_dp_select(
     _check_dim(prob, r.r_coeffs)
     threshold = k * r.delta
     if float(np.linalg.norm(r.r_coeffs)) <= threshold:
-        return INFINITE_LAMBDA, TikhonovSolution(INFINITE_LAMBDA, np.zeros(prob.dim))
+        return INFINITE_LAMBDA, _freeze(np.zeros(prob.dim))
     path, converged = walk(SpectralResidualFitter(prob, r), threshold,
                            lambda0, rho, max_steps)
     if not converged:

@@ -8,7 +8,6 @@ import numpy as np
 
 from adaptik.spectral import (
     INFINITE_LAMBDA,
-    TikhonovSolution,
     residual_norm,
     tikhonov_solve,
 )
@@ -90,7 +89,7 @@ def trae_mats(data, moment, basis_h, basis_f):
     hyp = np.ascontiguousarray(basis_h.evaluate(data.x))
     adv = np.ascontiguousarray(basis_f.evaluate(data.z))
     m = adv.T @ adv / data.n
-    g = moment.matrix(data, basis_f, "z").mean(axis=0)
+    g = moment.matrix(data.z, data.y, basis_f).mean(axis=0)
     b = adv.T @ hyp / data.n
     return m, g, b, hyp.T @ hyp / data.n
 
@@ -184,13 +183,12 @@ def dp_walk(system, delta, lambda0, rho, max_iters):
 def classical_dp_walk(prob, r, k, lambda0, rho, max_steps):
     """The classical discrepancy rule one grid point at a time: a full
     Tikhonov solve and its residual norm at lam = lambda0, lambda0 * rho,
-    ... (by repeated multiplication).  Returns (grid index, lam, solution),
-    (None, inf, zero solution) for pure noise, or None when max_steps grid
+    ... (by repeated multiplication).  Returns (grid index, lam, coefficients),
+    (None, inf, zeros) for pure noise, or None when max_steps grid
     points all miss the bound."""
     threshold = k * r.delta
     if float(np.linalg.norm(r.r_coeffs)) <= threshold:
-        return None, INFINITE_LAMBDA, TikhonovSolution(INFINITE_LAMBDA,
-                                                       np.zeros(prob.dim))
+        return None, INFINITE_LAMBDA, np.zeros(prob.dim)
     lam = float(lambda0)
     for j in range(max_steps):
         sol = tikhonov_solve(prob, r, lam)

@@ -177,7 +177,7 @@ class TestCriterion4LemmaSuite:
             c_h, gamma = holder_constant(prob)
             lam2 = float(rng.uniform(1e-4, 2.0))
             diff = float(np.linalg.norm(
-                sol.coeffs - tikhonov_ideal(prob, lam2).coeffs
+                sol - tikhonov_ideal(prob, lam2)
             ))
             rhs = c_h * abs(lam - lam2) ** gamma
             assert diff <= rhs + slack(rhs)
@@ -417,7 +417,7 @@ class TestCriterion11Determinism:
                     rng = stream_rng(1001, int(delta * 2**20), seed)
                     obs = perturb_observation(prob, delta, rng)
                     lam, sol = classical_dp_select(prob, obs)
-                    vals.append((lam, repr(sol.coeffs.tolist())))
+                    vals.append((lam, repr(sol.tolist())))
             return repr(vals)
 
         identical_sweep = sweep_bytes() == sweep_bytes()

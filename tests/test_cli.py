@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import adaptik
+from adaptik import cli
 from adaptik.cli import main
+from adaptik.estimators import TikhonovSystem
 from adaptik.harness import ExperimentSpec, RunRecord, run_experiment
 
 
@@ -121,6 +123,26 @@ class TestExperimentReportRates:
         text = capsys.readouterr().out
         assert "slope" in text
 
+    def test_report_lists_the_failures_of_the_summary(self, tmp_path, capsys,
+                                                      monkeypatch):
+        solve = TikhonovSystem.solve
+
+        def flaky(self, lam):
+            if lam == 0.01:
+                raise FloatingPointError("injected")
+            return solve(self, lam)
+
+        monkeypatch.setattr(TikhonovSystem, "solve", flaky)
+        config = write_config(tmp_path, reps=1)
+        out = str(tmp_path / "run")
+        assert main(["experiment", "--config", config, "--out", out]) == 2
+        capsys.readouterr()
+        assert main(["report", "--record", out + ".csv"]) == 0
+        text = capsys.readouterr().out
+        assert "rows: 1  failures: 1" in text
+        assert ("n=200 strategy=fixed_0.01 rep=0: FloatingPointError: injected"
+                in text)
+
     def test_jobs_flag(self, tmp_path):
         config = write_config(tmp_path)
         out = str(tmp_path / "runp")
@@ -195,7 +217,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("rho", 2.0), ("cd", float("nan")), ("lambda0", float("inf")),
         # sizes split cannot cut
-        ("sizes", [3, 200]), ("sizes", [-5])])
+        ("sizes", [3, 200]), ("sizes", [-5]),
+        # counts that are not whole numbers
+        ("reps", 2.5), ("max_iters", 2.5), ("sizes", [200.7, 300, 400])])
     def test_out_of_range_search_setting_is_usage_error(self, tmp_path, capsys,
                                                         key, value):
         config = write_config(tmp_path, **{key: value})
@@ -217,7 +241,11 @@ class TestExitCodes:
         (None, "not found"),
         ("a,b\n1,2\n", "not a run record"),
         ("n,strategy,rep,abs_error,strong_sq,weak_sq,lambda_dp,iters,wall_ms\n"
-         "x,dp,0,1,1,1,1,1,1\n", "not a run record")])
+         "x,dp,0,1,1,1,1,1,1\n", "not a run record"),
+        ("n,strategy,rep,abs_error,strong_sq,weak_sq,lambda_dp,iters,wall_ms\n"
+         "200,dp\n", "not a run record"),
+        # a config is not a record, even though it parses as a header-only CSV
+        ('{"dgp": "npiv", "reps": 2}\n', "header is not")])
     def test_bad_record_is_usage_error(self, tmp_path, capsys, command,
                                        content, message):
         path = tmp_path / "record.csv"
@@ -226,6 +254,22 @@ class TestExitCodes:
         assert main([command, "--record", str(path)]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and message in err
+
+    @pytest.mark.parametrize("command", ["experiment", "generate"])
+    def test_out_into_a_missing_directory_is_usage_error(self, tmp_path, capsys,
+                                                         monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_work)
+        monkeypatch.setattr(cli, "gen_proxy_nc", no_work)
+        argv = {"experiment": ["--config", write_config(tmp_path)],
+                "generate": ["--dgp", "proxy_nc"]}[command]
+        out = str(tmp_path / "nodir" / "run")
+        assert main([command, *argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "nodir" in err
+        assert not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize("dgp", ["proxy_nc", "npiv"])
     @pytest.mark.parametrize("n", ["1", "0", "-3"])

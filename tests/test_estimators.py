@@ -204,6 +204,33 @@ class TestTraeInnerMax:
                            np.zeros(2), ridge_inner=0.0)
 
 
+_RIDGE_ENTRY_POINTS = {
+    "rdiv_stage1": lambda data, b, adv, ridge: rdiv_stage1(data, b, adv, ridge),
+    "trae_fit": lambda data, b, adv, ridge: trae_fit(
+        data, outcome_moment(), b, adv, 0.1, ridge),
+    "TraeEstimator.system": lambda data, b, adv, ridge: TraeEstimator(
+        outcome_moment(), b, adv, ridge).system(data),
+    "trae_inner_max": lambda data, b, adv, ridge: trae_inner_max(
+        data, outcome_moment(), b, adv, np.zeros(2), ridge),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RIDGE_ENTRY_POINTS))
+def test_every_gram_solve_keeps_one_ridge_rule(entry):
+    """A negative ridge is a ValueError and a zero ridge on a nearly
+    collinear instrument basis (condition ~5e14) a NumericalError, at
+    every entry point that inverts the instrument Gram."""
+    rng = np.random.default_rng(31)
+    data = small_data(rng, n=200)
+    near = custom_basis([lambda p: p[:, 0],
+                         lambda p: p[:, 0] + 1e-7 * np.sin(37.0 * p[:, 0])], 1)
+    call = _RIDGE_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="nonnegative"):
+        call(data, polynomial_basis(1, 1), polynomial_basis(1, 1), -1.0)
+    with pytest.raises(NumericalError, match="condition estimate"):
+        call(data, polynomial_basis(1, 1), near, 0.0)
+
+
 class TestTraeFit:
     def test_zero_outcome(self):
         rng = np.random.default_rng(13)
@@ -343,9 +370,9 @@ class TestProperties:
                              rng.normal(size=n)])
         data = Dataset(x, rng.normal(size=(n, 2)), rng.normal(size=n))
         basis = polynomial_basis(2, 2)
-        for moment, arg in ((outcome_moment(), "z"), (ate_moment(0), "x"),
-                            (mean_moment(), "x")):
-            mat = moment.matrix(data, basis, arg)
+        for moment, block in ((outcome_moment(), data.z), (ate_moment(0), data.x),
+                              (mean_moment(), data.x)):
+            mat = moment.matrix(block, data.y, basis)
             cf = rng.normal(size=basis.n_funcs)
             cg = rng.normal(size=basis.n_funcs)
             alpha = 1.7

@@ -10,6 +10,7 @@ import pytest
 
 from adaptik import harness
 from adaptik.dgp import gen_proxy_nc
+from adaptik.discrepancy import DpConfig, NoiseSchedule
 from adaptik.estimators import TikhonovSystem, trae_dual_fit, trae_fit
 from adaptik.functional import DrEvaluation, DrFold, adaptive_dr_pipeline, split
 from adaptik.harness import (
@@ -70,6 +71,17 @@ class TestExperimentSpec:
         for sizes in ((3,), (0,), (-5,)):
             with pytest.raises(ValueError, match="at least 4"):
                 tiny_spec(sizes=sizes)
+        # counts are whole numbers; 200.0 is 200, but 200.7 is not 200
+        for key, bad in (("reps", 2.5), ("reps", True), ("sizes", (200.7, 300)),
+                         ("sizes", (True, 300))):
+            with pytest.raises(ValueError, match="whole numbers"):
+                tiny_spec(**{key: bad})
+        spec = tiny_spec(reps=2.0, sizes=(200.0, 300))
+        assert (spec.reps, spec.sizes) == (2, (200, 300))
+        assert type(spec.reps) is int
+        for bad in (2.5, 20.0, True):
+            with pytest.raises(ValueError, match="max_iters must be an int"):
+                DpConfig(NoiseSchedule("fixed", 1.0), max_iters=bad)
 
     @pytest.mark.parametrize("key, value", [
         ("rho", 2.0), ("cd", math.nan), ("lambda0", math.inf),

@@ -76,13 +76,13 @@ class TestTikhonovSolve:
     def test_single_mode_half(self):
         prob = make_source_problem(1, 1.0, 1.0, [1.0])
         sol = tikhonov_solve(prob, NoisyObservation(np.array([1.0]), 1.0), 1.0)
-        assert sol.coeffs.tolist() == [0.5]
+        assert sol.tolist() == [0.5]
 
     def test_zero_lambda_recovers_h0_from_noiseless_data(self):
         prob = make_source_problem(2, 1.0, 1.0, [1.0, 1.0])
         obs = exact_observation(prob, delta=1.0)
         sol = tikhonov_solve(prob, obs, 0.0)
-        np.testing.assert_allclose(sol.coeffs, prob.h0_coeffs, rtol=0, atol=0)
+        np.testing.assert_allclose(sol, prob.h0_coeffs, rtol=0, atol=0)
 
     def test_matches_dense_two_by_two_solve(self):
         # oracle: explicit (T'T + lam I) h = T'r with T = diag(sigma)
@@ -94,7 +94,7 @@ class TestTikhonovSolve:
         t = np.diag(sigma)
         oracle = np.linalg.solve(t.T @ t + lam * np.eye(2), t.T @ r)
         sol = tikhonov_solve(prob, NoisyObservation(r, 1.0), lam)
-        np.testing.assert_allclose(sol.coeffs, oracle, atol=1e-14)
+        np.testing.assert_allclose(sol, oracle, atol=1e-14)
 
     def test_dense_equivalence_random(self):
         rng = np.random.default_rng(7)
@@ -107,7 +107,7 @@ class TestTikhonovSolve:
                 t.T @ t + lam * np.eye(prob.dim), t.T @ r
             ) if lam > 0 else np.linalg.solve(t, r)
             sol = tikhonov_solve(prob, NoisyObservation(r, 10.0), lam)
-            np.testing.assert_allclose(sol.coeffs, oracle, atol=1e-10)
+            np.testing.assert_allclose(sol, oracle, atol=1e-10)
 
     def test_dimension_mismatch(self):
         prob = make_source_problem(2, 1.0, 1.0, [1.0, 1.0])
@@ -148,7 +148,7 @@ class TestMetrics:
         rng = np.random.default_rng(11)
         prob = random_problem(rng, d=50)
         sol = tikhonov_ideal(prob, 0.3)
-        brute = math.sqrt(sum((c - a) ** 2 for c, a in zip(sol.coeffs, prob.h0_coeffs)))
+        brute = math.sqrt(sum((c - a) ** 2 for c, a in zip(sol, prob.h0_coeffs)))
         assert strong_metric(prob, sol) == pytest.approx(brute, abs=1e-12)
 
 
@@ -158,7 +158,7 @@ class TestClassicalDpSelect:
         obs = NoisyObservation(np.array([0.01]), 0.1)
         lam, sol = classical_dp_select(prob, obs, k=1.0, max_steps=1)
         assert lam == INFINITE_LAMBDA
-        assert sol.coeffs.tolist() == [0.0]
+        assert sol.tolist() == [0.0]
         assert classical_dp_walk(prob, obs, 1.0, 2.0, 0.5, 1)[:2] == (None, lam)
 
     def test_single_mode_bracket_of_analytic_root(self):
@@ -229,7 +229,7 @@ class TestClassicalDpSelect:
         obs = perturb_observation(prob, 0.01, rng)
         lam, sol = classical_dp_select(prob, obs)
         wide_lam, wide_sol = classical_dp_select(prob, obs, l=10.0)
-        assert lam == wide_lam and np.array_equal(sol.coeffs, wide_sol.coeffs)
+        assert lam == wide_lam and np.array_equal(sol, wide_sol)
         prev = tikhonov_solve(prob, obs, lam / 0.5)
         assert lam / 0.5 <= 2.0 * lam
         assert residual_norm(prob, obs, prev) > 1.5 * obs.delta
@@ -274,8 +274,7 @@ def _assert_matches_walk(prob, obs, k, lambda0, rho, max_steps):
                                    max_steps=max_steps)
     _, lam_walk, sol_walk = expected
     assert lam == lam_walk
-    assert sol.lam == sol_walk.lam
-    assert np.array_equal(sol.coeffs, sol_walk.coeffs)
+    assert np.array_equal(sol, sol_walk)
     return expected
 
 
@@ -392,7 +391,7 @@ def test_filter_factors_stay_in_unit_interval(lam, seed):
     factors = prob.singular_values**2 / (prob.singular_values**2 + lam)
     assert np.all(factors >= 0.0) and np.all(factors <= 1.0)
     sol = tikhonov_ideal(prob, lam)
-    assert np.all(np.abs(sol.coeffs) <= np.abs(prob.h0_coeffs) + 1e-15)
+    assert np.all(np.abs(sol) <= np.abs(prob.h0_coeffs) + 1e-15)
 
 
 @settings(max_examples=30, deadline=None)
@@ -426,7 +425,7 @@ class TestPathInequalities:
             lams = rng.uniform(1e-6, 2.0, size=(10, 2))
             for la, lb in lams:
                 diff = np.linalg.norm(
-                    tikhonov_ideal(prob, la).coeffs - tikhonov_ideal(prob, lb).coeffs
+                    tikhonov_ideal(prob, la) - tikhonov_ideal(prob, lb)
                 )
                 assert diff <= c_h * abs(la - lb) ** gamma + 1e-10
 
