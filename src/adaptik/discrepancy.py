@@ -60,8 +60,8 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.kind not in _SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not (self.c_d > 0.0):
-            raise ValueError("c_d must be positive")
+        if isinstance(self.c_d, bool) or not self.c_d > 0.0:
+            raise ValueError(f"c_d must be a positive number, got {self.c_d!r}")
 
 
 def noise_level(schedule: NoiseSchedule, n: int | None) -> float:
@@ -83,8 +83,9 @@ class DpConfig:
     max_iters: int = 20
 
     def __post_init__(self):
-        if not (0.0 < self.lambda0 < math.inf):
-            raise ValueError("lambda0 must be finite and positive")
+        if isinstance(self.lambda0, bool) or not 0.0 < self.lambda0 < math.inf:
+            raise ValueError("lambda0 must be finite and positive, "
+                             f"got {self.lambda0!r}")
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
         if (not isinstance(self.max_iters, (int, np.integer))

@@ -37,8 +37,10 @@ Directions with mu + lam <= sqrt(eps) * max(mu), and basis directions
 with G-eigenvalue <= sqrt(eps) times the largest, get weight 0, so
 lam = 0 gives the minimum-G-norm minimizer of L, whatever the sieve's
 parameterization.  K * eps would be too small a cutoff: rounding leaves
-null directions of A near 1e-13 * max(mu).  Other symmetric solves use
-Cholesky and raise NumericalError when it fails; nothing falls back.
+null directions of A near 1e-13 * max(mu).  Every factorization is
+numpy.linalg's: the other symmetric solves check positive definiteness
+by Cholesky, raise NumericalError when it fails and then solve by LU;
+nothing falls back.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # empirical_gram stays importable here for perfbench's tracer alias test
 from adaptik.sieve import Dataset, SieveBasis, empirical_gram, stacked_gram  # noqa: F401
@@ -77,14 +78,15 @@ class NumericalError(RuntimeError):
 
 
 def _solve_spd(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
-    """Solve a symmetric positive definite system by Cholesky."""
+    """Solve a symmetric positive definite system; a failed Cholesky
+    factorization is the positive-definiteness check."""
     try:
-        cf = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"{context}: system is not positive definite ({exc})"
         ) from None
-    x = scipy.linalg.cho_solve(cf, b, check_finite=False)
+    x = np.linalg.solve(a, b)
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"{context}: solve produced non-finite values")
     return x
@@ -222,10 +224,14 @@ class TikhonovSystem:
     def factor(cls, a: np.ndarray, rhs: np.ndarray, const: float,
                gram: np.ndarray, adversary: tuple | None = None) -> "TikhonovSystem":
         """Whiten by gram, then diagonalize the whitened a."""
-        s, u = scipy.linalg.eigh(gram)
+        # numpy's eigh returns NaN eigenvalues here, which the cutoff
+        # would silently drop as null directions
+        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(a))):
+            raise NumericalError("Tikhonov system has non-finite entries")
+        s, u = np.linalg.eigh(gram)
         keep = s > _CUTOFF * s.max(initial=0.0)
         white = u[:, keep] / np.sqrt(s[keep])
-        mu, q = scipy.linalg.eigh(white.T @ a @ white)
+        mu, q = np.linalg.eigh(white.T @ a @ white)
         vecs = white @ q
         floor = _CUTOFF * max(float(mu.max(initial=0.0)), 0.0)
         return cls(vecs, mu, vecs.T @ rhs, float(const), floor, adversary)

@@ -29,13 +29,13 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 # run_dp is not called here; it stays importable as harness.run_dp, the
 # alias perfbench/tests/test_perfbench.py checks the tracer patches.
@@ -105,13 +105,13 @@ class ExperimentSpec:
         object.__setattr__(self, "reps", _whole(self.reps, "reps"))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        for s in self.strategies:
+            if s != "dp" and (isinstance(s, bool) or not 0.0 <= float(s) < math.inf):
+                raise ValueError("strategy must be 'dp' or a finite nonnegative "
+                                 f"lambda, got {s!r}")
         strategies = tuple(
             s if s == "dp" else float(s) for s in self.strategies
         )
-        for s in strategies:
-            if s != "dp" and not 0.0 <= s < math.inf:
-                raise ValueError("strategy must be 'dp' or a finite nonnegative "
-                                 f"lambda, got {s!r}")
         sizes = tuple(_whole(n, "sizes") for n in self.sizes)
         if min(sizes) < 4:  # the fewest records split can cut
             raise ValueError(f"sizes must be at least 4, got {min(sizes)}")
@@ -351,8 +351,10 @@ def _error_row(n: int, strategy, rep: int, exc: Exception) -> dict:
 # -- BLAS threads ---------------------------------------------------------------
 #
 # Sweep matrices are K <= ~70, so threaded BLAS only adds synchronization;
-# parallelism comes from worker processes.  numpy and scipy wheels each
-# ship their own OpenBLAS, and both are pinned.
+# parallelism comes from worker processes.  numpy's wheel ships its own
+# OpenBLAS, and so does scipy's, which is mapped only once something in
+# the process has imported scipy (adaptik never does); every copy that
+# is mapped is pinned.
 #
 # A fork takes down OpenBLAS's thread pool in parent and child alike, and
 # the next set-count call starts a new one whose idle threads spin for
@@ -370,12 +372,13 @@ _OPENBLAS_THREAD_CALLS = (
 
 
 def _openblas_thread_calls() -> list:
-    """(get, set) thread-count calls of every OpenBLAS numpy and scipy loaded.
+    """(get, set) thread-count calls of every OpenBLAS numpy and, once
+    imported, scipy loaded.
 
     `set` leaves the library without a running thread pool.
     """
     calls = []
-    for pkg in (np, scipy):
+    for pkg in filter(None, (np, sys.modules.get("scipy"))):
         root = Path(pkg.__file__).parent
         for lib_dir in (root.parent / f"{pkg.__name__}.libs", root / ".dylibs"):
             for path in sorted(lib_dir.glob("*openblas*")):

@@ -5,12 +5,18 @@ A name in the __all__ of an adaptik module counts as used when the
 program mentions it: a file under src/, scripts/ or perfbench/.  Its own
 definition, its __all__ entry and the package __init__'s re-export do
 not count.  The scan is plain text, so a mention in a comment counts.
+
+The program runs on numpy alone: importing it and running a sweep loads
+no scipy module.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import adaptik
@@ -82,3 +88,23 @@ def test_package_namespace_is_its_modules():
                                ast.ClassDef)):
             bound.add(node.name)
     assert bound == {"run_dp", "__version__"}
+
+
+def test_program_imports_no_scipy():
+    # scipy's import is most of a cold start; the tests' own scipy import
+    # would hide it here, so a fresh interpreter checks
+    code = (
+        "import sys\n"
+        "import adaptik.cli, adaptik.harness\n"
+        "from adaptik.harness import ExperimentSpec, run_experiment\n"
+        "spec = ExperimentSpec(dgp='npiv', estimator='trae', sizes=(200,), reps=1)\n"
+        "assert not run_experiment(spec).failures\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

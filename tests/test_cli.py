@@ -219,7 +219,9 @@ class TestExitCodes:
         # sizes split cannot cut
         ("sizes", [3, 200]), ("sizes", [-5]),
         # counts that are not whole numbers
-        ("reps", 2.5), ("max_iters", 2.5), ("sizes", [200.7, 300, 400])])
+        ("reps", 2.5), ("max_iters", 2.5), ("sizes", [200.7, 300, 400]),
+        # JSON true is not the number 1
+        ("strategies", ["dp", True]), ("cd", True), ("lambda0", True)])
     def test_out_of_range_search_setting_is_usage_error(self, tmp_path, capsys,
                                                         key, value):
         config = write_config(tmp_path, **{key: value})

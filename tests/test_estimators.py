@@ -16,6 +16,7 @@ from oracles import (
 from adaptik.estimators import (
     NumericalError,
     RdivEstimator,
+    TikhonovSystem,
     TraeEstimator,
     ate_moment,
     mean_moment,
@@ -229,6 +230,30 @@ def test_every_gram_solve_keeps_one_ridge_rule(entry):
         call(data, polynomial_basis(1, 1), polynomial_basis(1, 1), -1.0)
     with pytest.raises(NumericalError, match="condition estimate"):
         call(data, polynomial_basis(1, 1), near, 0.0)
+
+
+@pytest.mark.parametrize("handle", [
+    RdivEstimator(polynomial_basis(1, 1), polynomial_basis(1, 1), 0.0),
+    TraeEstimator(outcome_moment(), polynomial_basis(1, 1),
+                  polynomial_basis(1, 1), 0.0)], ids=["rdiv", "trae"])
+def test_indefinite_gram_is_numerical_error(handle):
+    """An instrument Gram diag(1, -1) is well conditioned, so at zero
+    ridge only the Cholesky check can reject it, as a NumericalError."""
+    gram = np.eye(5)  # [hypothesis (2) | instrument (2) | y]
+    gram[3, 3] = -1.0
+    with pytest.raises(NumericalError, match="not positive definite"):
+        handle.system_from(gram)
+
+
+@pytest.mark.parametrize("entry", ["gram", "a"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_system_is_numerical_error(entry, bad):
+    # an overflowing Gram would otherwise lose its directions to the cutoff
+    # and solve to silent zeros
+    mats = {"gram": np.eye(2), "a": np.eye(2)}
+    mats[entry][0, 0] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        TikhonovSystem.factor(mats["a"], np.ones(2), 1.0, mats["gram"])
 
 
 class TestTraeFit:

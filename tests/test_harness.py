@@ -82,6 +82,17 @@ class TestExperimentSpec:
         for bad in (2.5, 20.0, True):
             with pytest.raises(ValueError, match="max_iters must be an int"):
                 DpConfig(NoiseSchedule("fixed", 1.0), max_iters=bad)
+        # a bool is not a number, though it compares like 0 or 1
+        for key, bad, match in (("strategies", ("dp", True), "strategy must"),
+                                ("strategies", ("dp", False), "strategy must"),
+                                ("cd", True, "c_d must"),
+                                ("lambda0", True, "lambda0 must")):
+            with pytest.raises(ValueError, match=match):
+                tiny_spec(**{key: bad})
+        with pytest.raises(ValueError, match="c_d must"):
+            NoiseSchedule("fixed", True)
+        with pytest.raises(ValueError, match="lambda0 must"):
+            DpConfig(NoiseSchedule("fixed", 1.0), lambda0=True)
 
     @pytest.mark.parametrize("key, value", [
         ("rho", 2.0), ("cd", math.nan), ("lambda0", math.inf),
