@@ -25,6 +25,7 @@ Two designs:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -261,6 +262,11 @@ class NpivParams:
         return len(self.h0_coeffs)
 
     def basis(self) -> SieveBasis:
+        """h0's dictionary, built once per parameter set."""
+        return self._basis
+
+    @functools.cached_property
+    def _basis(self) -> SieveBasis:
         return trigonometric_basis(self.n_funcs)
 
     def char_fn(self, k: int) -> float:

@@ -5,7 +5,11 @@ matrix of basis evaluations.  Estimators consume a fold through its
 `stacked_gram`, the second moments of [values | y] from one SYRK, so
 the families here (tensor polynomials,
 integer-frequency trigonometric functions, additive per-coordinate
-dictionaries, arbitrary fixed dictionaries) are interchangeable.
+dictionaries, arbitrary fixed dictionaries) are interchangeable.  The
+Fourier dictionary makes two libm passes for any K: sin x and cos x,
+then each higher frequency by angle addition from the one below
+(sin fx = sin (f-1)x cos x + cos (f-1)x sin x, likewise cos fx), which
+adds rounding below 4 K eps (tested for |x| <= 1e3).
 
 Datasets are immutable (x, z, y, extras) bundles that can be written to
 CSV; `Dataset.swapped` exchanges the X and Z blocks, which turns a
@@ -15,6 +19,7 @@ primal adversarial problem into its dual.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -87,7 +92,11 @@ class SieveBasis:
         return vals.T
 
     def unscaled(self) -> "SieveBasis":
-        """The same functions with unit normalization."""
+        """The same functions with unit normalization, built once."""
+        return self._unscaled
+
+    @functools.cached_property
+    def _unscaled(self) -> "SieveBasis":
         return replace(self, normalization=np.ones(self.n_funcs))
 
 
@@ -106,12 +115,20 @@ def _raw_eval(basis: SieveBasis, pts: np.ndarray) -> np.ndarray:
                     out[k] *= col**e
         return out
     if basis.kind == "trigonometric":
-        x = pts[:, 0]
-        out = np.empty((basis.n_funcs, m))
+        # rows 2f - 1, 2f hold sin fx, cos fx; f > 1 by angle addition
+        out, tmp = np.empty((basis.n_funcs, m)), np.empty(m)
         out[0] = 1.0
-        for k in range(1, basis.n_funcs):
-            freq = (k + 1) // 2
-            out[k] = np.sin(freq * x) if k % 2 == 1 else np.cos(freq * x)
+        if basis.n_funcs > 1:
+            np.sin(pts[:, 0], out=out[1])
+        if basis.n_funcs > 2:
+            np.cos(pts[:, 0], out=out[2])
+        for k in range(3, basis.n_funcs, 2):
+            sin0, cos0 = out[k - 2], out[k - 1]
+            np.multiply(sin0, out[2], out=out[k])
+            out[k] += np.multiply(cos0, out[1], out=tmp)
+            if k + 1 < basis.n_funcs:
+                np.multiply(cos0, out[2], out=out[k + 1])
+                out[k + 1] -= np.multiply(sin0, out[1], out=tmp)
         return out
     # custom: either a structured additive spec or a tuple of callables
     if "additive" in p:
@@ -173,8 +190,8 @@ def trigonometric_basis(n_funcs: int, scale: float = np.sqrt(2.0)) -> SieveBasis
     With scale = sqrt(2) the functions are orthonormal in L2 of the
     uniform distribution on [-pi, pi].
     """
-    norm = np.full(n_funcs, scale)
-    norm[0] = 1.0
+    # empty for n_funcs < 1, which SieveBasis rejects like every kind
+    norm = np.where(np.arange(n_funcs) > 0, scale, 1.0)
     return SieveBasis("trigonometric", 1, n_funcs, norm)
 
 
@@ -271,12 +288,19 @@ class Dataset:
     def n(self) -> int:
         return self.x.shape[0]
 
-    def take(self, indices: np.ndarray) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
-        extras = None
-        if self.w_extra is not None:
-            extras = {k: v[idx] for k, v in self.w_extra.items()}
-        return Dataset(self.x[idx], self.z[idx], self.y[idx], extras)
+    def take(self, indices) -> "Dataset":
+        """The records at a 1-d integer array of indices, at least 2; rows
+        of a checked dataset are not checked again."""
+        idx = np.asarray(indices)
+        if idx.size < 2 or idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise ValueError("take needs a 1-d array of at least 2 integers, "
+                             f"got {idx.dtype} of shape {idx.shape}")
+        out = object.__new__(Dataset)
+        for name in ("x", "z", "y"):
+            object.__setattr__(out, name, _freeze(getattr(self, name)[idx]))
+        object.__setattr__(out, "w_extra", None if self.w_extra is None else
+                           {k: _freeze(v[idx]) for k, v in self.w_extra.items()})
+        return out
 
     def swapped(self) -> "Dataset":
         """The same records with the X and Z blocks exchanged."""

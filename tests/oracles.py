@@ -62,9 +62,15 @@ def row_major_evaluate(basis, pts):
                 if expo[k, j]:
                     out[:, k] *= pts[:, j] ** expo[k, j]
     elif basis.kind == "trigonometric":
+        # sin x, cos x from libm, then sin fx, cos fx by angle addition
+        s1, c1 = np.sin(pts[:, 0]), np.cos(pts[:, 0])
         for k in range(1, basis.n_funcs):
-            freq = (k + 1) // 2
-            out[:, k] = (np.sin if k % 2 == 1 else np.cos)(freq * pts[:, 0])
+            if k <= 2:
+                out[:, k] = s1 if k == 1 else c1
+            elif k % 2 == 1:
+                out[:, k] = out[:, k - 2] * c1 + out[:, k - 1] * s1
+            else:
+                out[:, k] = out[:, k - 2] * c1 - out[:, k - 3] * s1
     else:
         powers, treat_col, interact_cols = basis.params["additive"]
         cols = [np.ones(m)]

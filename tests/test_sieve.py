@@ -28,6 +28,33 @@ class TestEvaluate:
         vals = basis.evaluate([[0.0]])
         np.testing.assert_allclose(vals, [[1.0, 0.0, np.sqrt(2.0)]])
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 41, 101])
+    def test_fourier_rows_match_libm(self, k):
+        # rows f > 1 come from sin x and cos x by angle addition; each
+        # step adds a few roundings, so the error grows with K but stays
+        # below 4 K eps.  The reference rounds f x once, which moves its
+        # value by up to |f x| eps_ref; in long double (64-bit mantissa)
+        # f x is exact for f <= 50.
+        x = np.random.default_rng(k).uniform(-1e3, 1e3, size=2000)
+        x[:3] = (0.0, -1e3, 1e3)
+        vals = trigonometric_basis(k, scale=1.0).evaluate(x)
+        freq = np.arange(k) // 2 + np.arange(k) % 2  # 0, 1, 1, 2, 2, ...
+        fx = freq * x.astype(np.longdouble)[:, None]
+        ref = np.where(np.arange(k) % 2 == 1, np.sin(fx), np.cos(fx))
+        eps, eps_ref = np.finfo(np.float64).eps, np.finfo(np.longdouble).eps
+        bound = 4 * k * eps + eps_ref * (np.abs(fx) + 1)
+        assert np.all(np.abs(vals - ref) <= bound)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_fourier_needs_a_function(self, k):
+        with pytest.raises(ValueError, match="at least one function"):
+            trigonometric_basis(k)
+
+    def test_unscaled_is_built_once(self):
+        basis = trigonometric_basis(5)
+        assert basis.unscaled() is basis.unscaled()
+        assert np.array_equal(basis.unscaled().normalization, np.ones(5))
+
     def test_matrix_matches_pointwise_loop(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(5, 1))
@@ -220,6 +247,38 @@ class TestDataset:
         sub = data.take([2, 0])
         assert sub.w_extra["t"].tolist() == [3.0, 1.0]
         assert sub.x[0].tolist() == [4.0, 5.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           m=st.integers(2, 20), extras=st.booleans())
+    def test_take_equals_a_dataset_of_the_rows(self, seed, n, m, extras):
+        rng = np.random.default_rng(seed)
+        cols = {"t": rng.normal(size=n), "u": rng.normal(size=(n, 2))}
+        data = Dataset(rng.normal(size=(n, 2)), rng.normal(size=(n, 1)),
+                       rng.normal(size=n), cols if extras else None)
+        idx = rng.integers(-n, n, size=m)
+        sub = data.take(idx)
+        ref = Dataset(data.x[idx], data.z[idx], data.y[idx], data.w_extra and
+                      {k: v[idx] for k, v in data.w_extra.items()})
+        assert (sub.w_extra is None) == (ref.w_extra is None)
+        assert (sub.w_extra or {}).keys() == (ref.w_extra or {}).keys()
+        arrays = [(sub.x, ref.x), (sub.z, ref.z), (sub.y, ref.y)]
+        arrays += [(sub.w_extra[k], ref.w_extra[k]) for k in ref.w_extra or ()]
+        for got, want in arrays:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        assert sub.n == m
+
+    @pytest.mark.parametrize("indices", [
+        [False, False, True, True, True, False],  # a mask is not row numbers
+        [0.5, 2.7],  # nor are floats, truncated
+        [[0, 1], [2, 3]],
+        [], [3], np.array([], dtype=int),  # fewer than 2 records
+    ])
+    def test_take_rejects_bad_indices(self, indices):
+        data = Dataset(np.arange(6.0), np.arange(6.0), np.arange(6.0))
+        with pytest.raises(ValueError, match="1-d array of at least 2 integers"):
+            data.take(indices)
 
     def test_swapped_exchanges_x_and_z(self):
         data = Dataset(np.zeros((3, 2)), np.ones((3, 1)), np.arange(3.0),
