@@ -27,8 +27,8 @@ from adaptik.harness import (
     shared_fits,
 )
 from adaptik.sieve import save_dataset_csv
-from adaptik.spectral import (GridExhaustedError, SpectralResidualFitter,
-                              exact_observation, make_source_problem)
+from adaptik.spectral import (GridExhaustedError, exact_observation,
+                              make_source_problem, residual_system)
 from adaptik.util import stream_rng
 
 _SCHEDULE_FLAG = {"rdiv": "rdiv_sqrt", "trae": "trae_squared", "fixed": "fixed"}
@@ -61,7 +61,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dp", help="adaptive lambda search with a printed path table")
     p.add_argument("--config", default=None,
-                   help="experiment config; without it a one-mode spectral problem runs")
+                   help="experiment config; without it a one-mode spectral problem "
+                   "runs (squared residual, delta 0.0625)")
     p.add_argument("--schedule", choices=sorted(_SCHEDULE_FLAG), default=None)
     p.add_argument("--cd", type=float, default=None)
     p.add_argument("--lambda0", type=float, default=None)
@@ -198,8 +199,8 @@ def _dp_config(args, base: DpConfig) -> DpConfig:
 def _cmd_dp(args) -> int:
     if args.config is None:
         prob = make_source_problem(1, 1.0, 1.0, [1.0])
-        system = SpectralResidualFitter(prob, exact_observation(prob, delta=0.25))
-        n, base = None, DpConfig(NoiseSchedule("fixed", 0.25))
+        system = residual_system(prob, exact_observation(prob, delta=0.25))
+        n, base = None, DpConfig(NoiseSchedule("fixed", 0.0625))
     else:
         # the flags tune the search only: the spec, and so the drawn
         # data and the system, stay exactly those of the config's

@@ -31,16 +31,18 @@ are blocks of it; no n-row product is formed after the Gram.  A
 TikhonovSystem factors this once per fold: it whitens by G and
 diagonalizes the whitened A into G-orthonormal V with V'A V = diag(mu).
 Each lambda is then the filter w = p / (mu + lam), p = V'rhs, giving
-coefficients V w, penalty sum w^2 and loss const - sum w^2 (mu + 2 lam);
-the search asks for the losses of a block of lambdas in one broadcast.
-Directions with mu + lam <= sqrt(eps) * max(mu), and basis directions
-with G-eigenvalue <= sqrt(eps) times the largest, get weight 0, so
-lam = 0 gives the minimum-G-norm minimizer of L, whatever the sieve's
-parameterization.  K * eps would be too small a cutoff: rounding leaves
-null directions of A near 1e-13 * max(mu).  Every factorization is
-numpy.linalg's: the other symmetric solves check positive definiteness
-by Cholesky, raise NumericalError when it fails and then solve by LU;
-nothing falls back.
+coefficients V w, penalty sum w^2 and loss L_min + lam^2 sum_P w^2/mu:
+L_min = const - sum_P p^2/mu is the least loss over P = {mu > floor},
+and the excess over it does not cancel at small lam (a kept direction
+outside P adds - w^2 (mu + 2 lam)).  The search asks for the losses of a
+block of lambdas in one broadcast.  Directions with mu + lam <=
+sqrt(eps) * max(mu), and basis directions with G-eigenvalue <= sqrt(eps)
+times the largest, get weight 0, so lam = 0 gives the minimum-G-norm
+minimizer of L, whatever the sieve's parameterization.  K * eps would be
+too small a cutoff: rounding leaves null directions of A near 1e-13 *
+max(mu).  Every factorization is numpy.linalg's: the other symmetric
+solves check positive definiteness by Cholesky, raise NumericalError
+when it fails and then solve by LU; nothing falls back.
 """
 
 from __future__ import annotations
@@ -207,16 +209,16 @@ _CUTOFF = math.sqrt(np.finfo(np.float64).eps)
 class TikhonovSystem:
     """The quadratic L(c) + lam c'G c of one fold, factored once.
 
-    vecs holds the G-orthonormal eigenvectors V (K, r), mu the
-    eigenvalues of A relative to G and p = V'rhs; directions with
-    mu + lam <= floor get weight 0.  For TRAE, adversary holds
-    (M^{-1} g, M^{-1} B), whose difference at c is the inner maximizer.
+    vecs holds the G-orthonormal eigenvectors V (K, r), or None for I,
+    mu the eigenvalues of A relative to G, p = V'rhs and l_min the least
+    loss over P; directions with mu + lam <= floor get weight 0.  TRAE's
+    adversary (M^{-1} g, M^{-1} B) gives the inner maximizer at c.
     """
 
-    vecs: np.ndarray
+    vecs: np.ndarray | None
     mu: np.ndarray
     p: np.ndarray
-    const: float
+    l_min: float
     floor: float
     adversary: tuple | None = None
 
@@ -234,32 +236,39 @@ class TikhonovSystem:
         mu, q = np.linalg.eigh(white.T @ a @ white)
         vecs = white @ q
         floor = _CUTOFF * max(float(mu.max(initial=0.0)), 0.0)
-        return cls(vecs, mu, vecs.T @ rhs, float(const), floor, adversary)
+        p, inside = vecs.T @ rhs, mu > floor
+        l_min = float(const) - float(p[inside] ** 2 @ (1.0 / mu[inside]))
+        return cls(vecs, mu, p, l_min, floor, adversary)
+
+    def _filter(self, p: np.ndarray, denom: np.ndarray) -> np.ndarray:
+        """p / denom, and 0 where denom <= floor."""
+        return np.divide(p, denom, out=np.zeros(denom.shape),
+                         where=denom > self.floor)
 
     def losses(self, lams: np.ndarray):
-        """The loss at each lambda of the column lams, as solve computes
-        it; each row is reduced when it is reached."""
-        denom = self.mu + lams
-        keep = denom > self.floor
-        w = np.zeros(denom.shape)
-        w[keep] = np.broadcast_to(self.p, denom.shape)[keep] / denom[keep]
-        return (self.const - float(row**2 @ (self.mu + 2.0 * lam))
-                for row, lam in zip(w, lams[:, 0].tolist()))
+        """The loss at each lambda of the column lams, each row reduced
+        when it is reached; solve's loss is the row of its lam."""
+        inside = self.mu > self.floor
+        out, mu_p = (~inside).nonzero()[0], np.where(inside, self.mu, np.inf)
+        v = self.p / np.sqrt(mu_p) / (mu_p + lams)  # 0 outside P
+        for row, lam in zip(v, lams[:, 0].tolist()):
+            loss = self.l_min + lam * lam * float(row.dot(row))
+            if out.size:
+                w = self._filter(self.p[out], self.mu[out] + lam)
+                loss -= float(w**2 @ (self.mu[out] + 2.0 * lam))
+            yield loss
 
     def solve(self, lam: float) -> FitResult:
         """The penalized minimizer at lam, in O(K r) after the factorization."""
         if not 0.0 <= lam < math.inf:
             raise ValueError(f"lam must be finite and nonnegative, got {lam}")
-        denom = self.mu + lam
-        keep = denom > self.floor
-        w = np.zeros_like(self.p)
-        w[keep] = self.p[keep] / denom[keep]
-        coeffs = self.vecs @ w
-        loss = self.const - float(w**2 @ (self.mu + 2.0 * lam))
+        w = self._filter(self.p, self.mu + lam)
+        coeffs = w if self.vecs is None else self.vecs @ w
         inner = None
         if self.adversary is not None:
             minv_g, minv_b = self.adversary
             inner = minv_g - minv_b @ coeffs
+        loss = next(self.losses(np.array([[lam]], dtype=np.float64)))
         return FitResult(coeffs, float(lam), loss, float(w @ w), inner)
 
 

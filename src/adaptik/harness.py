@@ -573,7 +573,7 @@ class RateFit:
 
 
 def fit_rate(x: np.ndarray, y: np.ndarray) -> RateFit:
-    """OLS in log-log space; needs >= 3 points and strictly positive data."""
+    """OLS in log-log space; needs >= 3 points, 2 distinct x, positive data."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -585,6 +585,8 @@ def fit_rate(x: np.ndarray, y: np.ndarray) -> RateFit:
     lx, ly = np.log(x), np.log(y)
     xc = lx - lx.mean()
     sxx = float(xc @ xc)
+    if not sxx > 0.0:
+        raise ValueError("rate fits need at least 2 distinct x values")
     slope = float(xc @ ly / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)

@@ -13,7 +13,8 @@ w0_i.  Everything downstream is closed form:
   * classical residual-based discrepancy selection of lam on a
     geometric grid, with lam = inf as the "return the zero solution"
     sentinel when the data are pure noise: discrepancy.walk on the
-    residual norm, then one solve at the selected lam.
+    squared residual, the loss of a diagonal TikhonovSystem
+    (residual_system), to (k delta)^2, then one solve at the selected lam.
 
 The module also exposes the constants of the two regularization-path
 inequalities used by the test suite (the quadratic lower bound on the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from adaptik.discrepancy import walk
-from adaptik.estimators import FitResult
+from adaptik.estimators import TikhonovSystem
 
 INFINITE_LAMBDA = math.inf
 
@@ -45,7 +46,7 @@ __all__ = [
     "tikhonov_ideal",
     "weak_metric",
     "strong_metric",
-    "SpectralResidualFitter",
+    "residual_system",
     "classical_dp_select",
     "weak_lower_bound_constant",
     "holder_constant",
@@ -66,7 +67,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class SpectralProblem:
     """Diagonal operator model with a built-in source condition.
 
-    singular_values: nonincreasing, all positive, largest at most 1.
+    singular_values: nonincreasing, largest at most 1, each square a
+                     normal double (sigma >= ~1.5e-154).
     h0_coeffs:       coefficients a_i of the true solution.
     beta:            source exponent, beta > 0.
     w0_coeffs:       source element, a_i == sigma_i**beta * w0_i exactly.
@@ -96,6 +98,8 @@ class SpectralProblem:
             raise ValueError("singular values must be strictly positive")
         if np.any(np.diff(sig) > 0.0):
             raise ValueError("singular values must be nonincreasing")
+        if sig[-1] ** 2 < np.finfo(np.float64).tiny:
+            raise ValueError(f"singular value {sig[-1]} squares below the normal doubles")
         if sig[0] > 1.0:
             raise ValueError(f"largest singular value {sig[0]} exceeds 1")
         if not (self.beta > 0.0):
@@ -239,32 +243,13 @@ def weak_metric(prob: SpectralProblem, coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(prob.singular_values * (coeffs - prob.h0_coeffs)))
 
 
-def residual_norm(prob: SpectralProblem, r: NoisyObservation,
-                  coeffs: np.ndarray) -> float:
-    """||T h - r|| for candidate coefficients against the observed data."""
-    _check_dim(prob, coeffs)
-    return float(np.linalg.norm(prob.singular_values * coeffs - r.r_coeffs))
-
-
-@dataclass(frozen=True)
-class SpectralResidualFitter:
-    """The search's system for the spectral oracle; its loss is the
-    residual ||T h_lam - r|| of classical residual-based selection."""
-
-    prob: SpectralProblem
-    obs: NoisyObservation
-
-    def losses(self, lams: np.ndarray):
-        """The residual norms at the column lams: rows of one broadcast by
-        solve's operations, each reduced as np.linalg.norm when reached."""
-        sig, obs = self.prob.singular_values, self.obs.r_coeffs
-        resid = sig * (sig * obs / (sig**2 + lams)) - obs
-        return (math.sqrt(row.dot(row)) for row in resid)
-
-    def solve(self, lam: float) -> FitResult:
-        coeffs = tikhonov_solve(self.prob, self.obs, lam)
-        resid = residual_norm(self.prob, self.obs, coeffs)
-        return FitResult(coeffs, lam, resid, float(np.dot(coeffs, coeffs)))
+def residual_system(prob: SpectralProblem, r: NoisyObservation) -> TikhonovSystem:
+    """||T h - r||^2 + lam ||h||^2 as a diagonal TikhonovSystem: mu = sigma^2
+    > 0 (a normal double), p = sigma r and L_min = 0, so its loss is the
+    squared residual."""
+    _check_dim(prob, r.r_coeffs)
+    sig = prob.singular_values
+    return TikhonovSystem(None, sig**2, sig * r.r_coeffs, 0.0, 0.0)
 
 
 def classical_dp_select(
@@ -282,7 +267,7 @@ def classical_dp_select(
     If ||r|| <= k * delta the data are indistinguishable from noise and the
     zero solution is returned with lam = inf.  Otherwise the grid
     lambda0 * rho**j is walked downward and the first (largest) lam with
-    ||T h_lam - r|| <= k * delta is returned; the preceding grid point then
+    ||T h_lam - r||^2 <= (k delta)^2 is returned; the preceding grid point then
     certifies the lower bracket k*delta <= ||T h_lam' - r|| with
     lam' = lam / rho <= l * lam, so 1/rho > l is rejected.  Only the
     selected lam is solved for.
@@ -304,7 +289,7 @@ def classical_dp_select(
     threshold = k * r.delta
     if float(np.linalg.norm(r.r_coeffs)) <= threshold:
         return INFINITE_LAMBDA, _freeze(np.zeros(prob.dim))
-    path, converged = walk(SpectralResidualFitter(prob, r), threshold,
+    path, converged = walk(residual_system(prob, r), threshold**2,
                            lambda0, rho, max_steps)
     if not converged:
         raise GridExhaustedError(

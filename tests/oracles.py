@@ -6,11 +6,7 @@ paths: plain grids, explicit loops, and generic optimizers only.
 
 import numpy as np
 
-from adaptik.spectral import (
-    INFINITE_LAMBDA,
-    residual_norm,
-    tikhonov_solve,
-)
+from adaptik.spectral import INFINITE_LAMBDA, tikhonov_solve
 
 
 def inner_objective(f, g, b_cross, m):
@@ -186,19 +182,35 @@ def dp_walk(system, delta, lambda0, rho, max_iters):
     return path, fit, converged, bracket_ok
 
 
+def residual_norm(prob, r, coeffs):
+    """||T h - r|| of candidate coefficients against the observed data,
+    formed directly from the coefficients."""
+    return float(np.linalg.norm(prob.singular_values * coeffs - r.r_coeffs))
+
+
 def classical_dp_walk(prob, r, k, lambda0, rho, max_steps):
     """The classical discrepancy rule one grid point at a time: a full
     Tikhonov solve and its residual norm at lam = lambda0, lambda0 * rho,
     ... (by repeated multiplication).  Returns (grid index, lam, coefficients),
     (None, inf, zeros) for pure noise, or None when max_steps grid
-    points all miss the bound."""
+    points all miss the bound.
+
+    The residual is r - T h of the solved coefficients h.  Formed so, it
+    is off by at most 8 eps ||r||; where that is too coarse to tell it from
+    the bound, the walk decides on its filter form r lam / (sigma^2 + lam)."""
+    r_norm = float(np.linalg.norm(r.r_coeffs))
     threshold = k * r.delta
-    if float(np.linalg.norm(r.r_coeffs)) <= threshold:
+    if r_norm <= threshold:
         return None, INFINITE_LAMBDA, np.zeros(prob.dim)
+    sig = prob.singular_values
+    rounding = 8.0 * np.finfo(np.float64).eps * r_norm
     lam = float(lambda0)
     for j in range(max_steps):
         sol = tikhonov_solve(prob, r, lam)
-        if residual_norm(prob, r, sol) <= threshold:
+        norm = residual_norm(prob, r, sol)
+        if abs(norm - threshold) <= rounding:
+            norm = float(np.linalg.norm(r.r_coeffs * (lam / (sig**2 + lam))))
+        if norm <= threshold:
             return j, lam, sol
         lam *= rho
     return None

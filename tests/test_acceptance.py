@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    classical_dp_walk,
     grid_inner_max,
     nested_grid_trae_objective,
     path_shows_bracket,
@@ -39,12 +40,12 @@ from adaptik.functional import (
 from adaptik.harness import ExperimentSpec, fit_rate, run_experiment
 from adaptik.sieve import Dataset, empirical_gram, polynomial_basis
 from adaptik.spectral import (
-    SpectralResidualFitter,
     classical_dp_select,
     exact_observation,
     holder_constant,
     make_source_problem,
     perturb_observation,
+    residual_system,
     strong_metric,
     tikhonov_ideal,
     weak_lower_bound_constant,
@@ -151,6 +152,28 @@ class TestCriterion3LambdaBounds:
             lams = np.array([row[2] for row in spectral_sweep[beta]])
             slope = fit_rate(deltas, lams).slope
             assert 2.0 / min(2.0, beta + 1.0) - 0.2 <= slope <= 2.2
+
+
+class TestCriteria1To3Selections:
+    def test_every_selection_is_the_per_point_walks(self):
+        # the sweep's stream, selection by selection: the block walk on the
+        # squared residual picks the grid point, lambda and coefficients of
+        # the per-point walk on the residual norm
+        grid = [2.0]
+        for _ in range(499):
+            grid.append(grid[-1] * 0.5)
+        for beta in BETAS:
+            prob = make_source_problem(200, 1.0, beta, _source_w0(), 1.0)
+            for delta in DELTAS:
+                for seed in range(SWEEP_SEEDS):
+                    rng = stream_rng(1001, int(delta * 2**20), seed)
+                    obs = perturb_observation(prob, delta, rng)
+                    lam, sol = classical_dp_select(prob, obs)
+                    index, lam_walk, sol_walk = classical_dp_walk(
+                        prob, obs, 1.5, 2.0, 0.5, 500)
+                    assert grid.index(lam) == index
+                    assert lam == lam_walk
+                    assert np.array_equal(sol, sol_walk)
 
 
 class TestCriterion4LemmaSuite:
@@ -288,20 +311,21 @@ class TestCriterion6RdivOracle:
 class TestCriterion7DpMechanics:
     def test_single_mode_fixture(self):
         prob = make_source_problem(1, 1.0, 1.0, [1.0])
-        fitter = SpectralResidualFitter(prob, exact_observation(prob, 0.25))
-        config = DpConfig(NoiseSchedule("fixed", 0.25), lambda0=2.0, rho=0.5,
+        system = residual_system(prob, exact_observation(prob, 0.25))
+        # the loss is the squared residual, so the level is 0.25^2
+        config = DpConfig(NoiseSchedule("fixed", 0.0625), lambda0=2.0, rho=0.5,
                           max_iters=20)
-        outcome = run_dp(fitter, None, config)
+        outcome = run_dp(system, None, config)
         ok = (outcome.lambda_dp == 0.25 and outcome.bracket_ok
               and outcome.iterations == 4 and outcome.iterations <= 20
-              and path_shows_bracket(outcome.path, 0.25))
+              and path_shows_bracket(outcome.path, 0.0625))
         _report(7, "DP mechanics on the analytic fixture", ok,
                 f"lambda={outcome.lambda_dp} iterations={outcome.iterations} "
                 f"bracket_ok={outcome.bracket_ok}")
         assert outcome.lambda_dp == 0.25
         assert outcome.iterations == 4
         assert outcome.bracket_ok
-        assert path_shows_bracket(outcome.path, 0.25)
+        assert path_shows_bracket(outcome.path, 0.0625)
         assert outcome.iterations <= 20
 
 

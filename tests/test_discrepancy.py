@@ -14,16 +14,16 @@ from adaptik.discrepancy import (
 from adaptik.estimators import FitResult, RdivEstimator, TraeEstimator, outcome_moment
 from adaptik.sieve import Dataset, polynomial_basis
 from adaptik.spectral import (
-    SpectralResidualFitter,
     exact_observation,
     make_source_problem,
     perturb_observation,
+    residual_system,
 )
 
 
 def single_mode():
     prob = make_source_problem(1, 1.0, 1.0, [1.0])
-    return SpectralResidualFitter(prob, exact_observation(prob, delta=0.25))
+    return residual_system(prob, exact_observation(prob, delta=0.25))
 
 
 class TestNoiseLevel:
@@ -73,16 +73,17 @@ class TestRunDp:
         assert not path_shows_bracket(outcome.path, 0.9)
 
     def test_single_mode_analytic_path(self):
-        # residual lam/(1+lam): 2/3, 1/2, 1/3 all exceed 0.25; 0.2 stops it
-        config = DpConfig(NoiseSchedule("fixed", 0.25))
+        # squared residual (lam/(1+lam))^2: 4/9, 1/4, 1/9 all exceed
+        # 0.0625 = 0.25^2; 0.04 stops it
+        config = DpConfig(NoiseSchedule("fixed", 0.0625))
         outcome = run_dp(single_mode(), None, config)
         assert outcome.lambda_dp == 0.25
         assert outcome.iterations == 4
         assert outcome.bracket_ok
-        assert path_shows_bracket(outcome.path, 0.25)
+        assert path_shows_bracket(outcome.path, 0.0625)
         losses = [loss for _, loss in outcome.path]
-        assert losses[:3] == pytest.approx([2 / 3, 1 / 2, 1 / 3], rel=1e-12)
-        assert losses[3] == pytest.approx(0.2, rel=1e-12)
+        assert losses[:3] == pytest.approx([4 / 9, 1 / 4, 1 / 9], rel=1e-12)
+        assert losses[3] == pytest.approx(0.04, rel=1e-12)
 
     def test_exhaustion_returns_last_fit_not_converged(self):
         config = DpConfig(NoiseSchedule("fixed", 1e-12), max_iters=5)
@@ -120,30 +121,30 @@ class TestRunDp:
         prob = make_source_problem(40, 1.0, 1.0, rng.uniform(0.5, 1.5, 40))
         for delta in (0.5, 0.25, 0.1):
             obs = perturb_observation(prob, delta, rng)
-            fitter = SpectralResidualFitter(prob, obs)
-            config = DpConfig(NoiseSchedule("fixed", 1.5 * delta), max_iters=20)
-            outcome = run_dp(fitter, None, config)
+            config = DpConfig(NoiseSchedule("fixed", (1.5 * delta) ** 2),
+                              max_iters=20)
+            outcome = run_dp(residual_system(prob, obs), None, config)
             assert outcome.iterations <= 20
             if outcome.converged:
-                assert outcome.fit.empirical_loss <= 1.5 * delta
+                assert outcome.fit.empirical_loss <= (1.5 * delta) ** 2
 
     def test_determinism(self):
         rng = np.random.default_rng(1)
         prob = make_source_problem(20, 1.0, 1.0, rng.uniform(0.5, 1.5, 20))
         obs = perturb_observation(prob, 0.2, rng)
         config = DpConfig(NoiseSchedule("fixed", 0.3))
-        a = run_dp(SpectralResidualFitter(prob, obs), None, config)
-        b = run_dp(SpectralResidualFitter(prob, obs), None, config)
+        a = run_dp(residual_system(prob, obs), None, config)
+        b = run_dp(residual_system(prob, obs), None, config)
         assert a.lambda_dp == b.lambda_dp
         assert a.path == b.path
         assert np.array_equal(a.fit.coeffs, b.fit.coeffs)
 
     def test_audit_record_carries_full_path(self):
-        config = DpConfig(NoiseSchedule("fixed", 0.25))
+        config = DpConfig(NoiseSchedule("fixed", 0.0625))
         outcome = run_dp(single_mode(), None, config)
         assert outcome.iterations == 4
         assert outcome.bracket_ok and outcome.converged
-        expected, _, _, _ = dp_walk(single_mode(), 0.25, 2.0, 0.5, 20)
+        expected, _, _, _ = dp_walk(single_mode(), 0.0625, 2.0, 0.5, 20)
         assert list(outcome.path) == expected
         table = outcome.table()
         assert table.splitlines()[-1].endswith("yes")
@@ -195,10 +196,10 @@ class TestLambdaSelectionSlopes:
                 sel = []
                 for _ in range(10):
                     obs = perturb_observation(prob, delta, rng)
-                    fitter = SpectralResidualFitter(prob, obs)
-                    config = DpConfig(NoiseSchedule("fixed", 1.5 * delta),
+                    config = DpConfig(NoiseSchedule("fixed", (1.5 * delta) ** 2),
                                       max_iters=60)
-                    sel.append(run_dp(fitter, None, config).lambda_dp)
+                    sel.append(run_dp(residual_system(prob, obs), None,
+                                      config).lambda_dp)
                 lams.append(np.exp(np.mean(np.log(sel))))
             slope = np.polyfit(np.log(deltas), np.log(lams), 1)[0]
             assert lo <= slope <= hi

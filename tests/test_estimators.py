@@ -325,7 +325,7 @@ class TestTraeFit:
 
 class TestClosedFormLoss:
     def test_matches_direct_evaluators_at_fitted_coefficients(self):
-        # the system's loss const - sum w^2 (mu + 2 lam) against the direct
+        # the system's loss L_min + lam^2 sum_P w^2/mu against the direct
         # residual and inner-maximum evaluations, relative to the larger of
         # the direct value and the loss at c = 0
         rng = np.random.default_rng(18)

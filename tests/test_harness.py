@@ -307,7 +307,7 @@ class TestSharedFits:
         cell = harness.prepare_cell(spec, spec.sizes[0], 0)
         shared = harness.shared_fits(spec, cell)[0]
         own = harness.estimator_handle(spec, cell).system(cell.fit_fold)
-        for name in ("vecs", "mu", "p", "const", "floor"):
+        for name in ("vecs", "mu", "p", "l_min", "floor"):
             assert np.array_equal(getattr(shared, name), getattr(own, name)), name
         assert (shared.adversary is None) == (own.adversary is None)
         for a, b in zip(shared.adversary or (), own.adversary or ()):
@@ -494,7 +494,7 @@ class TestThreadCountIndependence:
         two = handle.system(cell.fit_fold)
         with harness._one_blas_thread():
             one = handle.system(cell.fit_fold)
-        for name in ("vecs", "mu", "p", "const", "floor"):
+        for name in ("vecs", "mu", "p", "l_min", "floor"):
             assert np.array_equal(getattr(one, name), getattr(two, name)), name
         for a, b in zip(one.adversary or (), two.adversary or ()):
             assert np.array_equal(a, b)
@@ -705,6 +705,10 @@ class TestFitRate:
     def test_requires_three_points(self):
         with pytest.raises(ValueError, match="3 points"):
             fit_rate(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+
+    def test_requires_two_distinct_x(self):
+        with pytest.raises(ValueError, match="2 distinct x"):
+            fit_rate(np.full(3, 100.0), np.array([1.0, 2.0, 3.0]))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):

@@ -13,7 +13,9 @@ The DP search on a random factored system must walk lambda geometrically
 from lambda0, never raise the loss from one step to the next, report bracket_ok exactly
 when its own path shows the factor-2 bracket, and end a search that
 does not converge at max_iters.  Its block walk must agree exactly with
-a solve at every grid point in turn.
+a solve at every grid point in turn.  The loss is L_min plus the excess
+over it, so along the grid it never rises as lambda falls and never
+drops below L_min, however small lambda is.
 """
 
 import warnings
@@ -153,6 +155,52 @@ def random_system(seed, k, n, singular=False):
                                  gram)
 
 
+def loss_at_infinity(system):
+    """The constant term of L, its value at lambda = infinity, where every
+    weight is 0: L_min plus p^2/mu of every direction in P."""
+    inside = system.mu > system.floor
+    return system.l_min + float(system.p[inside] ** 2 @ (1.0 / system.mu[inside]))
+
+
+def nearly_fitting_system(seed, k, noise):
+    """The factored system L(c) = |y - A c|^2 / n of a random (n, k) design
+    whose outcome y = A c0 + noise * e it nearly fits, against a random
+    Gram; with n >= 2k + 5 every direction lies in P."""
+    rng = np.random.default_rng(seed)
+    n = 2 * k + 5 + seed % 20
+    a_mat = rng.normal(size=(n, k))
+    y = a_mat @ rng.normal(size=k) + noise * rng.normal(size=n)
+    return TikhonovSystem.factor(empirical_gram(a_mat), a_mat.T @ y / n,
+                                 float(y @ y / n),
+                                 empirical_gram(rng.normal(size=(n, k))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, k=st.integers(1, 5), log_noise=st.floats(-12.0, 0.0))
+def test_path_loss_is_monotone_and_never_below_l_min(seed, k, log_noise):
+    # the loss is L_min plus the excess, so no cancellation against the
+    # constant term reorders the losses of a near-noiseless fit
+    system = nearly_fitting_system(seed, k, 10.0**log_noise)
+    assume(np.all(system.mu > system.floor))
+    lams = 2.0 * 0.5 ** np.arange(60.0)[:, None]
+    losses = list(system.losses(lams))
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
+    assert min(losses) >= system.l_min
+
+
+@settings(max_examples=50, deadline=None)
+@given(j=st.integers(0, 40))
+def test_one_mode_loss_is_the_squared_residual(j):
+    # sigma = r = 1: mu = p^2 = const = 1, L_min = 0, and the loss at lam
+    # is the squared residual (lam / (1 + lam))^2 however small lam is
+    system = TikhonovSystem.factor(np.eye(1), np.ones(1), 1.0, np.eye(1))
+    lam = 2.0 * 0.5**j
+    expected = (lam / (1.0 + lam)) ** 2
+    close = pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert next(system.losses(np.array([[lam]]))) == close
+    assert system.solve(lam).empirical_loss == close
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, k=st.integers(1, 5), lambda0=st.floats(1e-3, 10.0),
        rho=st.floats(0.3, 0.9), max_iters=st.integers(1, 25),
@@ -162,7 +210,7 @@ def test_dp_path_is_geometric_monotone_and_certified(seed, k, lambda0, rho,
     # n >= 2k + 5 keeps both Grams well conditioned, so no direction
     # sits at the eigenvalue cutoff, where dropping it may raise the loss
     system = random_system(seed, k, 2 * k + 5 + seed % 20)
-    const = system.const
+    const = loss_at_infinity(system)
     # delta between the loss at lambda = 0 and at lambda = infinity, or
     # above both, so searches stop early, late, at once or not at all
     low = system.solve(0.0).empirical_loss
@@ -240,7 +288,8 @@ def test_block_walk_equals_a_solve_per_grid_point(seed, k, lambda0, rho,
     # just before, at or just after it
     system = random_system(seed, k, 2 * k + 5 + seed % 20, singular)
     low = system.solve(0.0).empirical_loss
-    delta = low * (1.0 + frac) if frac < 0 else low + frac * (system.const - low)
+    high = loss_at_infinity(system)
+    delta = low * (1.0 + frac) if frac < 0 else low + frac * (high - low)
     if stop is not None:
         delta = _delta_stopping_at(system, lambda0, rho, stop)
         if steps_past_stop is not None:

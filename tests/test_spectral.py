@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import classical_dp_walk
+from oracles import classical_dp_walk, residual_norm
 
 from adaptik import spectral
 from adaptik.spectral import (
@@ -13,13 +13,12 @@ from adaptik.spectral import (
     GridExhaustedError,
     NoisyObservation,
     SpectralProblem,
-    SpectralResidualFitter,
     classical_dp_select,
     exact_observation,
     holder_constant,
     make_source_problem,
     perturb_observation,
-    residual_norm,
+    residual_system,
     strong_metric,
     tikhonov_ideal,
     tikhonov_solve,
@@ -66,6 +65,13 @@ class TestMakeSourceProblem:
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValueError):
             make_source_problem(**kwargs)
+
+    @pytest.mark.parametrize("decay_p", [323.0, 520.0, 600.0])
+    def test_rejects_sigma_whose_square_is_not_normal(self, decay_p):
+        # 3^-323 squares to a subnormal, 2^-600 to 0: the squared residual
+        # would lose those directions
+        with pytest.raises(ValueError, match="squares below the normal doubles"):
+            make_source_problem(3, decay_p, 1.0, np.ones(3))
 
     def test_invariant_enforced_on_direct_construction(self):
         with pytest.raises(ValueError):
@@ -331,16 +337,25 @@ class TestBlockWalk:
             else:
                 assert expected is None
 
+    def test_matches_the_walk_at_the_smallest_sigma(self):
+        # sigma_3 = 3^-322 squares to 5.4e-308, just above the smallest
+        # normal double: p / sqrt(mu) keeps full precision there
+        prob = make_source_problem(3, 322.0, 1.0, np.ones(3))
+        assert prob.singular_values[-1] ** 2 < 3.0 * np.finfo(np.float64).tiny
+        for seed in range(20):
+            obs = perturb_observation(prob, 0.01, np.random.default_rng(seed))
+            for k in (1.0, 1.2, 1.5, 3.0):
+                _assert_matches_walk(prob, obs, k, 1.0, 0.5, 500)
+
     @settings(max_examples=100, deadline=None)
     @given(d=st.sampled_from([1, 7, 200]), seed=st.integers(0, 2**32 - 1),
            log_lams=st.lists(st.floats(-12.0, 3.0), min_size=1, max_size=16))
     def test_block_losses_are_the_solves_losses(self, d, seed, log_lams):
         rng = np.random.default_rng(seed)
         prob = random_problem(rng, d=d)
-        fitter = SpectralResidualFitter(prob, perturb_observation(prob, 0.01,
-                                                                  rng))
+        system = residual_system(prob, perturb_observation(prob, 0.01, rng))
         lams = 10.0 ** np.array(log_lams)[:, None]
-        assert list(fitter.losses(lams)) == [fitter.solve(lam).empirical_loss
+        assert list(system.losses(lams)) == [system.solve(lam).empirical_loss
                                              for lam in lams[:, 0].tolist()]
 
     def test_one_solve_per_selection(self, monkeypatch):
