@@ -4,7 +4,8 @@ Two families, both quadratic in the sieve coefficients:
 
 RDIV (operator regression, then ridge).  Stage 1 regresses every
 X-basis function on the Z-basis, giving a matrix B with
-(T^ h)(z) = phi(z)^T B c for h = sum_k c_k psi_k.  Stage 2 minimizes
+(T^ h)(z) = phi(z)^T B c for h = sum_k c_k psi_k; rdiv_stage1 reads it
+from the fold's stacked Gram.  Stage 2, on the same fold, minimizes
 
     (1/n) ||y - Phi B c||^2 + lam * c^T G_x c,
 
@@ -27,7 +28,9 @@ Every estimator minimizes L(c) + lam c'G c with L(c) = const - 2 rhs'c
 are second moments of (psi(X), phi(Z), Y), so a system is built from the
 fold's stacked Gram of [psi | phi | y] alone (sieve.stacked_gram): RDIV's
 stage 2 is A = B'G_z B, rhs = B'(Phi'y/n), and TRAE's B and outcome g
-are blocks of it; no n-row product is formed after the Gram.  A
+are blocks of it; no n-row product is formed after the Gram.  An
+estimator handle's system_from is the one way to a system; trae_fit and
+trae_dual_fit stack a fold's Gram from its records and call it.  A
 TikhonovSystem factors this once per fold: it whitens by G and
 diagonalizes the whitened A into G-orthonormal V with V'A V = diag(mu).
 Each lambda is then the filter w = p / (mu + lam), p = V'rhs, giving
@@ -57,7 +60,6 @@ from adaptik.sieve import Dataset, SieveBasis, empirical_gram, stacked_gram  # n
 
 __all__ = [
     "NumericalError",
-    "OperatorEstimate",
     "MomentFunctional",
     "FitResult",
     "TikhonovSystem",
@@ -65,7 +67,6 @@ __all__ = [
     "ate_moment",
     "mean_moment",
     "rdiv_stage1",
-    "rdiv_fit",
     "rdiv_loss",
     "trae_inner_max",
     "trae_fit",
@@ -113,15 +114,6 @@ def _ridge_solve(m: np.ndarray, rhs: np.ndarray, ridge: float | None,
 
 
 # -- domain types ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OperatorEstimate:
-    """Stage-1 regression operator: column k of B maps psi_k(X) onto the Z-sieve."""
-
-    b: np.ndarray           # (J, K), finite: _solve_spd checks it
-    basis_x: SieveBasis
-    basis_z: SieveBasis
-
 
 @dataclass(frozen=True)
 class MomentFunctional:
@@ -274,56 +266,26 @@ class TikhonovSystem:
 
 # -- RDIV ------------------------------------------------------------------------
 
-def rdiv_stage1(
-    data: Dataset,
-    basis_x: SieveBasis,
-    basis_z: SieveBasis,
-    ridge_stage1: float | None = None,
-) -> OperatorEstimate:
-    """Estimate the conditional-mean operator by per-function ridge regression.
+def rdiv_stage1(gram: np.ndarray, k: int,
+                ridge_stage1: float | None = None) -> np.ndarray:
+    """The stage-1 operator B from the stacked Gram of [basis_x(x) (k
+    columns) | basis_z(z) | y], by per-function ridge regression.
 
-    B = (Phi'Phi/n + eps1 I)^{-1} (Phi'Psi/n); column k holds the
-    coefficients of the regression of psi_k(X) on the Z-sieve.  With
+    B = (Phi'Phi/n + eps1 I)^{-1} (Phi'Psi/n); column j holds the
+    coefficients of the regression of psi_j(X) on the Z-sieve.  With
     ridge_stage1 = None a small conditioning ridge proportional to the
     mean Gram eigenvalue is used; an explicit 0 demands a nonsingular
     Gram and raises with a condition estimate otherwise.
     """
-    return _stage1(_fold_gram(data, basis_x, basis_z)[0], basis_x, basis_z,
-                   ridge_stage1)
+    return _ridge_solve(gram[k:-1, k:-1], gram[k:-1, :k], ridge_stage1, 1e-6,
+                        "rdiv stage 1")
 
 
-def _stage1(gram: np.ndarray, basis_x: SieveBasis, basis_z: SieveBasis,
-            ridge_stage1: float | None) -> OperatorEstimate:
-    """Stage 1 from the stacked Gram of [basis_x(x) | basis_z(z) | y]."""
-    k = basis_x.n_funcs
-    b = _ridge_solve(gram[k:-1, k:-1], gram[k:-1, :k], ridge_stage1, 1e-6,
-                     "rdiv stage 1")
-    return OperatorEstimate(b, basis_x, basis_z)
-
-
-def _rdiv_system(op: OperatorEstimate, gram: np.ndarray) -> TikhonovSystem:
-    """Stage 2 from the stacked Gram of the stage-2 sample: the moments of
-    Phi B c are B'G_z B and B'(Phi'y/n), with G_z that sample's Z-Gram."""
-    k = op.b.shape[1]
-    a = op.b.T @ gram[k:-1, k:-1] @ op.b
-    return TikhonovSystem.factor((a + a.T) / 2.0, op.b.T @ gram[k:-1, -1],
-                                 float(gram[-1, -1]), gram[:k, :k])
-
-
-def rdiv_fit(data: Dataset, op: OperatorEstimate, lam: float) -> FitResult:
-    """Penalized least squares against the estimated operator.
-
-    Minimizes (1/n)||y - Phi B c||^2 + lam c'G_x c.  lam = 0 is accepted
-    for the unregularized baseline and gives the minimum-G_x-norm
-    least-squares fit.
-    """
-    return _rdiv_system(op, _fold_gram(data, op.basis_x, op.basis_z)[0]).solve(lam)
-
-
-def rdiv_loss(data: Dataset, op: OperatorEstimate, coeffs: np.ndarray) -> float:
+def rdiv_loss(data: Dataset, b: np.ndarray, basis_z: SieveBasis,
+              coeffs: np.ndarray) -> float:
     """(1/n) sum_i (y_i - phi(z_i)' B c)^2."""
-    phi = op.basis_z.evaluate(data.z)
-    resid = data.y - phi @ (op.b @ np.asarray(coeffs, dtype=np.float64))
+    phi = basis_z.evaluate(data.z)
+    resid = data.y - phi @ (b @ np.asarray(coeffs, dtype=np.float64))
     return float(resid @ resid / data.n)
 
 
@@ -382,7 +344,9 @@ def trae_fit(
     stored empirical loss is the inner-max value at the fitted
     coefficients.
     """
-    return TraeEstimator(moment, basis_h, basis_f, ridge_inner).system(data).solve(lam)
+    est = TraeEstimator(moment, basis_h, basis_f, ridge_inner)
+    gram, adv = _fold_gram(data, basis_h, basis_f)
+    return est.system_from(gram, est.adversary_mean(data.z, data.y, adv)).solve(lam)
 
 
 def trae_dual_fit(
@@ -401,8 +365,8 @@ def trae_dual_fit(
 
 # -- uniform estimator handles ------------------------------------------------
 #
-# Each handle builds the TikhonovSystem of a fold, from its data or from
-# its stacked Gram; the search and every fixed lambda solve from it.
+# Each handle builds the TikhonovSystem of a fold from its stacked Gram;
+# the search and every fixed lambda solve from it.
 
 @dataclass(frozen=True)
 class RdivEstimator:
@@ -410,14 +374,14 @@ class RdivEstimator:
     basis_z: SieveBasis
     ridge_stage1: float | None = None
 
-    def system(self, data: Dataset) -> TikhonovSystem:
-        """Tests' from-data reference (TestSharedFits, TestThreadCountIndependence)."""
-        return self.system_from(_fold_gram(data, self.basis_x, self.basis_z)[0])
-
     def system_from(self, gram: np.ndarray) -> TikhonovSystem:
-        """The system from the stacked Gram of [basis_x(x) | basis_z(z) | y]."""
-        op = _stage1(gram, self.basis_x, self.basis_z, self.ridge_stage1)
-        return _rdiv_system(op, gram)
+        """The system from the stacked Gram of [basis_x(x) | basis_z(z) | y]:
+        stage 2's moments of Phi B c are B'G_z B and B'(Phi'y/n)."""
+        k = self.basis_x.n_funcs
+        b = rdiv_stage1(gram, k, self.ridge_stage1)
+        a = b.T @ gram[k:-1, k:-1] @ b
+        return TikhonovSystem.factor((a + a.T) / 2.0, b.T @ gram[k:-1, -1],
+                                     float(gram[-1, -1]), gram[:k, :k])
 
 
 @dataclass(frozen=True)
@@ -426,12 +390,6 @@ class TraeEstimator:
     basis_h: SieveBasis
     basis_f: SieveBasis
     ridge_inner: float | None = None
-
-    def system(self, data: Dataset) -> TikhonovSystem:
-        """From data, for trae_fit and as the reference TestSharedFits and
-        TestThreadCountIndependence check Gram-built systems against."""
-        gram, adv = _fold_gram(data, self.basis_h, self.basis_f)
-        return self.system_from(gram, self.adversary_mean(data.z, data.y, adv))
 
     def adversary_mean(self, points: np.ndarray, y: np.ndarray,
                        adv: np.ndarray) -> np.ndarray | None:

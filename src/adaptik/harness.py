@@ -538,9 +538,11 @@ def _format_cell(value) -> str:
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunRecord:
     """Run every (n, rep) on one BLAS thread; failures are recorded, not raised.
 
-    Rows and failures come back in (n, strategy, rep) order.
+    Rows and failures come back in (n, strategy, rep) order.  At most one
+    worker per (n, rep) is started, and a single (n, rep) runs in-process.
     """
     payloads = [(spec, n, rep) for n in spec.sizes for rep in range(spec.reps)]
+    jobs = min(jobs, len(payloads))
     with _one_blas_thread():
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs,

@@ -105,12 +105,12 @@ def trae_reference_system(data, moment, basis_h, basis_f, ridge_inner):
     return b.T @ minv[:, 1:], b.T @ minv[:, 0], g @ minv[:, 0], gram_h
 
 
-def rdiv_reference_system(data, op):
+def rdiv_reference_system(data, b, basis_x, basis_z):
     """(A, rhs, const, G_x) of RDIV stage 2 on data with stage-1 operator
-    op, from the n-row product Phi B: A = (Phi B)'(Phi B)/n."""
-    phi = np.ascontiguousarray(op.basis_z.evaluate(data.z))
-    psi = np.ascontiguousarray(op.basis_x.evaluate(data.x))
-    fitted = phi @ op.b
+    B, from the n-row product Phi B: A = (Phi B)'(Phi B)/n."""
+    phi = np.ascontiguousarray(basis_z.evaluate(data.z))
+    psi = np.ascontiguousarray(basis_x.evaluate(data.x))
+    fitted = phi @ b
     n = data.n
     return (fitted.T @ fitted / n, fitted.T @ data.y / n, data.y @ data.y / n,
             psi.T @ psi / n)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from folds import fold_gram, fold_system
 from oracles import (
     classical_dp_walk,
     grid_inner_max,
@@ -26,7 +27,6 @@ from adaptik.estimators import (
     TraeEstimator,
     mean_moment,
     outcome_moment,
-    rdiv_fit,
     rdiv_stage1,
     trae_fit,
     trae_inner_max,
@@ -286,12 +286,13 @@ class TestCriterion6RdivOracle:
             data = Dataset(x, z, rng.normal(size=n))
             bx, bz = polynomial_basis(1, kx - 1), polynomial_basis(1, kz - 1)
             lam = float(rng.uniform(0.05, 1.0))
-            op = rdiv_stage1(data, bx, bz, ridge_stage1=0.0)
-            fit = rdiv_fit(data, op, lam)
+            gram = fold_gram(data, bx, bz)
+            b = rdiv_stage1(gram, kx, ridge_stage1=0.0)
+            fit = RdivEstimator(bx, bz, 0.0).system_from(gram).solve(lam)
             # dense oracle assembled with plain loops
             psi = bx.evaluate(data.x)
             phi = bz.evaluate(data.z)
-            a_mat = phi @ op.b
+            a_mat = phi @ b
             h = np.zeros((kx, kx))
             rhs = np.zeros(kx)
             for i in range(n):
@@ -343,7 +344,7 @@ class TestCriterion8LossMonotonicity:
             bx, bz = polynomial_basis(1, 2), polynomial_basis(1, 2)
             for est in (RdivEstimator(bx, bz),
                         TraeEstimator(outcome_moment(), bx, bz)):
-                outcome = run_dp(est.system(data), data.n, config)
+                outcome = run_dp(fold_system(est, data), data.n, config)
                 losses = [loss for _, loss in outcome.path]
                 for a, b in zip(losses, losses[1:]):
                     worst = max(worst, b - a)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from folds import fold_system
 from oracles import dp_walk, path_shows_bracket
 
 from adaptik.discrepancy import (
@@ -169,7 +170,7 @@ class TestDataDrivenPaths:
             else:
                 handle = TraeEstimator(outcome_moment(), bx, bz)
             config = DpConfig(NoiseSchedule("fixed", 1e-10), max_iters=12)
-            outcome = run_dp(handle.system(data), data.n, config)
+            outcome = run_dp(fold_system(handle, data), data.n, config)
             losses = [loss for _, loss in outcome.path]
             assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
@@ -179,7 +180,7 @@ class TestDataDrivenPaths:
         handle = TraeEstimator(outcome_moment(), polynomial_basis(1, 2),
                                polynomial_basis(1, 2))
         config = DpConfig(NoiseSchedule("trae_squared", 15.0))
-        outcome = run_dp(handle.system(data), data.n, config)
+        outcome = run_dp(fold_system(handle, data), data.n, config)
         assert outcome.delta == pytest.approx(15.0 * math.log(100) / 100)
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from folds import fold_gram, fold_system
 from oracles import (
     dense_tikhonov,
     grid_inner_max,
@@ -21,7 +22,6 @@ from adaptik.estimators import (
     ate_moment,
     mean_moment,
     outcome_moment,
-    rdiv_fit,
     rdiv_loss,
     rdiv_stage1,
     trae_dual_fit,
@@ -49,8 +49,8 @@ class TestRdivStage1:
         pts = rng.normal(size=(40, 1))
         data = Dataset(pts, pts, np.zeros(40))
         basis = polynomial_basis(1, 2)
-        op = rdiv_stage1(data, basis, basis, ridge_stage1=0.0)
-        np.testing.assert_allclose(op.b, np.eye(3), atol=1e-8)
+        b = rdiv_stage1(fold_gram(data, basis, basis), 3, ridge_stage1=0.0)
+        np.testing.assert_allclose(b, np.eye(3), atol=1e-8)
 
     def test_near_zero_under_independence(self):
         rng = np.random.default_rng(1)
@@ -61,8 +61,9 @@ class TestRdivStage1:
         centered = custom_basis(
             [lambda p: p[:, 0], lambda p: p[:, 0] ** 2 - 1.0], 1
         )
-        op = rdiv_stage1(data, centered, centered, ridge_stage1=0.0)
-        assert np.abs(op.b).max() < 6.0 / np.sqrt(n) * 10
+        b = rdiv_stage1(fold_gram(data, centered, centered), 2,
+                        ridge_stage1=0.0)
+        assert np.abs(b).max() < 6.0 / np.sqrt(n) * 10
 
     def test_matches_hand_built_normal_equations(self):
         rng = np.random.default_rng(2)
@@ -77,32 +78,34 @@ class TestRdivStage1:
             gz += np.outer(phi[i], phi[i]) / 6.0
             cross += np.outer(phi[i], psi[i]) / 6.0
         oracle = np.linalg.solve(gz, cross)
-        op = rdiv_stage1(data, bx, bz, ridge_stage1=0.0)
-        np.testing.assert_allclose(op.b, oracle, atol=1e-10)
+        b = rdiv_stage1(fold_gram(data, bx, bz), 2, ridge_stage1=0.0)
+        np.testing.assert_allclose(b, oracle, atol=1e-10)
 
     def test_singular_gram_with_zero_ridge_raises(self):
         rng = np.random.default_rng(3)
         data = small_data(rng, n=8)
         dup = custom_basis([lambda p: p[:, 0], lambda p: p[:, 0]], 1)
         with pytest.raises(NumericalError, match="condition estimate"):
-            rdiv_stage1(data, polynomial_basis(1, 1), dup, ridge_stage1=0.0)
+            rdiv_stage1(fold_gram(data, polynomial_basis(1, 1), dup), 2,
+                        ridge_stage1=0.0)
 
 
 class TestRdivFit:
     def test_zero_outcome_gives_zero_fit(self):
         rng = np.random.default_rng(4)
         data = small_data(rng, n=10, scale=0.0)
-        op = rdiv_stage1(data, polynomial_basis(1, 1), polynomial_basis(1, 1))
-        fit = rdiv_fit(data, op, 0.5)
+        rdiv = RdivEstimator(polynomial_basis(1, 1), polynomial_basis(1, 1))
+        fit = fold_system(rdiv, data).solve(0.5)
         np.testing.assert_allclose(fit.coeffs, 0.0, atol=1e-14)
         assert fit.empirical_loss == pytest.approx(0.0, abs=1e-20)
 
     def test_huge_lambda_kills_coefficients(self):
         rng = np.random.default_rng(5)
         data = small_data(rng, n=20)
-        op = rdiv_stage1(data, polynomial_basis(1, 1), polynomial_basis(1, 1))
-        big = rdiv_fit(data, op, 1e8)
-        ref = rdiv_fit(data, op, 1.0)
+        system = fold_system(RdivEstimator(polynomial_basis(1, 1),
+                                           polynomial_basis(1, 1)), data)
+        big = system.solve(1e8)
+        ref = system.solve(1.0)
         assert np.linalg.norm(big.coeffs) <= 1e-4 * np.linalg.norm(ref.coeffs)
         assert big.empirical_loss == pytest.approx(np.mean(data.y**2), rel=1e-3)
 
@@ -111,12 +114,13 @@ class TestRdivFit:
         data = small_data(rng, n=8)
         bx = polynomial_basis(1, 1)
         bz = polynomial_basis(1, 1)
-        op = rdiv_stage1(data, bx, bz, ridge_stage1=0.0)
+        gram = fold_gram(data, bx, bz)
+        b = rdiv_stage1(gram, 2, ridge_stage1=0.0)
         lam = 0.3
         gram_x = empirical_gram(bx.evaluate(data.x))
 
         def objective(c):
-            return rdiv_loss(data, op, c) + lam * float(c @ gram_x @ c)
+            return rdiv_loss(data, b, bz, c) + lam * float(c @ gram_x @ c)
 
         coarse = [
             np.array([a, b])
@@ -126,7 +130,7 @@ class TestRdivFit:
         start = min(coarse, key=objective)
         polished = minimize(objective, start, method="Nelder-Mead",
                             options={"xatol": 1e-10, "fatol": 1e-12}).fun
-        fit = rdiv_fit(data, op, lam)
+        fit = RdivEstimator(bx, bz, 0.0).system_from(gram).solve(lam)
         assert objective(fit.coeffs) <= polished + 1e-8
 
     def test_loss_examples(self):
@@ -134,30 +138,32 @@ class TestRdivFit:
         data = small_data(rng, n=9)
         bx = polynomial_basis(1, 1)
         bz = polynomial_basis(1, 2)
-        op = rdiv_stage1(data, bx, bz)
+        b = rdiv_stage1(fold_gram(data, bx, bz), 2)
         # c = 0 -> mean of y^2
-        assert rdiv_loss(data, op, np.zeros(2)) == pytest.approx(
+        assert rdiv_loss(data, b, bz, np.zeros(2)) == pytest.approx(
             np.mean(data.y**2), rel=1e-12
         )
         # perfect synthetic fit: y generated as Phi B c*
         c_star = np.array([0.4, -0.7])
         phi = bz.evaluate(data.z)
-        synthetic = Dataset(data.x, data.z, phi @ (op.b @ c_star))
-        op2 = rdiv_stage1(synthetic, bx, bz)
+        synthetic = Dataset(data.x, data.z, phi @ (b @ c_star))
+        b2 = rdiv_stage1(fold_gram(synthetic, bx, bz), 2)
         # the operator refit is on the same features, so B is unchanged
-        np.testing.assert_allclose(op2.b, op.b, atol=1e-12)
-        assert rdiv_loss(synthetic, op2, c_star) == pytest.approx(0.0, abs=1e-16)
+        np.testing.assert_allclose(b2, b, atol=1e-12)
+        assert rdiv_loss(synthetic, b2, bz, c_star) == pytest.approx(0.0,
+                                                                     abs=1e-16)
 
     def test_loss_matches_per_record_loop(self):
         rng = np.random.default_rng(8)
         data = small_data(rng, n=11)
-        op = rdiv_stage1(data, polynomial_basis(1, 2), polynomial_basis(1, 2))
+        basis = polynomial_basis(1, 2)
+        b = rdiv_stage1(fold_gram(data, basis, basis), 3)
         c = rng.normal(size=3)
-        phi = polynomial_basis(1, 2).evaluate(data.z)
+        phi = basis.evaluate(data.z)
         slow = sum(
-            (data.y[i] - float(phi[i] @ op.b @ c)) ** 2 for i in range(11)
+            (data.y[i] - float(phi[i] @ b @ c)) ** 2 for i in range(11)
         ) / 11.0
-        assert rdiv_loss(data, op, c) == pytest.approx(slow, rel=1e-12)
+        assert rdiv_loss(data, b, basis, c) == pytest.approx(slow, rel=1e-12)
 
 
 class TestTraeInnerMax:
@@ -206,11 +212,12 @@ class TestTraeInnerMax:
 
 
 _RIDGE_ENTRY_POINTS = {
-    "rdiv_stage1": lambda data, b, adv, ridge: rdiv_stage1(data, b, adv, ridge),
+    "rdiv_stage1": lambda data, b, adv, ridge: rdiv_stage1(
+        fold_gram(data, b, adv), b.n_funcs, ridge),
     "trae_fit": lambda data, b, adv, ridge: trae_fit(
         data, outcome_moment(), b, adv, 0.1, ridge),
-    "TraeEstimator.system": lambda data, b, adv, ridge: TraeEstimator(
-        outcome_moment(), b, adv, ridge).system(data),
+    "TraeEstimator.system_from": lambda data, b, adv, ridge: fold_system(
+        TraeEstimator(outcome_moment(), b, adv, ridge), data),
     "trae_inner_max": lambda data, b, adv, ridge: trae_inner_max(
         data, outcome_moment(), b, adv, np.zeros(2), ridge),
 }
@@ -279,8 +286,9 @@ class TestTraeFit:
     @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
     def test_lambda_must_be_finite_and_nonnegative(self, lam):
         data = small_data(np.random.default_rng(13), n=10)
-        system = TraeEstimator(outcome_moment(), polynomial_basis(1, 1),
-                               polynomial_basis(1, 1)).system(data)
+        system = fold_system(TraeEstimator(outcome_moment(),
+                                           polynomial_basis(1, 1),
+                                           polynomial_basis(1, 1)), data)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             system.solve(lam)
 
@@ -333,10 +341,11 @@ class TestClosedFormLoss:
         for lam in (0.0, 1e-3, 0.4):
             data = small_data(rng, n=16)
             swapped = Dataset(data.z, data.x, data.y)
-            op = rdiv_stage1(data, bx, bz)
-            fit = RdivEstimator(bx, bz).system(data).solve(lam)
-            direct = rdiv_loss(data, op, fit.coeffs)
-            scale = max(direct, rdiv_loss(data, op, np.zeros(3)))
+            gram = fold_gram(data, bx, bz)
+            b = rdiv_stage1(gram, 3)
+            fit = RdivEstimator(bx, bz).system_from(gram).solve(lam)
+            direct = rdiv_loss(data, b, bz, fit.coeffs)
+            scale = max(direct, rdiv_loss(data, b, bz, np.zeros(3)))
             assert abs(fit.empirical_loss - direct) <= 1e-12 * scale
             # the dual's inner maximum is the primal one on the records with
             # X and Z swapped
@@ -361,13 +370,13 @@ class TestProperties:
         gram_x = empirical_gram(bx.evaluate(data.x))
         lam = 0.15
         rdiv = RdivEstimator(bx, bz)
-        op = rdiv_stage1(data, bx, bz)
+        b = rdiv_stage1(fold_gram(data, bx, bz), 3)
         trae = TraeEstimator(outcome_moment(), bx, bz)
         for est, loss in (
-            (rdiv, lambda c: rdiv_loss(data, op, c)),
+            (rdiv, lambda c: rdiv_loss(data, b, bz, c)),
             (trae, lambda c: trae_inner_max(data, outcome_moment(), bx, bz, c)[1]),
         ):
-            fit = est.system(data).solve(lam)
+            fit = fold_system(est, data).solve(lam)
             base = loss(fit.coeffs) + lam * float(fit.coeffs @ gram_x @ fit.coeffs)
             for _ in range(20):
                 c = fit.coeffs + rng.normal(scale=0.3, size=fit.coeffs.size)
@@ -445,19 +454,11 @@ class TestGramOnlySystems:
     def test_rdiv_matches_the_phi_b_reference(self, seed, n, k, extra, lam):
         data = oracle_data(seed, n)
         bx, bz = polynomial_basis(1, k - 1), polynomial_basis(1, k - 1 + extra)
-        fit = RdivEstimator(bx, bz).system(data).solve(lam)
-        op = rdiv_stage1(data, bx, bz)
-        assert_matches_reference(fit, rdiv_reference_system(data, op), lam)
-
-    @settings(max_examples=40, deadline=None)
-    @given(**oracle_cases)
-    def test_rdiv_fit_uses_the_stage2_sample(self, seed, n, k, extra, lam):
-        # B'G_z B must take G_z from the stage-2 sample, not from stage 1's
-        bx, bz = polynomial_basis(1, k - 1), polynomial_basis(1, k - 1 + extra)
-        op = rdiv_stage1(oracle_data(seed, n), bx, bz)
-        stage2 = oracle_data(seed ^ 0x5EED, n + 17)
-        fit = rdiv_fit(stage2, op, lam)
-        assert_matches_reference(fit, rdiv_reference_system(stage2, op), lam)
+        gram = fold_gram(data, bx, bz)
+        fit = RdivEstimator(bx, bz).system_from(gram).solve(lam)
+        b = rdiv_stage1(gram, k)
+        assert_matches_reference(fit, rdiv_reference_system(data, b, bx, bz),
+                                 lam)
 
     @pytest.mark.parametrize("moment", [outcome_moment(), mean_moment()],
                              ids=["outcome", "mean"])
@@ -467,6 +468,7 @@ class TestGramOnlySystems:
             self, moment, seed, n, k, extra, lam):
         data = oracle_data(seed, n)
         bh, bf = polynomial_basis(1, k - 1), polynomial_basis(1, k - 1 + extra)
-        fit = TraeEstimator(moment, bh, bf, ridge_inner=0.0).system(data).solve(lam)
+        fit = fold_system(TraeEstimator(moment, bh, bf, ridge_inner=0.0),
+                          data).solve(lam)
         assert_matches_reference(
             fit, trae_reference_system(data, moment, bh, bf, 0.0), lam)

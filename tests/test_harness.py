@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from folds import fold_system
 
 from adaptik import harness
 from adaptik.dgp import gen_proxy_nc
@@ -207,6 +208,34 @@ class TestRunExperiment:
                     and math.isnan(b[key])
                 )
 
+    @pytest.mark.parametrize("sizes, reps, workers", [
+        ((150,), 2, [2]), ((150, 100), 1, [2]), ((150,), 1, [])])
+    def test_pool_starts_no_idle_worker(self, monkeypatch, sizes, reps,
+                                        workers):
+        # at most one worker per (n, rep), and none for a single one; the
+        # fake pool runs in-process, so jobs=64 starts no process
+        made = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        spec = tiny_spec(sizes=sizes, reps=reps, strategies=("dp", 0.01))
+        record = run_experiment(spec, jobs=64)
+        assert made == workers
+        assert _row_cells(record.rows) == _row_cells(
+            run_experiment(spec, jobs=1).rows)
+
     def test_csv_round_trip_and_aggregation(self, tmp_path):
         spec = tiny_spec(reps=3)
         record = run_experiment(spec)
@@ -306,7 +335,7 @@ class TestSharedFits:
         spec = tiny_spec(dgp=dgp, estimator=estimator)
         cell = harness.prepare_cell(spec, spec.sizes[0], 0)
         shared = harness.shared_fits(spec, cell)[0]
-        own = harness.estimator_handle(spec, cell).system(cell.fit_fold)
+        own = fold_system(harness.estimator_handle(spec, cell), cell.fit_fold)
         for name in ("vecs", "mu", "p", "l_min", "floor"):
             assert np.array_equal(getattr(shared, name), getattr(own, name)), name
         assert (shared.adversary is None) == (own.adversary is None)
@@ -491,9 +520,9 @@ class TestThreadCountIndependence:
         spec = _proxy_spec(estimator=estimator, sizes=(2000,))
         cell = harness.prepare_cell(spec, 2000, 0)
         handle = harness.estimator_handle(spec, cell)
-        two = handle.system(cell.fit_fold)
+        two = fold_system(handle, cell.fit_fold)
         with harness._one_blas_thread():
-            one = handle.system(cell.fit_fold)
+            one = fold_system(handle, cell.fit_fold)
         for name in ("vecs", "mu", "p", "l_min", "floor"):
             assert np.array_equal(getattr(one, name), getattr(two, name)), name
         for a, b in zip(one.adversary or (), two.adversary or ()):
@@ -572,8 +601,8 @@ class TestProxyRep:
             fits = [(result.h_fit, cell.basis_x, "x"),
                     (result.q_fit, cell.basis_z, "z")]
         else:
-            fit = harness.estimator_handle(spec, cell).system(
-                cell.fit_fold).solve(0.0)
+            fit = fold_system(harness.estimator_handle(spec, cell),
+                              cell.fit_fold).solve(0.0)
             fits = [(fit, cell.basis_x, "x")]
         for fit, basis, fit_block in fits:
             gram = empirical_gram(basis.evaluate(getattr(cell.fit_fold, fit_block)))
@@ -618,8 +647,8 @@ class TestProxyRep:
             result = fold.run(0.0)
             fits = [(result.h_fit, cell.basis_x), (result.q_fit, cell.basis_z)]
         else:
-            fits = [(harness.estimator_handle(spec, cell).system(
-                cell.fit_fold).solve(0.0), cell.basis_x)]
+            fits = [(fold_system(harness.estimator_handle(spec, cell),
+                                 cell.fit_fold).solve(0.0), cell.basis_x)]
         for fit, basis in fits:
             # intercept minus treatment, each in the basis's own scale
             null = np.zeros(basis.n_funcs)

@@ -23,6 +23,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from folds import fold_system
 from hypothesis import strategies as st
 from oracles import dp_walk, path_shows_bracket
 
@@ -76,7 +77,7 @@ def fit(kind, data, basis_h, basis_f, lam):
     else:
         est = TraeEstimator(outcome_moment(), basis_h, basis_f)
         data = data.swapped()
-    return est.system(data).solve(lam)
+    return fold_system(est, data).solve(lam)
 
 
 def fitted_values(kind, data, basis_h, coeffs):

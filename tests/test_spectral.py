@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import classical_dp_walk, residual_norm
 
@@ -250,10 +250,13 @@ class TestClassicalDpSelect:
 def _k_stopping_at(prob, obs, lambda0, rho, stop):
     """A k whose bound the walk first meets at grid index `stop`: midway
     between the residual norms at grid points stop - 1 and stop (||r||
-    stands in for the point before index 0)."""
-    lam, norms = float(lambda0), [float(np.linalg.norm(obs.r_coeffs))]
+    stands in for the point before index 0).  The norms are the closed
+    form lam ||r / (sigma^2 + lam)||, which stays exact where one formed
+    from solved coefficients is rounding noise (lam < eps sigma_min^2)."""
+    r, sig2 = obs.r_coeffs, prob.singular_values**2
+    lam, norms = float(lambda0), [float(np.linalg.norm(r))]
     for _ in range(stop + 1):
-        norms.append(residual_norm(prob, obs, tikhonov_solve(prob, obs, lam)))
+        norms.append(lam * float(np.linalg.norm(r / (sig2 + lam))))
         lam *= rho
     return (norms[-1] + norms[-2]) / 2.0 / obs.delta
 
@@ -315,9 +318,6 @@ class TestBlockWalk:
         k = 10.0**log_k
         if stop is not None:
             k = _k_stopping_at(prob, obs, lambda0, rho, stop)
-            # below sigma^2 * eps the residuals round to zero, and no k
-            # stops there
-            assume(k > 0.0)
             if steps_past_stop is not None:
                 max_steps = max(stop + steps_past_stop, 1)
         _assert_matches_walk(prob, obs, k, lambda0, rho, max_steps)
