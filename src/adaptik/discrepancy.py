@@ -2,7 +2,8 @@
 
 `walk` is the one geometric-grid loop: it shrinks lambda from lambda0
 by rho until the loss reaches delta, taking the losses of 16 grid points
-at a time from system.losses(lams), each equal bit for bit to
+at a time (each block built once by repeated multiplication and then
+cached) from system.losses(lams), each equal bit for bit to
 system.solve(lam).empirical_loss, and solves nothing; a TikhonovSystem's
 loss, L_min plus the excess, does not cancel at small lambda.  `run_dp`
 walks the factored system it is given to the schedule's delta and solves
@@ -19,6 +20,7 @@ lambda strategy, the search or a fixed lambda, on a factored system.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -130,6 +132,19 @@ class DpOutcome:
         return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_block(lam: float, rho: float) -> tuple[np.ndarray, tuple, float]:
+    """The grid block lam, lam * rho, ... of _GRID_BLOCK points, as a
+    read-only column and as a tuple, and the point after it; each walk
+    from lam at rho shares them."""
+    lams = np.empty((_GRID_BLOCK, 1))
+    for j in range(_GRID_BLOCK):
+        lams[j, 0] = lam
+        lam *= rho
+    lams.flags.writeable = False
+    return lams, tuple(lams[:, 0].tolist()), lam
+
+
 def walk(system, delta: float, lambda0: float, rho: float,
          max_iters: int) -> tuple[list, bool]:
     """The (lambda, loss) pairs of the grid lambda0, lambda0 * rho, ... up
@@ -137,15 +152,11 @@ def walk(system, delta: float, lambda0: float, rho: float,
     walk stopped there.  A non-finite loss raises DpFitError with its
     lambda."""
     path = []
-    lams = np.empty((_GRID_BLOCK, 1))
     lam = float(lambda0)
     for start in range(0, max_iters, _GRID_BLOCK):
         size = min(_GRID_BLOCK, max_iters - start)
-        for j in range(size):
-            lams[j, 0] = lam
-            lam *= rho
-        for lam_j, loss in zip(lams[:size, 0].tolist(),
-                               system.losses(lams[:size])):
+        lams, values, lam = _grid_block(lam, rho)
+        for lam_j, loss in zip(values[:size], system.losses(lams[:size])):
             path.append((lam_j, loss))
             if not math.isfinite(loss):
                 raise DpFitError(lam_j, "empirical loss is not finite")

@@ -90,7 +90,7 @@ def _solve_spd(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
             f"{context}: system is not positive definite ({exc})"
         ) from None
     x = np.linalg.solve(a, b)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalError(f"{context}: solve produced non-finite values")
     return x
 
@@ -214,13 +214,21 @@ class TikhonovSystem:
     floor: float
     adversary: tuple | None = None
 
+    def __post_init__(self):
+        # loss constants: indices outside P, p / sqrt(mu) with mu = inf there
+        inside = self.mu > self.floor
+        mu_p = np.where(inside, self.mu, np.inf)
+        object.__setattr__(self, "_out", (~inside).nonzero()[0])
+        object.__setattr__(self, "_mu_p", mu_p)
+        object.__setattr__(self, "_p_scaled", self.p / np.sqrt(mu_p))
+
     @classmethod
     def factor(cls, a: np.ndarray, rhs: np.ndarray, const: float,
                gram: np.ndarray, adversary: tuple | None = None) -> "TikhonovSystem":
         """Whiten by gram, then diagonalize the whitened a."""
         # numpy's eigh returns NaN eigenvalues here, which the cutoff
         # would silently drop as null directions
-        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(a))):
+        if not (np.isfinite(gram).all() and np.isfinite(a).all()):
             raise NumericalError("Tikhonov system has non-finite entries")
         s, u = np.linalg.eigh(gram)
         keep = s > _CUTOFF * s.max(initial=0.0)
@@ -240,15 +248,18 @@ class TikhonovSystem:
     def losses(self, lams: np.ndarray):
         """The loss at each lambda of the column lams, each row reduced
         when it is reached; solve's loss is the row of its lam."""
-        inside = self.mu > self.floor
-        out, mu_p = (~inside).nonzero()[0], np.where(inside, self.mu, np.inf)
-        v = self.p / np.sqrt(mu_p) / (mu_p + lams)  # 0 outside P
+        v = self._p_scaled / (self._mu_p + lams)
         for row, lam in zip(v, lams[:, 0].tolist()):
-            loss = self.l_min + lam * lam * float(row.dot(row))
-            if out.size:
-                w = self._filter(self.p[out], self.mu[out] + lam)
-                loss -= float(w**2 @ (self.mu[out] + 2.0 * lam))
-            yield loss
+            yield self._loss(row, lam)
+
+    def _loss(self, row: np.ndarray, lam: float) -> float:
+        """The loss at lam from its row p / sqrt(mu) / (mu + lam)."""
+        loss = self.l_min + lam * lam * float(row.dot(row))
+        out = self._out
+        if out.size:
+            w = self._filter(self.p[out], self.mu[out] + lam)
+            loss -= float(w**2 @ (self.mu[out] + 2.0 * lam))
+        return loss
 
     def solve(self, lam: float) -> FitResult:
         """The penalized minimizer at lam, in O(K r) after the factorization."""
@@ -260,8 +271,9 @@ class TikhonovSystem:
         if self.adversary is not None:
             minv_g, minv_b = self.adversary
             inner = minv_g - minv_b @ coeffs
-        loss = next(self.losses(np.array([[lam]], dtype=np.float64)))
-        return FitResult(coeffs, float(lam), loss, float(w @ w), inner)
+        lam = float(lam)
+        loss = self._loss(self._p_scaled / (self._mu_p + lam), lam)
+        return FitResult(coeffs, lam, loss, float(w @ w), inner)
 
 
 # -- RDIV ------------------------------------------------------------------------
@@ -371,12 +383,12 @@ def trae_dual_fit(
 @dataclass(frozen=True)
 class RdivEstimator:
     basis_x: SieveBasis
-    basis_z: SieveBasis
     ridge_stage1: float | None = None
 
     def system_from(self, gram: np.ndarray) -> TikhonovSystem:
-        """The system from the stacked Gram of [basis_x(x) | basis_z(z) | y]:
-        stage 2's moments of Phi B c are B'G_z B and B'(Phi'y/n)."""
+        """The system from the stacked Gram of [basis_x(x) | basis_z(z) | y],
+        for any instrument basis_z: stage 2's moments of Phi B c are
+        B'G_z B and B'(Phi'y/n)."""
         k = self.basis_x.n_funcs
         b = rdiv_stage1(gram, k, self.ridge_stage1)
         a = b.T @ gram[k:-1, k:-1] @ b

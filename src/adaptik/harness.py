@@ -249,7 +249,7 @@ def prepare_cell(spec: ExperimentSpec, n: int, rep: int) -> CellSetup:
 
 def estimator_handle(spec: ExperimentSpec, cell: CellSetup):
     if spec.estimator == "rdiv":
-        return RdivEstimator(cell.basis_x, cell.basis_z)
+        return RdivEstimator(cell.basis_x)
     return TraeEstimator(outcome_moment(), cell.basis_x, cell.basis_z)
 
 

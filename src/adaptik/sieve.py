@@ -67,9 +67,11 @@ class SieveBasis:
         if self.input_dim < 1:
             raise ValueError("input_dim must be at least 1")
         norm = _freeze(self.normalization)
-        if norm.shape != (self.n_funcs,) or not np.all(np.isfinite(norm)):
+        if norm.shape != (self.n_funcs,) or not np.isfinite(norm).all():
             raise ValueError("normalization must be a finite length-K vector")
         object.__setattr__(self, "normalization", norm)
+        # x * 1.0 == x bit for bit, so evaluate skips a unit normalization
+        object.__setattr__(self, "_unit", bool((norm == 1.0).all()))
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate all K functions at each row of `points`, scaled, as the
@@ -86,8 +88,9 @@ class SieveBasis:
                 f"points must be (m, {self.input_dim}), got shape {pts.shape}"
             )
         vals = _raw_eval(self, pts)
-        vals *= self.normalization[:, None]
-        if not np.all(np.isfinite(vals)):
+        if not self._unit:
+            vals *= self.normalization[:, None]
+        if not np.isfinite(vals).all():
             raise ValueError("basis evaluation produced non-finite values")
         return vals.T
 
@@ -269,7 +272,7 @@ class Dataset:
                 f"row mismatch: x has {n}, z has {z.shape[0]}, y has {y.shape[0]}"
             )
         for name, arr in (("x", x), ("z", z), ("y", y)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains NaN or Inf")
         extras = None
         if self.w_extra is not None:

@@ -16,6 +16,11 @@ w0_i.  Everything downstream is closed form:
     squared residual, the loss of a diagonal TikhonovSystem
     (residual_system), to (k delta)^2, then one solve at the selected lam.
 
+A SpectralProblem computes sigma^2 and sigma * a = T h0 once, read-only,
+for every solve, residual system and noise draw, and every norm is
+sqrt(x . x), np.linalg.norm's formula for a real vector without its
+dispatch, so each value has the bits of the direct expression.
+
 The module also exposes the constants of the two regularization-path
 inequalities used by the test suite (the quadratic lower bound on the
 weak error and the Hoelder bound on lam -> h_lam), so they can be
@@ -63,6 +68,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||, bit for bit np.linalg.norm's formula for a real vector:
+    sqrt(x . x) over x raveled in memory order."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 @dataclass(frozen=True)
 class SpectralProblem:
     """Diagonal operator model with a built-in source condition.
@@ -92,13 +104,14 @@ class SpectralProblem:
             raise ValueError(
                 f"dimension mismatch: sigma {sig.shape}, a {a.shape}, w0 {w0.shape}"
             )
-        if not np.all(np.isfinite(sig)) or not np.all(np.isfinite(a)):
+        if not (np.isfinite(sig).all() and np.isfinite(a).all()):
             raise ValueError("non-finite problem coefficients")
         if np.any(sig <= 0.0):
             raise ValueError("singular values must be strictly positive")
         if np.any(np.diff(sig) > 0.0):
             raise ValueError("singular values must be nonincreasing")
-        if sig[-1] ** 2 < np.finfo(np.float64).tiny:
+        sig2 = _freeze(sig**2)
+        if sig2[-1] < np.finfo(np.float64).tiny:
             raise ValueError(f"singular value {sig[-1]} squares below the normal doubles")
         if sig[0] > 1.0:
             raise ValueError(f"largest singular value {sig[0]} exceeds 1")
@@ -106,14 +119,17 @@ class SpectralProblem:
             raise ValueError("beta must be positive")
         if not np.array_equal(a, sig**self.beta * w0):
             raise ValueError("h0_coeffs must equal sigma**beta * w0_coeffs exactly")
+        # read-only sigma^2 and sigma * a, built once for every solve
+        object.__setattr__(self, "_sig2", sig2)
+        object.__setattr__(self, "_rhs", _freeze(sig * a))
 
     @property
     def dim(self) -> int:
         return self.singular_values.size
 
     def rhs_coeffs(self) -> np.ndarray:
-        """Noiseless right-hand side: (T h0)_i = sigma_i * a_i."""
-        return self.singular_values * self.h0_coeffs
+        """Noiseless right-hand side: (T h0)_i = sigma_i * a_i, read-only."""
+        return self._rhs
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,7 @@ class NoisyObservation:
         object.__setattr__(self, "r_coeffs", _freeze(self.r_coeffs))
         if self.r_coeffs.ndim != 1:
             raise ValueError("r_coeffs must be a 1-d vector")
-        if not np.all(np.isfinite(self.r_coeffs)):
+        if not np.isfinite(self.r_coeffs).all():
             raise ValueError("non-finite observation")
         if not (self.delta > 0.0):
             raise ValueError("delta must be positive")
@@ -135,7 +151,7 @@ class NoisyObservation:
     def check_bound(self, prob: SpectralProblem) -> None:
         """Verify ||r - T h0|| <= delta against the generating problem."""
         _check_dim(prob, self.r_coeffs)
-        err = float(np.linalg.norm(self.r_coeffs - prob.rhs_coeffs()))
+        err = _norm(self.r_coeffs - prob.rhs_coeffs())
         if err > self.delta * (1.0 + 1e-9):
             raise ValueError(
                 f"observation violates its noise bound: ||r - r0|| = {err} > {self.delta}"
@@ -194,10 +210,10 @@ def perturb_observation(
     if not (delta > 0.0):
         raise ValueError("delta must be positive")
     g = rng.standard_normal(prob.dim)
-    norm = float(np.linalg.norm(g))
+    norm = _norm(g)
     if norm == 0.0:  # pragma: no cover - probability zero
         g = np.ones(prob.dim)
-        norm = float(np.linalg.norm(g))
+        norm = _norm(g)
     obs = NoisyObservation(prob.rhs_coeffs() + g * (delta / norm), float(delta))
     obs.check_bound(prob)
     return obs
@@ -215,32 +231,30 @@ def tikhonov_solve(
     _check_dim(prob, r.r_coeffs)
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    sig = prob.singular_values
     if math.isinf(lam):
         return _freeze(np.zeros(prob.dim))
-    return _freeze(sig * r.r_coeffs / (sig**2 + lam))
+    return _freeze(prob.singular_values * r.r_coeffs / (prob._sig2 + lam))
 
 
 def tikhonov_ideal(prob: SpectralProblem, lam: float) -> np.ndarray:
     """Population-regularized solution: coeffs_i = sigma_i^2/(sigma_i^2+lam) a_i."""
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    sig = prob.singular_values
     if math.isinf(lam):
         return _freeze(np.zeros(prob.dim))
-    return _freeze(sig**2 / (sig**2 + lam) * prob.h0_coeffs)
+    return _freeze(prob._sig2 / (prob._sig2 + lam) * prob.h0_coeffs)
 
 
 def strong_metric(prob: SpectralProblem, coeffs: np.ndarray) -> float:
     """||h - h0||: plain 2-norm of the coefficient error."""
     _check_dim(prob, coeffs)
-    return float(np.linalg.norm(coeffs - prob.h0_coeffs))
+    return _norm(coeffs - prob.h0_coeffs)
 
 
 def weak_metric(prob: SpectralProblem, coeffs: np.ndarray) -> float:
     """||T (h - h0)||: sigma-weighted 2-norm of the coefficient error."""
     _check_dim(prob, coeffs)
-    return float(np.linalg.norm(prob.singular_values * (coeffs - prob.h0_coeffs)))
+    return _norm(prob.singular_values * (coeffs - prob.h0_coeffs))
 
 
 def residual_system(prob: SpectralProblem, r: NoisyObservation) -> TikhonovSystem:
@@ -248,8 +262,8 @@ def residual_system(prob: SpectralProblem, r: NoisyObservation) -> TikhonovSyste
     > 0 (a normal double), p = sigma r and L_min = 0, so its loss is the
     squared residual."""
     _check_dim(prob, r.r_coeffs)
-    sig = prob.singular_values
-    return TikhonovSystem(None, sig**2, sig * r.r_coeffs, 0.0, 0.0)
+    return TikhonovSystem(None, prob._sig2, prob.singular_values * r.r_coeffs,
+                          0.0, 0.0)
 
 
 def classical_dp_select(
@@ -287,7 +301,7 @@ def classical_dp_select(
         raise ValueError("max_steps must be at least 1")
     _check_dim(prob, r.r_coeffs)
     threshold = k * r.delta
-    if float(np.linalg.norm(r.r_coeffs)) <= threshold:
+    if _norm(r.r_coeffs) <= threshold:
         return INFINITE_LAMBDA, _freeze(np.zeros(prob.dim))
     path, converged = walk(residual_system(prob, r), threshold**2,
                            lambda0, rho, max_steps)
@@ -307,9 +321,8 @@ def weak_lower_bound_constant(prob: SpectralProblem) -> float:
     c0 = sum_i a_i^2 sigma_i^2 / (sigma_i^2 + 2)^2, which is positive for
     any nonzero h0.
     """
-    sig = prob.singular_values
-    a = prob.h0_coeffs
-    return float(np.sum(a**2 * sig**2 / (sig**2 + 2.0) ** 2))
+    a, sig2 = prob.h0_coeffs, prob._sig2
+    return float(np.sum(a**2 * sig2 / (sig2 + 2.0) ** 2))
 
 
 def holder_constant(prob: SpectralProblem) -> tuple[float, float]:
@@ -324,7 +337,7 @@ def holder_constant(prob: SpectralProblem) -> tuple[float, float]:
     w0 = prob.w0_coeffs
     if beta <= 2.0:
         gamma = beta / 2.0
-        c_h = (2.0 / beta) * float(np.linalg.norm(w0))
+        c_h = (2.0 / beta) * _norm(w0)
     else:
         gamma = 1.0
         sig = prob.singular_values

@@ -18,12 +18,12 @@ def fold_gram(data, basis_h, basis_f):
     return stacked_gram(values, data.y, (basis_h, basis_f))
 
 
-def fold_system(handle, data):
-    """handle.system_from on data's stacked Gram; a TRAE handle also gets
-    its moment's adversary mean on data."""
+def fold_system(handle, data, basis_z=None):
+    """handle.system_from on data's stacked Gram; an RDIV handle's Gram
+    stacks the instrument basis basis_z, and a TRAE handle also gets its
+    moment's adversary mean on data."""
     if isinstance(handle, RdivEstimator):
-        return handle.system_from(fold_gram(data, handle.basis_x,
-                                            handle.basis_z))
+        return handle.system_from(fold_gram(data, handle.basis_x, basis_z))
     gram = fold_gram(data, handle.basis_h, handle.basis_f)
     adv = handle.basis_f.unscaled().evaluate(data.z)
     return handle.system_from(gram, handle.adversary_mean(data.z, data.y, adv))

@@ -288,7 +288,7 @@ class TestCriterion6RdivOracle:
             lam = float(rng.uniform(0.05, 1.0))
             gram = fold_gram(data, bx, bz)
             b = rdiv_stage1(gram, kx, ridge_stage1=0.0)
-            fit = RdivEstimator(bx, bz, 0.0).system_from(gram).solve(lam)
+            fit = RdivEstimator(bx, ridge_stage1=0.0).system_from(gram).solve(lam)
             # dense oracle assembled with plain loops
             psi = bx.evaluate(data.x)
             phi = bz.evaluate(data.z)
@@ -342,9 +342,9 @@ class TestCriterion8LossMonotonicity:
             y = np.sin(1.5 * x[:, 0]) + 0.4 * rng.normal(size=n)
             data = Dataset(x, z, y)
             bx, bz = polynomial_basis(1, 2), polynomial_basis(1, 2)
-            for est in (RdivEstimator(bx, bz),
+            for est in (RdivEstimator(bx),
                         TraeEstimator(outcome_moment(), bx, bz)):
-                outcome = run_dp(fold_system(est, data), data.n, config)
+                outcome = run_dp(fold_system(est, data, bz), data.n, config)
                 losses = [loss for _, loss in outcome.path]
                 for a, b in zip(losses, losses[1:]):
                     worst = max(worst, b - a)

@@ -166,11 +166,11 @@ class TestDataDrivenPaths:
         for _ in range(5):
             data = self.make_data(rng)
             if kind == "rdiv":
-                handle = RdivEstimator(bx, bz)
+                handle = RdivEstimator(bx)
             else:
                 handle = TraeEstimator(outcome_moment(), bx, bz)
             config = DpConfig(NoiseSchedule("fixed", 1e-10), max_iters=12)
-            outcome = run_dp(fold_system(handle, data), data.n, config)
+            outcome = run_dp(fold_system(handle, data, bz), data.n, config)
             losses = [loss for _, loss in outcome.path]
             assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 

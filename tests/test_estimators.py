@@ -94,16 +94,16 @@ class TestRdivFit:
     def test_zero_outcome_gives_zero_fit(self):
         rng = np.random.default_rng(4)
         data = small_data(rng, n=10, scale=0.0)
-        rdiv = RdivEstimator(polynomial_basis(1, 1), polynomial_basis(1, 1))
-        fit = fold_system(rdiv, data).solve(0.5)
+        rdiv = RdivEstimator(polynomial_basis(1, 1))
+        fit = fold_system(rdiv, data, polynomial_basis(1, 1)).solve(0.5)
         np.testing.assert_allclose(fit.coeffs, 0.0, atol=1e-14)
         assert fit.empirical_loss == pytest.approx(0.0, abs=1e-20)
 
     def test_huge_lambda_kills_coefficients(self):
         rng = np.random.default_rng(5)
         data = small_data(rng, n=20)
-        system = fold_system(RdivEstimator(polynomial_basis(1, 1),
-                                           polynomial_basis(1, 1)), data)
+        system = fold_system(RdivEstimator(polynomial_basis(1, 1)), data,
+                             polynomial_basis(1, 1))
         big = system.solve(1e8)
         ref = system.solve(1.0)
         assert np.linalg.norm(big.coeffs) <= 1e-4 * np.linalg.norm(ref.coeffs)
@@ -130,7 +130,7 @@ class TestRdivFit:
         start = min(coarse, key=objective)
         polished = minimize(objective, start, method="Nelder-Mead",
                             options={"xatol": 1e-10, "fatol": 1e-12}).fun
-        fit = RdivEstimator(bx, bz, 0.0).system_from(gram).solve(lam)
+        fit = RdivEstimator(bx, ridge_stage1=0.0).system_from(gram).solve(lam)
         assert objective(fit.coeffs) <= polished + 1e-8
 
     def test_loss_examples(self):
@@ -240,7 +240,7 @@ def test_every_gram_solve_keeps_one_ridge_rule(entry):
 
 
 @pytest.mark.parametrize("handle", [
-    RdivEstimator(polynomial_basis(1, 1), polynomial_basis(1, 1), 0.0),
+    RdivEstimator(polynomial_basis(1, 1), ridge_stage1=0.0),
     TraeEstimator(outcome_moment(), polynomial_basis(1, 1),
                   polynomial_basis(1, 1), 0.0)], ids=["rdiv", "trae"])
 def test_indefinite_gram_is_numerical_error(handle):
@@ -343,7 +343,7 @@ class TestClosedFormLoss:
             swapped = Dataset(data.z, data.x, data.y)
             gram = fold_gram(data, bx, bz)
             b = rdiv_stage1(gram, 3)
-            fit = RdivEstimator(bx, bz).system_from(gram).solve(lam)
+            fit = RdivEstimator(bx).system_from(gram).solve(lam)
             direct = rdiv_loss(data, b, bz, fit.coeffs)
             scale = max(direct, rdiv_loss(data, b, bz, np.zeros(3)))
             assert abs(fit.empirical_loss - direct) <= 1e-12 * scale
@@ -369,14 +369,14 @@ class TestProperties:
         bx, bz = polynomial_basis(1, 2), polynomial_basis(1, 2)
         gram_x = empirical_gram(bx.evaluate(data.x))
         lam = 0.15
-        rdiv = RdivEstimator(bx, bz)
+        rdiv = RdivEstimator(bx)
         b = rdiv_stage1(fold_gram(data, bx, bz), 3)
         trae = TraeEstimator(outcome_moment(), bx, bz)
         for est, loss in (
             (rdiv, lambda c: rdiv_loss(data, b, bz, c)),
             (trae, lambda c: trae_inner_max(data, outcome_moment(), bx, bz, c)[1]),
         ):
-            fit = fold_system(est, data).solve(lam)
+            fit = fold_system(est, data, bz).solve(lam)
             base = loss(fit.coeffs) + lam * float(fit.coeffs @ gram_x @ fit.coeffs)
             for _ in range(20):
                 c = fit.coeffs + rng.normal(scale=0.3, size=fit.coeffs.size)
@@ -455,7 +455,7 @@ class TestGramOnlySystems:
         data = oracle_data(seed, n)
         bx, bz = polynomial_basis(1, k - 1), polynomial_basis(1, k - 1 + extra)
         gram = fold_gram(data, bx, bz)
-        fit = RdivEstimator(bx, bz).system_from(gram).solve(lam)
+        fit = RdivEstimator(bx).system_from(gram).solve(lam)
         b = rdiv_stage1(gram, k)
         assert_matches_reference(fit, rdiv_reference_system(data, b, bx, bz),
                                  lam)

@@ -335,7 +335,8 @@ class TestSharedFits:
         spec = tiny_spec(dgp=dgp, estimator=estimator)
         cell = harness.prepare_cell(spec, spec.sizes[0], 0)
         shared = harness.shared_fits(spec, cell)[0]
-        own = fold_system(harness.estimator_handle(spec, cell), cell.fit_fold)
+        own = fold_system(harness.estimator_handle(spec, cell), cell.fit_fold,
+                          cell.basis_z)
         for name in ("vecs", "mu", "p", "l_min", "floor"):
             assert np.array_equal(getattr(shared, name), getattr(own, name)), name
         assert (shared.adversary is None) == (own.adversary is None)
@@ -520,9 +521,9 @@ class TestThreadCountIndependence:
         spec = _proxy_spec(estimator=estimator, sizes=(2000,))
         cell = harness.prepare_cell(spec, 2000, 0)
         handle = harness.estimator_handle(spec, cell)
-        two = fold_system(handle, cell.fit_fold)
+        two = fold_system(handle, cell.fit_fold, cell.basis_z)
         with harness._one_blas_thread():
-            one = fold_system(handle, cell.fit_fold)
+            one = fold_system(handle, cell.fit_fold, cell.basis_z)
         for name in ("vecs", "mu", "p", "l_min", "floor"):
             assert np.array_equal(getattr(one, name), getattr(two, name)), name
         for a, b in zip(one.adversary or (), two.adversary or ()):
@@ -602,7 +603,7 @@ class TestProxyRep:
                     (result.q_fit, cell.basis_z, "z")]
         else:
             fit = fold_system(harness.estimator_handle(spec, cell),
-                              cell.fit_fold).solve(0.0)
+                              cell.fit_fold, cell.basis_z).solve(0.0)
             fits = [(fit, cell.basis_x, "x")]
         for fit, basis, fit_block in fits:
             gram = empirical_gram(basis.evaluate(getattr(cell.fit_fold, fit_block)))
@@ -648,7 +649,8 @@ class TestProxyRep:
             fits = [(result.h_fit, cell.basis_x), (result.q_fit, cell.basis_z)]
         else:
             fits = [(fold_system(harness.estimator_handle(spec, cell),
-                                 cell.fit_fold).solve(0.0), cell.basis_x)]
+                                 cell.fit_fold, cell.basis_z).solve(0.0),
+                     cell.basis_x)]
         for fit, basis in fits:
             # intercept minus treatment, each in the basis's own scale
             null = np.zeros(basis.n_funcs)

@@ -71,13 +71,13 @@ def reparameterized(basis, r):
 def fit(kind, data, basis_h, basis_f, lam):
     """Fit h over basis_h against basis_f; the dual's h lives on Z."""
     if kind == "rdiv":
-        est = RdivEstimator(basis_h, basis_f)
+        est = RdivEstimator(basis_h)
     elif kind == "trae":
         est = TraeEstimator(outcome_moment(), basis_h, basis_f)
     else:
         est = TraeEstimator(outcome_moment(), basis_h, basis_f)
         data = data.swapped()
-    return fold_system(est, data).solve(lam)
+    return fold_system(est, data, basis_f).solve(lam)
 
 
 def fitted_values(kind, data, basis_h, coeffs):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import classical_dp_walk, residual_norm
 
-from adaptik import spectral
+from adaptik import discrepancy, spectral
 from adaptik.spectral import (
     INFINITE_LAMBDA,
     GridExhaustedError,
@@ -458,3 +459,115 @@ class TestPathInequalities:
                 ) ** (beta / (1.0 + beta))
                 assert lhs <= rhs + 1e-10
 
+
+
+class TestComputedOnce:
+    """The oracle's constants are computed once and its norms are one dot;
+    every value is the one a fresh computation gives, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=arrays(np.float64, st.integers(0, 70),
+                    elements=st.floats(-1e3, 1e3, allow_subnormal=True)),
+           scale=st.sampled_from([0.0, 5e-324, 1e-310, 1e-160, 1.0, 1e154,
+                                  1e200, 1.7e308]),
+           start=st.integers(0, 3), step=st.integers(1, 4))
+    def test_norm_is_numpys(self, x, scale, start, step):
+        # scales whose squares underflow to subnormals or overflow to inf,
+        # and strided and transposed views, which numpy ravels in memory
+        # order before its dot
+        with np.errstate(all="ignore"):
+            v = (x * scale)[start::step]
+            views = [v, v[::-1]]
+            if v.size >= 2:
+                views.append(v[:v.size // 2 * 2].reshape(2, -1).T)
+            for view in views:
+                got = spectral._norm(view)
+                assert type(got) is float
+                assert repr(got) == repr(float(np.linalg.norm(view)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.sampled_from([1, 7, 200]), seed=st.integers(0, 2**32 - 1),
+           log_lambda0=st.floats(-4.0, 3.0))
+    def test_cached_constants_are_fresh_and_read_only(self, d, seed,
+                                                      log_lambda0):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, d=d)
+        sig = prob.singular_values
+        for cached, fresh in ((prob._sig2, sig**2),
+                              (prob.rhs_coeffs(), sig * prob.h0_coeffs)):
+            assert not cached.flags.writeable
+            assert cached.tobytes() == fresh.tobytes()
+        # 40 points at rho = 0.7 span three 16-point blocks; a negative
+        # level is never met, so the walk tests every point
+        system = residual_system(prob, perturb_observation(prob, 0.01, rng))
+        lambda0 = 10.0**log_lambda0
+        path, converged = discrepancy.walk(system, -1.0, lambda0, 0.7, 40)
+        grid, lam = [], lambda0
+        for _ in range(49):
+            grid.append(lam)
+            lam *= 0.7
+        assert not converged
+        assert [lam for lam, _ in path] == grid[:40]
+        for start in (0, 16, 32):
+            block, values, after = discrepancy._grid_block(grid[start], 0.7)
+            assert not block.flags.writeable
+            assert block[:, 0].tolist() == list(values) == grid[start:start + 16]
+            assert after == grid[start + 16]
+
+
+# The exact bits of classical_dp_select on criteria 1-3's problem
+# (d = 200, sigma_i = 1/i, w0_i proportional to i^-0.4 with norm 4):
+# (beta, rho, -log2 delta, seed) -> (lambda, strong metric, weak metric),
+# the observation drawn by perturb_observation from default_rng(seed).
+GOLDEN_SELECTIONS = {
+    (0.5, 0.5, 3, 0): (0.0625, 0.7061323257901571, 0.13844406190106834),
+    (0.5, 0.5, 3, 1): (0.0625, 0.7024029230239506, 0.13572316808720478),
+    (0.5, 0.5, 6, 0): (0.001953125, 0.3286333114437969, 0.013894227980449321),
+    (0.5, 0.5, 6, 1): (0.001953125, 0.34278229486236284, 0.01328602985355853),
+    (0.5, 0.5, 9, 0): (0.0001220703125, 0.14938336010024175, 0.0020813284793414436),
+    (0.5, 0.5, 9, 1): (0.0001220703125, 0.15640046701726718, 0.0021824064873400915),
+    (0.5, 0.7, 3, 0): (0.05649504979999997, 0.692161203077863, 0.1292961030809825),
+    (0.5, 0.7, 3, 1): (0.05649504979999997, 0.6880214785683351, 0.1266612772012231),
+    (0.5, 0.7, 6, 0): (0.0032568271958208946, 0.368059451656209, 0.019073192808749258),
+    (0.5, 0.7, 6, 1): (0.0032568271958208946, 0.374942329560524, 0.018424607094556327),
+    (0.5, 0.7, 9, 0): (0.00018774960675295479, 0.1643130145781394, 0.002638467869021328),
+    (0.5, 0.7, 9, 1): (0.00018774960675295479, 0.17138787041014217, 0.002728685755105712),
+    (1.0, 0.5, 3, 0): (0.0625, 0.2620472099321835, 0.09874679606052716),
+    (1.0, 0.5, 3, 1): (0.0625, 0.25709100422289327, 0.09538549422564901),
+    (1.0, 0.5, 6, 0): (0.0078125, 0.11023640786446862, 0.01708837932193857),
+    (1.0, 0.5, 6, 1): (0.0078125, 0.10725985299556051, 0.01657134981219405),
+    (1.0, 0.5, 9, 0): (0.00048828125, 0.040841460089922, 0.00162574605420011),
+    (1.0, 0.5, 9, 1): (0.00048828125, 0.04386357453284885, 0.0015750514153218742),
+    (1.0, 0.7, 3, 0): (0.08070721399999996, 0.2904039024058171, 0.12180269022658115),
+    (1.0, 0.7, 3, 1): (0.08070721399999996, 0.286390841370133, 0.11834763707308615),
+    (1.0, 0.7, 6, 0): (0.006646586113920194, 0.10524502694591636, 0.014910072433483504),
+    (1.0, 0.7, 6, 1): (0.006646586113920194, 0.1025218652565262, 0.014357534754149621),
+    (1.0, 0.7, 9, 0): (0.0007819642097165965, 0.04065708152027712, 0.002307562223861181),
+    (1.0, 0.7, 9, 1): (0.0007819642097165965, 0.043672773114038506, 0.002233869577808931),
+    (2.0, 0.5, 3, 0): (0.0625, 0.11032234151106923, 0.07824349548780994),
+    (2.0, 0.5, 3, 1): (0.0625, 0.10492302033762103, 0.07502648709049842),
+    (2.0, 0.5, 6, 0): (0.0078125, 0.039184484802431994, 0.010856146353104036),
+    (2.0, 0.5, 6, 1): (0.0078125, 0.036253799909751507, 0.01036656950203383),
+    (2.0, 0.5, 9, 0): (0.0009765625, 0.020001156683127536, 0.0014827411843176012),
+    (2.0, 0.5, 9, 1): (0.0009765625, 0.019823660094344695, 0.0014130779188362894),
+    (2.0, 0.7, 3, 0): (0.11529601999999994, 0.16369866605557903, 0.13627441721678477),
+    (2.0, 0.7, 3, 1): (0.11529601999999994, 0.15920928849308102, 0.13317324513125495),
+    (2.0, 0.7, 6, 0): (0.009495123019885992, 0.036630954044674646, 0.013053191375068506),
+    (2.0, 0.7, 6, 1): (0.009495123019885992, 0.03365023938297743, 0.012579732749874525),
+    (2.0, 0.7, 9, 0): (0.001595845325952238, 0.014592154257148384, 0.0022794918755409876),
+    (2.0, 0.7, 9, 1): (0.001595845325952238, 0.014573228275115705, 0.0022074479068250243),
+}
+
+
+def test_selections_keep_their_recorded_bits():
+    idx = np.arange(1, 201, dtype=np.float64)
+    w0 = idx**-0.4
+    w0 = 4.0 * w0 / np.linalg.norm(w0)
+    problems = {beta: make_source_problem(200, 1.0, beta, w0)
+                for beta in (0.5, 1.0, 2.0)}
+    for (beta, rho, e, seed), expected in GOLDEN_SELECTIONS.items():
+        prob = problems[beta]
+        obs = perturb_observation(prob, 2.0**-e, np.random.default_rng(seed))
+        lam, sol = classical_dp_select(prob, obs, rho=rho)
+        got = (lam, strong_metric(prob, sol), weak_metric(prob, sol))
+        assert repr(got) == repr(expected), (beta, rho, e, seed)
