@@ -8,8 +8,9 @@ once, and every lambda strategy is fitted on that same draw, from
 factored systems built once (for dr, the primal and the dual).  Runs
 are therefore reproducible rep by rep and embarrassingly parallel with
 order-independent output.
-Sweeps run on one BLAS thread per process; parallelism comes from
-worker processes.
+Sweeps run on one BLAS thread per process.  With `jobs` J the units are
+dealt round robin into at most J shares; a forked worker runs each
+share but the first, which the calling process runs.
 
 Raw rows, one per (n, strategy, rep), go to a CSV with fixed columns
     n, strategy, rep, abs_error, strong_sq, weak_sq, lambda_dp, iters, wall_ms
@@ -28,10 +29,10 @@ import ctypes
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -167,8 +168,9 @@ class ExperimentSpec:
 
 
 def _whole(value, key: str) -> int:
-    """A count given as a whole number (3 or 3.0, not 2.5 or True)."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """A count given as a whole number (3 or 3.0, not 2.5, True or "3")."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
         raise ValueError(f"{key} must be whole numbers, got {value!r}")
     return int(value)
 
@@ -320,6 +322,11 @@ def _run_rep(payload) -> list:
     return rows
 
 
+def _run_share(payloads: list) -> list:
+    """_run_rep of each (spec, n, rep), in order."""
+    return [_run_rep(p) for p in payloads]
+
+
 def _fit_strategy(spec: ExperimentSpec, cell: CellSetup, shared, strategy):
     """(theta_hat, h coefficients, lambda, iterations) of one strategy.
 
@@ -351,10 +358,10 @@ def _error_row(n: int, strategy, rep: int, exc: Exception) -> dict:
 # -- BLAS threads ---------------------------------------------------------------
 #
 # Sweep matrices are K <= ~70, so threaded BLAS only adds synchronization;
-# parallelism comes from worker processes.  numpy's wheel ships its own
-# OpenBLAS, and so does scipy's, which is mapped only once something in
-# the process has imported scipy (adaptik never does); every copy that
-# is mapped is pinned.
+# parallelism comes from the `jobs` processes, the caller and its forked
+# workers.  numpy's wheel ships its own OpenBLAS, and so does scipy's,
+# which is mapped only once something in the process has imported scipy
+# (adaptik never does); every copy that is mapped is pinned.
 #
 # A fork takes down OpenBLAS's thread pool in parent and child alike, and
 # the next set-count call starts a new one whose idle threads spin for
@@ -429,12 +436,12 @@ def _one_blas_thread():
 # A proxy rep (n = 5000) frees and allocates again a ~7 MB working set.
 # Under glibc's default mmap and trim thresholds every rep faulted it in
 # afresh: ~147k minor page faults, ~0.3 s of a ~1.1 s proxy_nc_sweep
-# round.  So a process that runs reps (the caller at jobs 1, each pool
-# worker) keeps freed memory, with an mmap threshold of 32 MiB and a
+# round.  So a process that runs reps (the caller and each worker) keeps
+# freed memory, with an mmap threshold of 32 MiB and a
 # trim threshold of 256 MiB, and the caller trims when its sweep ends:
-# ~5k faults a round.  The pool's parent keeps the defaults, so its
-# forks inherit no retained heap.  Without glibc's mallopt this does
-# nothing.
+# ~5k faults a round.  Workers are forked before the caller keeps freed
+# memory, so they inherit no heap retained by this sweep.  Without
+# glibc's mallopt this does nothing.
 
 def _malloc_calls():
     """glibc's (mallopt, malloc_trim), or None where they are missing."""
@@ -460,6 +467,17 @@ def _keep_freed_memory() -> None:
 def _init_worker() -> None:
     _pin_one_blas_thread()
     _keep_freed_memory()
+
+
+def _process_pool(workers: int):
+    """A pool of `workers` processes, forked at its first submit, each
+    pinned to one BLAS thread and keeping freed memory.
+
+    concurrent.futures is imported only here, so a sweep without workers
+    and every other command skip its import.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
 
 
 @dataclass
@@ -538,21 +556,29 @@ def _format_cell(value) -> str:
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunRecord:
     """Run every (n, rep) on one BLAS thread; failures are recorded, not raised.
 
-    Rows and failures come back in (n, strategy, rep) order.  At most one
-    worker per (n, rep) is started, and a single (n, rep) runs in-process.
+    Rows and failures come back in (n, strategy, rep) order.  The units
+    are dealt round robin into min(jobs, units) shares; a worker is
+    forked for each share but the first, which the calling process runs,
+    so jobs=1 or a single (n, rep) forks nothing.
     """
+    jobs = _whole(jobs, "jobs")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     payloads = [(spec, n, rep) for n in spec.sizes for rep in range(spec.reps)]
-    jobs = min(jobs, len(payloads))
-    with _one_blas_thread():
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs,
-                                     initializer=_init_worker) as pool:
-                by_rep = list(pool.map(_run_rep, payloads))
-        else:
-            _keep_freed_memory()
-            by_rep = [_run_rep(p) for p in payloads]
-            if _MALLOC_TRIM is not None:
-                _MALLOC_TRIM(0)
+    count = min(jobs, len(payloads))
+    shares = [payloads[k::count] for k in range(count)]
+    with _one_blas_thread(), contextlib.ExitStack() as stack:
+        futures = []
+        if count > 1:
+            pool = stack.enter_context(_process_pool(count - 1))
+            futures = [pool.submit(_run_share, share) for share in shares[1:]]
+        _keep_freed_memory()
+        done = [_run_share(shares[0])] + [f.result() for f in futures]
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
+    by_rep = [None] * len(payloads)
+    for k, share in enumerate(done):
+        by_rep[k::count] = share
     results = [
         by_rep[i * spec.reps + rep][si]
         for i in range(len(spec.sizes))

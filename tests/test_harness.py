@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,8 +75,8 @@ class TestExperimentSpec:
             with pytest.raises(ValueError, match="at least 4"):
                 tiny_spec(sizes=sizes)
         # counts are whole numbers; 200.0 is 200, but 200.7 is not 200
-        for key, bad in (("reps", 2.5), ("reps", True), ("sizes", (200.7, 300)),
-                         ("sizes", (True, 300))):
+        for key, bad in (("reps", 2.5), ("reps", True), ("reps", "3"),
+                         ("sizes", (200.7, 300)), ("sizes", (True, 300))):
             with pytest.raises(ValueError, match="whole numbers"):
                 tiny_spec(**{key: bad})
         spec = tiny_spec(reps=2.0, sizes=(200.0, 300))
@@ -209,32 +210,44 @@ class TestRunExperiment:
                 )
 
     @pytest.mark.parametrize("sizes, reps, workers", [
-        ((150,), 2, [2]), ((150, 100), 1, [2]), ((150,), 1, [])])
+        ((150,), 2, [1]), ((150, 100), 1, [1]), ((150,), 1, []),
+        ((150, 100, 120), 2, [2, 1, 1])])
     def test_pool_starts_no_idle_worker(self, monkeypatch, sizes, reps,
                                         workers):
-        # at most one worker per (n, rep), and none for a single one; the
-        # fake pool runs in-process, so jobs=64 starts no process
-        made = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        # at jobs=4, min(4, units) - 1 workers, as the caller runs a share,
+        # and none for a single (n, rep); `workers` lists the units each
+        # worker is given (6 units: the caller runs 2).  The fake pool runs
+        # in-process, so no process starts, and the rows equal jobs=1's
+        events = []
+        monkeypatch.setattr(harness, "_process_pool",
+                            lambda count: InProcessPool(events, count))
         spec = tiny_spec(sizes=sizes, reps=reps, strategies=("dp", 0.01))
-        record = run_experiment(spec, jobs=64)
-        assert made == workers
+        record = run_experiment(spec, jobs=4)
+        assert events == ([("pool", len(workers))] if workers else []) + [
+            ("submit", units) for units in workers]
         assert _row_cells(record.rows) == _row_cells(
             run_experiment(spec, jobs=1).rows)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_real_pool_rows_equal_jobs_1_on_uneven_sizes(self, jobs):
+        spec = tiny_spec(sizes=(120, 300, 200), reps=2)
+        record = run_experiment(spec, jobs=jobs)
+        assert not record.failures
+        assert _row_cells(record.rows) == _row_cells(
+            run_experiment(spec, jobs=1).rows)
+
+    @pytest.mark.parametrize("jobs, message", [
+        (0, "at least 1"), (-3, "at least 1"), (1.5, "whole numbers"),
+        (True, "whole numbers"), (False, "whole numbers"),
+        ("2", "whole numbers"), (None, "whole numbers")])
+    def test_jobs_must_be_a_whole_number_of_at_least_1(self, monkeypatch, jobs,
+                                                       message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("data drawn for an invalid jobs")
+
+        monkeypatch.setattr(harness, "gen_npiv", no_draw)
+        with pytest.raises(ValueError, match=f"^jobs must be {message}"):
+            run_experiment(tiny_spec(), jobs=jobs)
 
     def test_csv_round_trip_and_aggregation(self, tmp_path):
         spec = tiny_spec(reps=3)
@@ -493,6 +506,26 @@ class TestOneBlasThread:
         assert np.allclose(a.T @ a, np.einsum("ij,ik->jk", a, a))
 
 
+class InProcessPool:
+    """Stands in for harness._process_pool: logs ("pool", workers) and
+    ("submit", units) to `events`, and runs a task in-process when its
+    result is asked for."""
+
+    def __init__(self, events, workers):
+        self.events = events
+        events.append(("pool", workers))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, payloads):
+        self.events.append(("submit", len(payloads)))
+        return SimpleNamespace(result=lambda: fn(payloads))
+
+
 def _row_cells(rows):
     return [[repr(r[c]) for c in harness.CSV_COLUMNS if c != "wall_ms"]
             for r in rows]
@@ -704,15 +737,22 @@ class TestFreedMemoryReuse:
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) < 200
 
-    def test_workers_keep_freed_memory_and_the_pool_parent_does_not(
+    def test_workers_start_before_the_caller_keeps_freed_memory(
             self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "_MALLOPT", lambda param, value: calls.append(
             ("mallopt", param, value)))
         monkeypatch.setattr(harness, "_MALLOC_TRIM", lambda pad: calls.append(
             ("malloc_trim", pad)))
+        monkeypatch.setattr(harness, "_process_pool",
+                            lambda count: InProcessPool(calls, count))
         run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
-        assert calls == []
+        # the worker is forked at its submit, before the caller's first
+        # mallopt, so it inherits no heap kept by this sweep
+        assert calls == [("pool", 1), ("submit", 1),
+                         ("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20),
+                         ("malloc_trim", 0)]
+        calls.clear()
         harness._init_worker()
         assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20)]
         calls.clear()
