@@ -164,20 +164,15 @@ def _cmd_fit(args) -> int:
         raise UsageError(f"--lambda must be finite and nonnegative, got {args.lam}")
     n = spec.sizes[0]
     cell = prepare_cell(spec, n, rep=0)
-    shared = shared_fits(spec, cell)
-    if spec.estimator == "dr":
-        estimate = shared.run(args.lam).estimate
+    theta, h_fit, _, estimate = shared_fits(spec, cell)(args.lam)
+    if estimate is None:
+        record = h_fit.to_record()
+        record.update(iterations=1, n=n, theta_hat=theta)
+    else:  # dr: the estimate and interval, both sides at the one lambda
         record = estimate.to_record()
         record.update(lambda_primal=args.lam, lambda_dual=args.lam,
-                      iterations=2, abs_error=abs(estimate.theta_hat
-                                                  - cell.theta0))
-    else:
-        system, target = shared
-        fit = system.solve(args.lam)
-        theta = float((target @ fit.coeffs).mean())
-        record = fit.to_record()
-        record.update(iterations=1, n=n, theta_hat=theta,
-                      abs_error=abs(theta - cell.theta0))
+                      iterations=2)
+    record["abs_error"] = abs(theta - cell.theta0)
     print(json.dumps(record, indent=2))
     return 0
 

@@ -165,17 +165,16 @@ def _mvn(rng: np.random.Generator, cov: np.ndarray, n: int) -> np.ndarray:
 
 
 def gen_proxy_nc(
-    params: ProxyNcParams, n: int, rng: np.random.Generator | int
+    params: ProxyNcParams, n: int, rng: np.random.Generator
 ) -> tuple[Dataset, float]:
-    """Draw n records and return them with the analytic treatment effect.
+    """Draw n records from rng and return them with the analytic
+    treatment effect.
 
     Draw order is fixed (S', A, eps_u, eps_q, eps_w, eps_y) so a given
     generator state always yields the same dataset.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if isinstance(rng, (int, np.integer)):
-        rng = stream_rng(int(rng))
     g_fwd = _TRANSFORMS[params.transform]
 
     s_lat = rng.normal(0.0, math.sqrt(0.5), size=(n, params.d_s))
@@ -303,9 +302,10 @@ class NpivTruth:
 
 
 def gen_npiv(
-    params: NpivParams, n: int, rng: np.random.Generator | int
+    params: NpivParams, n: int, rng: np.random.Generator
 ) -> tuple[Dataset, NpivTruth]:
-    """Draw n records of the circular design.
+    """Draw n records of the circular design from rng; a given generator
+    state always yields the same dataset.
 
     Z ~ U[-pi, pi); eta = b * sqrt(G) * N(0,1) with G ~ Gamma(p/2, 2);
     X = wrap(Z + eta); Y = h0(X) + e where e mixes a standardized
@@ -314,8 +314,6 @@ def gen_npiv(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if isinstance(rng, (int, np.integer)):
-        rng = stream_rng(int(rng))
     z = rng.uniform(-math.pi, math.pi, size=n)
     if params.smoothing > 0.0:
         gmix = rng.gamma(shape=params.decay_p / 2.0, scale=2.0, size=n)

@@ -267,15 +267,30 @@ def dr_config(spec: ExperimentSpec, cell: CellSetup) -> DrPipelineConfig:
 
 
 def shared_fits(spec: ExperimentSpec, cell: CellSetup):
-    """What every strategy of a rep solves from: for dr the cell's
-    DrFold, otherwise the factored system of the fit fold and the eval
-    fold's target matrix."""
+    """The rep's fitter, fit(strategy) -> (theta_hat, h_fit, iterations,
+    estimate), on what it builds once: for dr the cell's DrFold (estimate
+    is its FunctionalEstimate, a DP strategy counts both searches' grid
+    points), otherwise the fit fold's factored system and the eval fold's
+    target matrix (estimate is None)."""
     if spec.estimator == "dr":
         values, cell.fit_values = cell.fit_values, None
-        return DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell),
+        fold = DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell),
                          values, cell.fit_gram)
-    return (estimator_handle(spec, cell).system_from(cell.fit_gram),
-            cell.target.matrix(cell.eval_fold.x, cell.eval_fold.y, cell.basis_x))
+
+        def fit(strategy):
+            r = fold.run(strategy)
+            iters = 1 if r.dp_primal is None else (
+                r.dp_primal.iterations + r.dp_dual.iterations)
+            return r.estimate.theta_hat, r.h_fit, iters, r.estimate
+        return fit
+    system = estimator_handle(spec, cell).system_from(cell.fit_gram)
+    target = cell.target.matrix(cell.eval_fold.x, cell.eval_fold.y, cell.basis_x)
+
+    def fit(strategy):
+        h_fit, outcome = tune(system, cell.fit_fold.n, spec.dp_config(), strategy)
+        iters = 1 if outcome is None else outcome.iterations
+        return float((target @ h_fit.coeffs).mean()), h_fit, iters, None
+    return fit
 
 
 def _run_rep(payload) -> list:
@@ -290,7 +305,7 @@ def _run_rep(payload) -> list:
     start = time.perf_counter()
     try:
         cell = prepare_cell(spec, n, rep)
-        shared = shared_fits(spec, cell)
+        fit = shared_fits(spec, cell)
     except Exception as exc:  # per-rep failures must not kill the sweep
         return [_error_row(n, s, rep, exc) for s in spec.strategies]
     shared_s = time.perf_counter() - start
@@ -299,12 +314,11 @@ def _run_rep(payload) -> list:
     for strategy in spec.strategies:
         t0 = time.perf_counter()
         try:
-            theta_hat, h_coeffs, lam_dp, iters = _fit_strategy(
-                spec, cell, shared, strategy)
+            theta_hat, h_fit, iters, _ = fit(strategy)
             strong_sq = weak_sq = math.nan
             if spec.dgp == "npiv":
-                strong_sq = cell.truth.strong_sq(h_coeffs)
-                weak_sq = cell.truth.weak_sq(h_coeffs)
+                strong_sq = cell.truth.strong_sq(h_fit.coeffs)
+                weak_sq = cell.truth.weak_sq(h_fit.coeffs)
         except Exception as exc:  # per-cell failures must not kill the sweep
             rows.append(_error_row(n, strategy, rep, exc))
             continue
@@ -315,7 +329,7 @@ def _run_rep(payload) -> list:
             "abs_error": abs(theta_hat - cell.theta0),
             "strong_sq": strong_sq,
             "weak_sq": weak_sq,
-            "lambda_dp": lam_dp,
+            "lambda_dp": h_fit.lam,
             "iters": iters,
             "wall_ms": (shared_s + time.perf_counter() - t0) * 1e3,
         })
@@ -325,25 +339,6 @@ def _run_rep(payload) -> list:
 def _run_share(payloads: list) -> list:
     """_run_rep of each (spec, n, rep), in order."""
     return [_run_rep(p) for p in payloads]
-
-
-def _fit_strategy(spec: ExperimentSpec, cell: CellSetup, shared, strategy):
-    """(theta_hat, h coefficients, lambda, iterations) of one strategy.
-
-    For dr, lambda is the primal's; a DP strategy counts the grid points
-    both searches tested, a fixed lambda counts 1.
-    """
-    if spec.estimator == "dr":
-        result = shared.run(strategy)
-        iters = 1
-        if strategy == "dp":
-            iters = result.dp_primal.iterations + result.dp_dual.iterations
-        h_fit = result.h_fit
-        return result.estimate.theta_hat, h_fit.coeffs, h_fit.lam, iters
-    system, target = shared
-    fit, outcome = tune(system, cell.fit_fold.n, spec.dp_config(), strategy)
-    iters = 1 if outcome is None else outcome.iterations
-    return float((target @ fit.coeffs).mean()), fit.coeffs, fit.lam, iters
 
 
 def _error_row(n: int, strategy, rep: int, exc: Exception) -> dict:

@@ -231,8 +231,6 @@ def tikhonov_solve(
     _check_dim(prob, r.r_coeffs)
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    if math.isinf(lam):
-        return _freeze(np.zeros(prob.dim))
     return _freeze(prob.singular_values * r.r_coeffs / (prob._sig2 + lam))
 
 
@@ -240,8 +238,6 @@ def tikhonov_ideal(prob: SpectralProblem, lam: float) -> np.ndarray:
     """Population-regularized solution: coeffs_i = sigma_i^2/(sigma_i^2+lam) a_i."""
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    if math.isinf(lam):
-        return _freeze(np.zeros(prob.dim))
     return _freeze(prob._sig2 / (prob._sig2 + lam) * prob.h0_coeffs)
 
 

@@ -150,6 +150,22 @@ class TestExperimentReportRates:
                      "--jobs", "2"]) == 0
         assert len(RunRecord.from_csv(out + ".csv").rows) == 4
 
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        # the record, spec_hash line included, is the one of a config that
+        # carries the flag's seed
+        def record_lines(prefix):
+            lines = Path(prefix + ".csv").read_text().splitlines()
+            return [line.rsplit(",", 1)[0] for line in lines]  # less wall_ms
+
+        flagged, carried = str(tmp_path / "flagged"), str(tmp_path / "carried")
+        assert main(["experiment", "--config", write_config(tmp_path, seed=4),
+                     "--out", flagged, "--seed", "9"]) == 0
+        config = write_config(tmp_path, seed=9)
+        assert main(["experiment", "--config", config, "--out", carried]) == 0
+        assert record_lines(flagged) == record_lines(carried)
+        spec = ExperimentSpec.from_dict(json.loads(Path(config).read_text()))
+        assert record_lines(flagged)[0] == f"# spec_hash={spec.spec_hash()}"
+
 
 class TestFitCommand:
     def test_single_fit(self, tmp_path, capsys):
@@ -180,6 +196,25 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["experiment", "--config", "/nonexistent.json"]) == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_config_that_is_not_json_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("dgp: npiv\n")
+        assert main(["experiment", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "is not valid JSON" in err
+
+    def test_jobs_below_1_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --jobs was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_work)
+        out = str(tmp_path / "run")
+        assert main(["experiment", "--config", write_config(tmp_path),
+                     "--out", out, "--jobs", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--jobs must be at least 1" in err
+        assert not (tmp_path / "run.csv").exists()
 
     def test_bad_config_key_is_addressed(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -290,6 +325,30 @@ class TestExitCodes:
         assert main(["rates", "--record", out + ".csv"]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "2 distinct n" in err
+
+    def test_rates_of_a_header_only_record_is_usage_error(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "record.csv"
+        RunRecord("0123456789abcdef", []).to_csv(path)
+        assert main(["rates", "--record", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "has no rows" in err
+
+    def test_rates_of_a_zero_error_curve_is_numerical_failure(self, tmp_path,
+                                                               capsys):
+        # a strategy whose mean abs_error is 0 has no log-log slope
+        rows = [{"n": n, "strategy": strategy, "rep": 0,
+                 "abs_error": 0.0 if strategy == "dp" else 1.0 / n,
+                 "strong_sq": 1.0, "weak_sq": 1.0, "lambda_dp": 0.5,
+                 "iters": 1, "wall_ms": 1.0}
+                for n in (100, 200, 400) for strategy in ("fixed_0.01", "dp")]
+        path = tmp_path / "record.csv"
+        RunRecord("0123456789abcdef", rows).to_csv(path)
+        assert main(["rates", "--record", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure:")
+        assert "strictly positive" in captured.err
+        assert "slope" not in captured.out
 
     @pytest.mark.parametrize("metric", ["strong_sq", "weak_sq"])
     def test_rates_of_a_metric_proxy_nc_does_not_record(self, tmp_path, capsys,

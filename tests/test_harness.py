@@ -13,7 +13,7 @@ from folds import fold_system
 
 from adaptik import harness
 from adaptik.dgp import gen_proxy_nc
-from adaptik.discrepancy import DpConfig, NoiseSchedule
+from adaptik.discrepancy import DpConfig, NoiseSchedule, run_dp
 from adaptik.estimators import TikhonovSystem, trae_dual_fit, trae_fit
 from adaptik.functional import DrEvaluation, DrFold, adaptive_dr_pipeline, split
 from adaptik.harness import (
@@ -343,18 +343,31 @@ class TestSharedFits:
     @pytest.mark.parametrize("estimator", ["rdiv", "trae"])
     @pytest.mark.parametrize("dgp", ["npiv", "proxy_nc"])
     def test_system_from_the_cell_gram_is_the_handles_own(self, dgp, estimator):
-        # the system factored from prepare_cell's stacked Gram has the
-        # bits of the one the handle builds from the fit fold itself
+        # the system the rep's fitter solves, factored from prepare_cell's
+        # stacked Gram, has the bits of the one the handle builds from the
+        # fit fold itself
         spec = tiny_spec(dgp=dgp, estimator=estimator)
         cell = harness.prepare_cell(spec, spec.sizes[0], 0)
-        shared = harness.shared_fits(spec, cell)[0]
-        own = fold_system(harness.estimator_handle(spec, cell), cell.fit_fold,
-                          cell.basis_z)
+        handle = harness.estimator_handle(spec, cell)
+        shared = handle.system_from(cell.fit_gram)
+        own = fold_system(handle, cell.fit_fold, cell.basis_z)
         for name in ("vecs", "mu", "p", "l_min", "floor"):
             assert np.array_equal(getattr(shared, name), getattr(own, name)), name
         assert (shared.adversary is None) == (own.adversary is None)
         for a, b in zip(shared.adversary or (), own.adversary or ()):
             assert np.array_equal(a, b)
+
+
+def _expected_row(spec, cell, strategy, rep, theta, coeffs, lam, iters):
+    """The sweep row of a strategy's estimate theta and h coefficients."""
+    npiv = spec.dgp == "npiv"
+    return {
+        "n": cell.data.n, "strategy": strategy_label(strategy), "rep": rep,
+        "abs_error": abs(theta - cell.theta0),
+        "strong_sq": cell.truth.strong_sq(coeffs) if npiv else math.nan,
+        "weak_sq": cell.truth.weak_sq(coeffs) if npiv else math.nan,
+        "lambda_dp": lam, "iters": iters,
+    }
 
 
 class TestDrRows:
@@ -389,14 +402,8 @@ class TestDrRows:
                             config.target_moment, config.outcome_moment,
                         ).estimate(h_fit, q_fit).theta_hat
                         coeffs, lam, iters = h_fit.coeffs, strategy, 1
-                    npiv = spec.dgp == "npiv"
-                    rows.append({
-                        "n": n, "strategy": strategy_label(strategy), "rep": rep,
-                        "abs_error": abs(theta - cell.theta0),
-                        "strong_sq": cell.truth.strong_sq(coeffs) if npiv else math.nan,
-                        "weak_sq": cell.truth.weak_sq(coeffs) if npiv else math.nan,
-                        "lambda_dp": lam, "iters": iters,
-                    })
+                    rows.append(_expected_row(spec, cell, strategy, rep, theta,
+                                              coeffs, lam, iters))
         return rows
 
     @pytest.mark.parametrize("dgp, jobs", [("npiv", 1), ("npiv", 2), ("proxy_nc", 1)])
@@ -411,6 +418,46 @@ class TestDrRows:
                     for r in rows]
 
         assert cells(record.rows) == cells(self._pipeline_rows(spec))
+
+
+class TestPlugInRows:
+    """An rdiv or trae rep's rows are its fold system's, tuned per strategy
+    and averaged over the eval fold's target matrix."""
+
+    @staticmethod
+    def _public_rows(spec):
+        """The rows of fold_system on the fit fold's records, run_dp per
+        DP strategy or one solve per fixed lambda, and the mean of the
+        eval fold's target moment."""
+        rows = []
+        for n in spec.sizes:
+            for strategy in spec.strategies:
+                for rep in range(spec.reps):
+                    cell = harness.prepare_cell(spec, n, rep)
+                    system = fold_system(harness.estimator_handle(spec, cell),
+                                         cell.fit_fold, cell.basis_z)
+                    if strategy == "dp":
+                        outcome = run_dp(system, cell.fit_fold.n,
+                                         spec.dp_config())
+                        fit, iters = outcome.fit, outcome.iterations
+                    else:
+                        fit, iters = system.solve(strategy), 1
+                    eval_fold = cell.eval_fold
+                    target = cell.target.matrix(eval_fold.x, eval_fold.y,
+                                                cell.basis_x)
+                    theta = float((target @ fit.coeffs).mean())
+                    rows.append(_expected_row(spec, cell, strategy, rep, theta,
+                                              fit.coeffs, fit.lam, iters))
+        return rows
+
+    @pytest.mark.parametrize("estimator", ["rdiv", "trae"])
+    @pytest.mark.parametrize("dgp, jobs", [("npiv", 1), ("npiv", 2), ("proxy_nc", 1)])
+    def test_rows_equal_the_public_steps_per_strategy(self, dgp, jobs, estimator):
+        spec = tiny_spec(dgp=dgp, estimator=estimator, sizes=(300,),
+                         strategies=("dp", 0.0, 0.01), reps=2)
+        record = run_experiment(spec, jobs=jobs)
+        assert not record.failures
+        assert _row_cells(record.rows) == _row_cells(self._public_rows(spec))
 
 
 _GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")

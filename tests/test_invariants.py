@@ -16,6 +16,11 @@ does not converge at max_iters.  Its block walk must agree exactly with
 a solve at every grid point in turn.  The loss is L_min plus the excess
 over it, so along the grid it never rises as lambda falls and never
 drops below L_min, however small lambda is.
+
+The search should select the same lambda whatever the units of y.  It
+does not yet: the loss scales with y squared and the schedule's noise
+level does not, so that test is a strict expected failure and must lose
+its marker once the level is made scale-free.
 """
 
 import warnings
@@ -27,6 +32,7 @@ from folds import fold_system
 from hypothesis import strategies as st
 from oracles import dp_walk, path_shows_bracket
 
+from adaptik.dgp import NpivParams, gen_npiv
 from adaptik.discrepancy import DpConfig, NoiseSchedule, run_dp
 from adaptik.estimators import (
     RdivEstimator,
@@ -34,7 +40,9 @@ from adaptik.estimators import (
     TraeEstimator,
     outcome_moment,
 )
+from adaptik.functional import SplitPlan, split
 from adaptik.sieve import Dataset, custom_basis, empirical_gram, polynomial_basis
+from adaptik.util import stream_rng
 
 KINDS = ("rdiv", "trae", "dual")
 
@@ -135,6 +143,24 @@ def test_coefficients_scale_linearly_with_y(kind, seed, n, k, j, lam, factor):
     bh, bf = polynomial_basis(1, k - 1), polynomial_basis(1, j - 1)
     base = fit(kind, data, bh, bf, lam)
     assert_close(fit(kind, scaled, bh, bf, lam).coeffs, factor * base.coeffs)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the noise level does not scale with y: TRAE at c_d 2 selects "
+    "lambda 2, 0.125 and 0.0078125 at s = 0.1, 1 and 10"))
+@pytest.mark.parametrize("scale", [0.1, 10.0])
+def test_dp_selection_is_invariant_to_the_units_of_y(scale):
+    # under y -> s y the selected lambda is unchanged and the
+    # coefficients scale by s
+    data, truth = gen_npiv(NpivParams(), 2000, stream_rng(7))
+    fold, _ = split(data, SplitPlan(7))
+    handle = TraeEstimator(outcome_moment(), truth.basis, truth.basis)
+    config = DpConfig(NoiseSchedule("trae_squared", 2.0))
+    base = run_dp(fold_system(handle, fold), fold.n, config)
+    scaled = Dataset(fold.x, fold.z, scale * fold.y, fold.w_extra)
+    outcome = run_dp(fold_system(handle, scaled), fold.n, config)
+    assert outcome.lambda_dp == base.lambda_dp
+    assert_close(outcome.fit.coeffs, scale * base.fit.coeffs)
 
 
 def random_system(seed, k, n, singular=False):

@@ -116,6 +116,18 @@ class TestTikhonovSolve:
             sol = tikhonov_solve(prob, NoisyObservation(r, 10.0), lam)
             np.testing.assert_allclose(sol, oracle, atol=1e-10)
 
+    def test_infinite_lambda_gives_read_only_zeros(self):
+        # sigma r / (sigma^2 + inf) and sigma^2 / (sigma^2 + inf) a are 0
+        # in floating point, with no warning
+        prob = make_source_problem(3, 1.0, 1.0, [1.0, -2.0, 0.5])
+        obs = NoisyObservation(np.array([0.7, -1.3, 2.0]), 1.0)
+        with np.errstate(all="raise"):
+            sols = (tikhonov_solve(prob, obs, math.inf),
+                    tikhonov_ideal(prob, math.inf))
+        for sol in sols:
+            assert sol.tolist() == [0.0, 0.0, 0.0]
+            assert not sol.flags.writeable
+
     def test_dimension_mismatch(self):
         prob = make_source_problem(2, 1.0, 1.0, [1.0, 1.0])
         with pytest.raises(ValueError, match="dimension"):
