@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: generate | fit | dp | experiment | rates | report.
+generate, fit and dp --config act on a config's first rep, the data and
+fitter behind the first rows of its sweep.
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
@@ -14,24 +16,22 @@ import sys
 from pathlib import Path
 
 from adaptik.discrepancy import DpConfig, DpFitError, NoiseSchedule, run_dp
-from adaptik.dgp import NpivParams, ProxyNcParams, gen_npiv, gen_proxy_nc
 from adaptik.estimators import NumericalError
 from adaptik.harness import (
     ExperimentSpec,
     RunRecord,
-    estimator_handle,
     fit_rate_by_strategy,
+    iterations,
     prepare_cell,
     report_text,
     run_experiment,
     shared_fits,
 )
 from adaptik.sieve import save_dataset_csv
-from adaptik.spectral import (GridExhaustedError, exact_observation,
-                              make_source_problem, residual_system)
-from adaptik.util import stream_rng
+from adaptik.spectral import exact_observation, make_source_problem, residual_system
 
-_SCHEDULE_FLAG = {"rdiv": "rdiv_sqrt", "trae": "trae_squared", "fixed": "fixed"}
+# dp's search flags, named as the ExperimentSpec fields they replace
+_SEARCH_FLAGS = ("schedule_kind", "cd", "lambda0", "rho", "max_iters")
 
 
 class UsageError(Exception):
@@ -47,11 +47,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="adaptik", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("generate", help="write a dataset CSV and its params file")
-    p.add_argument("--dgp", choices=["proxy_nc", "npiv"], default="proxy_nc")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--master-seed", type=int, default=0)
+    p = sub.add_parser("generate", help="write a config's first dataset and params")
+    p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output prefix")
 
     p = sub.add_parser("fit", help="single estimator run at a given lambda")
@@ -62,8 +60,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("dp", help="adaptive lambda search with a printed path table")
     p.add_argument("--config", default=None,
                    help="experiment config; without it a one-mode spectral problem "
-                   "runs (squared residual, delta 0.0625)")
-    p.add_argument("--schedule", choices=sorted(_SCHEDULE_FLAG), default=None)
+                   "runs (squared residual, delta 0.0625) and takes no flags")
+    p.add_argument("--schedule", dest="schedule_kind", default=None,
+                   help="noise schedule kind: rdiv_sqrt, trae_squared or fixed")
     p.add_argument("--cd", type=float, default=None)
     p.add_argument("--lambda0", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
@@ -95,6 +94,8 @@ def _load_spec(path: str, seed_override: int | None) -> ExperimentSpec:
         raise UsageError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
     if seed_override is not None:
         doc["seed"] = seed_override
     try:
@@ -123,38 +124,14 @@ def _out_prefix(out: str) -> str:
 
 
 def _cmd_generate(args) -> int:
-    if args.n < 2:
-        raise UsageError(f"--n must be at least 2, got {args.n}")
-    _out_prefix(args.out)
-    rng = stream_rng(args.seed)
-    if args.dgp == "proxy_nc":
-        params = ProxyNcParams.default(args.master_seed)
-        data, theta0 = gen_proxy_nc(params, args.n, rng)
-        params_doc = {
-            "dgp": "proxy_nc",
-            "master_seed": args.master_seed,
-            "d_s": params.d_s, "d_q": params.d_q, "d_w": params.d_w,
-            "transform": params.transform,
-            "theta0": theta0,
-        }
-    else:
-        params = NpivParams()
-        data, truth = gen_npiv(params, args.n, rng)
-        params_doc = {
-            "dgp": "npiv",
-            "h0_coeffs": list(params.h0_coeffs),
-            "decay_p": params.decay_p,
-            "smoothing": params.smoothing,
-            "noise_sd": params.noise_sd,
-            "endogeneity": params.endogeneity,
-            "theta0": truth.theta0,
-        }
-    params_doc["seed"] = args.seed
-    params_doc["n"] = args.n
-    csv_path = f"{args.out}.csv"
-    save_dataset_csv(data, csv_path)
-    Path(f"{args.out}.params.json").write_text(json.dumps(params_doc, indent=2) + "\n")
-    print(f"wrote {csv_path} and {args.out}.params.json")
+    spec = _load_spec(args.config, args.seed)
+    out = _out_prefix(args.out)
+    cell = prepare_cell(spec, spec.sizes[0], rep=0)
+    save_dataset_csv(cell.data, f"{out}.csv")
+    params = {"config": spec.to_dict(), "spec_hash": spec.spec_hash(),
+              "n": spec.sizes[0], "theta0": cell.theta0}
+    Path(f"{out}.params.json").write_text(json.dumps(params, indent=2) + "\n")
+    print(f"wrote {out}.csv and {out}.params.json")
     return 0
 
 
@@ -164,53 +141,42 @@ def _cmd_fit(args) -> int:
         raise UsageError(f"--lambda must be finite and nonnegative, got {args.lam}")
     n = spec.sizes[0]
     cell = prepare_cell(spec, n, rep=0)
-    theta, h_fit, _, estimate = shared_fits(spec, cell)(args.lam)
+    theta, h_fit, searches, estimate = shared_fits(spec, cell)(args.lam)
     if estimate is None:
         record = h_fit.to_record()
-        record.update(iterations=1, n=n, theta_hat=theta)
+        record.update(iterations=iterations(searches), n=n, theta_hat=theta)
     else:  # dr: the estimate and interval, both sides at the one lambda
         record = estimate.to_record()
         record.update(lambda_primal=args.lam, lambda_dual=args.lam,
-                      iterations=2)
+                      iterations=iterations(searches))
     record["abs_error"] = abs(theta - cell.theta0)
     print(json.dumps(record, indent=2))
     return 0
 
 
-def _dp_config(args, base: DpConfig) -> DpConfig:
-    """base with the search flags that were given applied on top."""
-    flags = {"lambda0": args.lambda0, "rho": args.rho, "max_iters": args.max_iters}
-    try:
-        schedule = NoiseSchedule(
-            _SCHEDULE_FLAG[args.schedule] if args.schedule else base.schedule.kind,
-            args.cd if args.cd is not None else base.schedule.c_d,
-        )
-        return dataclasses.replace(
-            base, schedule=schedule,
-            **{k: v for k, v in flags.items() if v is not None},
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _cmd_dp(args) -> int:
+    flags = {k: getattr(args, k) for k in _SEARCH_FLAGS
+             if getattr(args, k) is not None}
     if args.config is None:
+        if flags or args.seed is not None:
+            raise UsageError("--seed and the search flags need --config")
         prob = make_source_problem(1, 1.0, 1.0, [1.0])
         system = residual_system(prob, exact_observation(prob, delta=0.25))
-        n, base = None, DpConfig(NoiseSchedule("fixed", 0.0625))
+        searches = [run_dp(system, None, DpConfig(NoiseSchedule("fixed", 0.0625)))]
     else:
-        # the flags tune the search only: the spec, and so the drawn
-        # data and the system, stay exactly those of the config's
-        # experiment
+        # the flags tune the search only; the data stay the config's
         spec = _load_spec(args.config, args.seed)
+        try:
+            tuned = dataclasses.replace(spec, **flags)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         cell = prepare_cell(spec, spec.sizes[0], rep=0)
-        system = estimator_handle(spec, cell).system_from(cell.fit_gram)
-        n, base = cell.fit_fold.n, spec.dp_config()
-    outcome = run_dp(system, n, _dp_config(args, base))
-    print(outcome.table())
-    status = "converged" if outcome.converged else "not converged"
-    print(f"selected lambda: {outcome.lambda_dp:.6g} ({status}, "
-          f"{outcome.iterations} grid points, bracket_ok={outcome.bracket_ok})")
+        searches = shared_fits(tuned, cell)("dp")[2]
+    for outcome in searches:  # dr: the primal's search, then the dual's
+        print(outcome.table())
+        status = "converged" if outcome.converged else "not converged"
+        print(f"selected lambda: {outcome.lambda_dp:.6g} ({status}, "
+              f"{outcome.iterations} grid points, bracket_ok={outcome.bracket_ok})")
     return 0
 
 
@@ -274,7 +240,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, GridExhaustedError, DpFitError) as exc:
+    except (NumericalError, DpFitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -60,6 +60,7 @@ __all__ = [
     "RateFit",
     "prepare_cell",
     "shared_fits",
+    "iterations",
     "estimator_handle",
     "dr_config",
     "run_experiment",
@@ -267,11 +268,13 @@ def dr_config(spec: ExperimentSpec, cell: CellSetup) -> DrPipelineConfig:
 
 
 def shared_fits(spec: ExperimentSpec, cell: CellSetup):
-    """The rep's fitter, fit(strategy) -> (theta_hat, h_fit, iterations,
+    """The rep's fitter, fit(strategy) -> (theta_hat, h_fit, searches,
     estimate), on what it builds once: for dr the cell's DrFold (estimate
-    is its FunctionalEstimate, a DP strategy counts both searches' grid
-    points), otherwise the fit fold's factored system and the eval fold's
-    target matrix (estimate is None)."""
+    is its FunctionalEstimate), otherwise the fit fold's factored system
+    and the eval fold's target matrix (estimate is None).  searches holds
+    the DpOutcome of each search run: none for a fixed lambda, the
+    primal's and the dual's for dr.  The cell may be that of a spec
+    differing only in its search settings; spec's settings tune it."""
     if spec.estimator == "dr":
         values, cell.fit_values = cell.fit_values, None
         fold = DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell),
@@ -279,18 +282,22 @@ def shared_fits(spec: ExperimentSpec, cell: CellSetup):
 
         def fit(strategy):
             r = fold.run(strategy)
-            iters = 1 if r.dp_primal is None else (
-                r.dp_primal.iterations + r.dp_dual.iterations)
-            return r.estimate.theta_hat, r.h_fit, iters, r.estimate
+            searches = () if r.dp_primal is None else (r.dp_primal, r.dp_dual)
+            return r.estimate.theta_hat, r.h_fit, searches, r.estimate
         return fit
     system = estimator_handle(spec, cell).system_from(cell.fit_gram)
     target = cell.target.matrix(cell.eval_fold.x, cell.eval_fold.y, cell.basis_x)
 
     def fit(strategy):
         h_fit, outcome = tune(system, cell.fit_fold.n, spec.dp_config(), strategy)
-        iters = 1 if outcome is None else outcome.iterations
-        return float((target @ h_fit.coeffs).mean()), h_fit, iters, None
+        searches = () if outcome is None else (outcome,)
+        return float((target @ h_fit.coeffs).mean()), h_fit, searches, None
     return fit
+
+
+def iterations(searches) -> int:
+    """The grid points the searches tested, or 1 for a fixed lambda's solve."""
+    return sum(s.iterations for s in searches) if searches else 1
 
 
 def _run_rep(payload) -> list:
@@ -314,7 +321,7 @@ def _run_rep(payload) -> list:
     for strategy in spec.strategies:
         t0 = time.perf_counter()
         try:
-            theta_hat, h_fit, iters, _ = fit(strategy)
+            theta_hat, h_fit, searches, _ = fit(strategy)
             strong_sq = weak_sq = math.nan
             if spec.dgp == "npiv":
                 strong_sq = cell.truth.strong_sq(h_fit.coeffs)
@@ -330,7 +337,7 @@ def _run_rep(payload) -> list:
             "strong_sq": strong_sq,
             "weak_sq": weak_sq,
             "lambda_dp": h_fit.lam,
-            "iters": iters,
+            "iters": iterations(searches),
             "wall_ms": (shared_s + time.perf_counter() - t0) * 1e3,
         })
     return rows

@@ -123,3 +123,19 @@ def test_program_imports_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_makes_no_choice_of_dgp_or_system():
+    # the CLI acts on a config's cells through the harness, which alone
+    # picks the DGP and builds the systems
+    text = (ROOT / "src" / "adaptik" / "cli.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):  # the module, and its submodules
+            imported |= {node.module} | {f"{node.module}.{alias.name}"
+                                         for alias in node.names}
+    assert not {"adaptik.dgp", "adaptik.util"} & imported
+    for word in ("spec.dgp", "spec.estimator", "estimator_handle", "system_from"):
+        assert word not in text, word

@@ -14,7 +14,8 @@ import adaptik
 from adaptik import cli
 from adaptik.cli import main
 from adaptik.estimators import TikhonovSystem
-from adaptik.harness import ExperimentSpec, RunRecord, run_experiment
+from adaptik.harness import ExperimentSpec, RunRecord, prepare_cell, run_experiment
+from adaptik.sieve import save_dataset_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -72,22 +73,24 @@ class TestDpCommand:
     @pytest.mark.parametrize("dgp", ["npiv", "proxy_nc"])
     def test_config_search_is_the_experiment_dp_row(self, tmp_path, capsys,
                                                     dgp, estimator):
-        # without flags, dp --config runs the search of the config's own
-        # experiment: its data, lambda0, rho and max_iters; for dr that is
-        # the primal's search, while a dr row's iters counts both sides
+        # without flags, dp --config runs the searches of the config's own
+        # experiment: its data, lambda0, rho and max_iters; for dr the
+        # primal's search, whose lambda the row reports, then the dual's
         config = write_config(tmp_path, dgp=dgp, estimator=estimator,
                               lambda0=1.0, rho=0.7, max_iters=6, reps=1)
         assert main(["dp", "--config", config]) == 0
         out = capsys.readouterr().out
-        match = re.search(r"selected lambda: (\S+) \((?:not )?converged, "
-                          r"(\d+) grid points", out)
+        matches = re.findall(r"selected lambda: (\S+) \((?:not )?converged, "
+                             r"(\d+) grid points", out)
         spec = ExperimentSpec.from_dict(json.loads(Path(config).read_text()))
         row = next(r for r in run_experiment(spec).rows
                    if r["strategy"] == "dp" and r["n"] == spec.sizes[0]
                    and r["rep"] == 0)
-        assert float(match.group(1)) == pytest.approx(row["lambda_dp"], rel=1e-5)
-        if estimator != "dr":
-            assert int(match.group(2)) == row["iters"]
+        assert len(matches) == (2 if estimator == "dr" else 1)
+        assert float(matches[0][0]) == pytest.approx(row["lambda_dp"], rel=1e-5)
+        assert sum(int(points) for _, points in matches) == row["iters"]
+        tables = [line for line in out.splitlines() if line.startswith("iter")]
+        assert len(tables) == len(matches)
         first_lambda = float(out.splitlines()[1].split()[1])
         assert first_lambda == 1.0
 
@@ -95,14 +98,26 @@ class TestDpCommand:
 class TestGenerate:
     @pytest.mark.parametrize("dgp", ["proxy_nc", "npiv"])
     def test_writes_csv_and_params(self, dgp, tmp_path, capsys):
+        # the data of the sweep's first rep, and a params file that names
+        # the spec it came from
+        config = write_config(tmp_path, dgp=dgp, sizes=[50, 100])
         prefix = str(tmp_path / "data")
-        assert main(["generate", "--dgp", dgp, "--n", "50",
-                     "--seed", "3", "--out", prefix]) == 0
+        assert main(["generate", "--config", config, "--seed", "3",
+                     "--out", prefix]) == 0
         table = np.loadtxt(prefix + ".csv", delimiter=",", skiprows=1)
         assert table.shape[0] == 50
+        spec = ExperimentSpec.from_dict(
+            {**json.loads(Path(config).read_text()), "seed": 3})
+        cell = prepare_cell(spec, spec.sizes[0], 0)
+        save_dataset_csv(cell.data, tmp_path / "expected.csv")
+        assert (Path(prefix + ".csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
         params = json.loads((tmp_path / "data.params.json").read_text())
-        assert params["dgp"] == dgp
-        assert "theta0" in params
+        assert params["spec_hash"] == spec.spec_hash()
+        assert ExperimentSpec.from_dict(params["config"]).spec_hash() == \
+            params["spec_hash"]
+        assert params["n"] == 50
+        assert params["theta0"] == cell.theta0
 
 
 class TestExperimentReportRates:
@@ -184,6 +199,22 @@ class TestFitCommand:
         assert {"theta_hat", "se", "ci_low", "ci_high",
                 "lambda_primal", "lambda_dual"} <= set(doc)
 
+    @pytest.mark.parametrize("estimator", ["rdiv", "trae", "dr"])
+    @pytest.mark.parametrize("dgp", ["npiv", "proxy_nc"])
+    def test_fit_is_the_sweep_fixed_lambda_row(self, tmp_path, capsys, dgp,
+                                               estimator):
+        # fit --lambda is the first row of the sweep's strategy at that
+        # lambda: the same error, and one iteration (one solve per side)
+        config = write_config(tmp_path, dgp=dgp, estimator=estimator,
+                              strategies=[0.05], sizes=[300, 400], reps=2)
+        assert main(["fit", "--config", config, "--lambda", "0.05"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        spec = ExperimentSpec.from_dict(json.loads(Path(config).read_text()))
+        row = run_experiment(spec).rows[0]
+        assert (row["n"], row["rep"]) == (300, 0)
+        assert doc["abs_error"] == row["abs_error"]
+        assert doc["iterations"] == row["iters"] == 1
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
@@ -244,10 +275,34 @@ class TestExitCodes:
         ("--lambda0", "inf")])
     def test_out_of_range_dp_flag_is_usage_error(self, tmp_path, capsys, flag,
                                                  value):
-        assert main(["dp", flag, value]) == 1
-        assert "usage error" in capsys.readouterr().err
         assert main(["dp", "--config", write_config(tmp_path), flag, value]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--schedule", "fixed"), ("--cd", "1"), ("--lambda0", "1"),
+        ("--rho", "0.7"), ("--max-iters", "5"), ("--seed", "3")])
+    def test_dp_flag_without_config_is_usage_error(self, capsys, flag, value):
+        # the demo problem has no spec for a flag to change
+        assert main(["dp", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "--config" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_dp_schedule_is_usage_error(self, tmp_path, capsys):
+        assert main(["dp", "--config", write_config(tmp_path),
+                     "--schedule", "rdiv"]) == 1
+        assert "unknown schedule kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [None, "3"])
+    @pytest.mark.parametrize("content", ["[1, 2]", "null", "5", '"abc"'])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys,
+                                                         content, seed):
+        path = tmp_path / "config.json"
+        path.write_text(content)
+        argv = ["experiment", "--config", str(path)]
+        assert main(argv + (["--seed", seed] if seed else [])) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "must hold a JSON object" in err
 
     @pytest.mark.parametrize("key, value", [
         ("rho", 2.0), ("cd", float("nan")), ("lambda0", float("inf")),
@@ -299,9 +354,8 @@ class TestExitCodes:
             raise AssertionError("work started before --out was checked")
 
         monkeypatch.setattr(cli, "run_experiment", no_work)
-        monkeypatch.setattr(cli, "gen_proxy_nc", no_work)
-        argv = {"experiment": ["--config", write_config(tmp_path)],
-                "generate": ["--dgp", "proxy_nc"]}[command]
+        monkeypatch.setattr(cli, "prepare_cell", no_work)
+        argv = ["--config", write_config(tmp_path)]
         out = str(tmp_path / "nodir" / "run")
         assert main([command, *argv, "--out", out]) == 1
         err = capsys.readouterr().err
@@ -309,11 +363,13 @@ class TestExitCodes:
         assert not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize("dgp", ["proxy_nc", "npiv"])
-    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    @pytest.mark.parametrize("n", [3, 1, 0, -3])
     def test_too_few_records_is_usage_error(self, tmp_path, capsys, dgp, n):
         out = tmp_path / "data"
-        assert main(["generate", "--dgp", dgp, "--n", n, "--out", str(out)]) == 1
-        assert "usage error" in capsys.readouterr().err
+        config = write_config(tmp_path, dgp=dgp, sizes=[n])
+        assert main(["generate", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "sizes must be at least 4" in err
         assert not (tmp_path / "data.csv").exists()
 
     def test_rates_of_fewer_than_three_sizes_is_usage_error(self, tmp_path,
