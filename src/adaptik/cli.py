@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -144,12 +145,11 @@ def _cmd_fit(args) -> int:
     theta, h_fit, searches, estimate = shared_fits(spec, cell)(args.lam)
     if estimate is None:
         record = h_fit.to_record()
-        record.update(iterations=iterations(searches), n=n, theta_hat=theta)
     else:  # dr: the estimate and interval, both sides at the one lambda
-        record = estimate.to_record()
-        record.update(lambda_primal=args.lam, lambda_dual=args.lam,
-                      iterations=iterations(searches))
-    record["abs_error"] = abs(theta - cell.theta0)
+        record = {**estimate.to_record(), "lambda_primal": args.lam,
+                  "lambda_dual": args.lam}
+    record.update(iterations=iterations(searches), n=n, theta_hat=theta,
+                  abs_error=abs(theta - cell.theta0))
     print(json.dumps(record, indent=2))
     return 0
 
@@ -184,6 +184,9 @@ def _cmd_experiment(args) -> int:
     spec = _load_spec(args.config, args.seed)
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
+    if args.jobs > 1 and not hasattr(os, "fork"):
+        raise UsageError(f"--jobs {args.jobs} forks workers, and this "
+                         "platform has no os.fork; use --jobs 1")
     out = _out_prefix(args.out or spec.out or "run")
     record = run_experiment(spec, jobs=args.jobs)
     record.to_csv(f"{out}.csv")

@@ -9,8 +9,11 @@ factored systems built once (for dr, the primal and the dual).  Runs
 are therefore reproducible rep by rep and embarrassingly parallel with
 order-independent output.
 Sweeps run on one BLAS thread per process.  With `jobs` J the units are
-dealt round robin into at most J shares; a forked worker runs each
-share but the first, which the calling process runs.
+dealt round robin into at most J shares; a worker forked by os.fork runs
+each share but the first, which the calling process runs, and sends its
+rows back pickled through a pipe.  A worker that fails or dies makes the
+sweep raise RuntimeError with its traceback, after every other worker
+is killed and reaped, so no process outlives the call.
 
 Raw rows, one per (n, strategy, rep), go to a CSV with fixed columns
     n, strategy, rep, abs_error, strong_sq, weak_sq, lambda_dp, iters, wall_ms
@@ -31,6 +34,8 @@ import json
 import math
 import numbers
 import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -370,7 +375,7 @@ def _error_row(n: int, strategy, rep: int, exc: Exception) -> dict:
 # ~0.1 s.  So every count change here stops the pool again
 # (`blas_thread_shutdown_`, the library's own fork handler); OpenBLAS
 # restarts it at its next multi-threaded call.  Without this, restoring
-# the counts after a process pool left two spinning threads in the
+# the counts after a sweep with workers left two spinning threads in the
 # caller, which took CPU from whatever ran next.
 
 _OPENBLAS_THREAD_CALLS = (
@@ -471,15 +476,91 @@ def _init_worker() -> None:
     _keep_freed_memory()
 
 
-def _process_pool(workers: int):
-    """A pool of `workers` processes, forked at its first submit, each
-    pinned to one BLAS thread and keeping freed memory.
+# -- workers ---------------------------------------------------------------------
+#
+# Each worker gets exactly one share, so a worker is one os.fork and one
+# pipe, with no executor thread or queue.  The child inherits the spec
+# and its share, so nothing is pickled on the way in, and the fork does
+# not depend on a multiprocessing start method.
 
-    concurrent.futures is imported only here, so a sweep without workers
-    and every other command skip its import.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
+def _process_pool() -> "_ForkedWorkers":
+    """A block of workers, one forked at each submit, each pinned to one
+    BLAS thread and keeping freed memory."""
+    return _ForkedWorkers()
+
+
+class _ForkedWorkers:
+    """submit(fn, share) forks a worker that runs fn(share) and returns
+    its pid; result(pid) reads the worker's pipe to EOF, reaps it and
+    returns the rows, or raises RuntimeError naming the worker.  Leaving
+    the block kills and reaps every worker not yet reaped."""
+
+    def __init__(self):
+        self._pipes = {}  # pid -> read end, until the worker is reaped
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for pid, pipe in self._pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def submit(self, fn, share):
+        for stream in (sys.stdout, sys.stderr):  # else both copies flush it
+            if stream is not None:
+                stream.flush()
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            os.close(read_fd)
+            _worker_main(fn, share, write_fd)
+        os.close(write_fd)
+        self._pipes[pid] = open(read_fd, "rb")
+        return pid
+
+    def result(self, pid: int) -> list:
+        with self._pipes[pid] as pipe:
+            payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        del self._pipes[pid]
+        try:
+            result = pickle.loads(payload)
+        except (EOFError, pickle.UnpicklingError):  # empty or cut short
+            result = None
+        if status == 0 and isinstance(result, list):
+            return result
+        detail = f":\n{result}" if isinstance(result, str) else ", sending no rows"
+        raise RuntimeError(
+            f"sweep worker pid {pid} failed (wait status {status}, exit code "
+            f"{os.waitstatus_to_exitcode(status)}){detail}")
+
+
+def _worker_main(fn, share, write_fd: int):
+    """A forked worker's whole life.  It leaves by os._exit, so it never
+    returns into the caller's stack, runs the parent's exit handlers or
+    flushes buffers the parent also holds."""
+    code = 1
+    try:
+        try:
+            _init_worker()
+            payload, ok = fn(share), True
+        except BaseException:
+            import traceback
+            payload, ok = traceback.format_exc(), False
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        code = 0 if ok else 1
+    finally:
+        with contextlib.suppress(Exception):
+            sys.stderr.flush()
+        os._exit(code)
 
 
 @dataclass
@@ -561,21 +642,25 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunRecord:
     Rows and failures come back in (n, strategy, rep) order.  The units
     are dealt round robin into min(jobs, units) shares; a worker is
     forked for each share but the first, which the calling process runs,
-    so jobs=1 or a single (n, rep) forks nothing.
+    so jobs=1 or a single (n, rep) forks nothing.  A worker that fails
+    raises RuntimeError with its traceback; jobs >= 2 needs os.fork.
     """
     jobs = _whole(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"jobs={jobs} forks workers, and this platform has "
+                         "no os.fork; use jobs=1")
     payloads = [(spec, n, rep) for n in spec.sizes for rep in range(spec.reps)]
     count = min(jobs, len(payloads))
     shares = [payloads[k::count] for k in range(count)]
     with _one_blas_thread(), contextlib.ExitStack() as stack:
-        futures = []
+        pids = []
         if count > 1:
-            pool = stack.enter_context(_process_pool(count - 1))
-            futures = [pool.submit(_run_share, share) for share in shares[1:]]
+            pool = stack.enter_context(_process_pool())
+            pids = [pool.submit(_run_share, share) for share in shares[1:]]
         _keep_freed_memory()
-        done = [_run_share(shares[0])] + [f.result() for f in futures]
+        done = [_run_share(shares[0])] + [pool.result(pid) for pid in pids]
         if _MALLOC_TRIM is not None:
             _MALLOC_TRIM(0)
     by_rep = [None] * len(payloads)

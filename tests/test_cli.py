@@ -216,6 +216,13 @@ class TestFitCommand:
         assert doc["iterations"] == row["iters"] == 1
 
 
+    @pytest.mark.parametrize("estimator", ["rdiv", "trae", "dr"])
+    def test_fit_json_names_the_sample_size(self, tmp_path, capsys, estimator):
+        config = write_config(tmp_path, estimator=estimator, sizes=[300, 400])
+        assert main(["fit", "--config", config, "--lambda", "0.05"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 300
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -246,6 +253,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err and "--jobs must be at least 1" in err
         assert not (tmp_path / "run.csv").exists()
+
+    def test_jobs_without_os_fork_is_usage_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        out = str(tmp_path / "run")
+        assert main(["experiment", "--config", write_config(tmp_path),
+                     "--out", out, "--jobs", "2"]) == 1
+        assert "usage error: --jobs 2 forks workers" in capsys.readouterr().err
+        assert not Path(f"{out}.csv").exists()
 
     def test_bad_config_key_is_addressed(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

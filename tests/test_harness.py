@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,10 +219,10 @@ class TestRunExperiment:
         # in-process, so no process starts, and the rows equal jobs=1's
         events = []
         monkeypatch.setattr(harness, "_process_pool",
-                            lambda count: InProcessPool(events, count))
+                            lambda: InProcessPool(events))
         spec = tiny_spec(sizes=sizes, reps=reps, strategies=("dp", 0.01))
         record = run_experiment(spec, jobs=4)
-        assert events == ([("pool", len(workers))] if workers else []) + [
+        assert events == ([("pool",)] if workers else []) + [
             ("submit", units) for units in workers]
         assert _row_cells(record.rows) == _row_cells(
             run_experiment(spec, jobs=1).rows)
@@ -494,17 +493,12 @@ def _thread_ids() -> set:
                     "this process cannot be listed")
 
 
-def _new_threads(before: set, wait_s: float = 5.0) -> set:
-    """Ids of this process's threads not in `before`, once exiting ones
-    are gone or wait_s has passed.  A pool's shutdown joins its manager
-    thread, and Thread.join returns when the thread's Python state is
-    freed, before its task leaves /proc/self/task; on a loaded host that
-    task is listed, running, for a few milliseconds more.  A thread that
-    stays, such as a parked OpenBLAS worker, is still returned."""
-    deadline = time.monotonic() + wait_s
-    while (new := _thread_ids() - before) and time.monotonic() < deadline:
-        time.sleep(0.005)
-    return new
+def _new_threads(before: set) -> set:
+    """Ids of this process's threads not in `before`.  A sweep starts no
+    thread: its workers are forked processes, reaped before it returns,
+    so any new thread is one that stays, such as a parked OpenBLAS
+    worker."""
+    return _thread_ids() - before
 
 
 @pytest.fixture
@@ -553,14 +547,134 @@ class TestOneBlasThread:
         assert np.allclose(a.T @ a, np.einsum("ij,ik->jk", a, a))
 
 
-class InProcessPool:
-    """Stands in for harness._process_pool: logs ("pool", workers) and
-    ("submit", units) to `events`, and runs a task in-process when its
-    result is asked for."""
+def _no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
-    def __init__(self, events, workers):
+
+def _share_that_fails_in_a_worker(monkeypatch, fail):
+    """harness._run_share, but a forked worker calls fail() instead."""
+    parent, run_share = os.getpid(), harness._run_share
+    monkeypatch.setattr(harness, "_run_share", lambda payloads: (
+        run_share(payloads) if os.getpid() == parent else fail()))
+
+
+class TestForkedWorkers:
+    def test_a_worker_that_raises_fails_the_sweep_with_its_traceback(
+            self, monkeypatch):
+        def fail():
+            raise ZeroDivisionError("share failed in the worker")
+
+        _share_that_fails_in_a_worker(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match=r"sweep worker pid \d+ failed "
+                           r"\(wait status 256, exit code 1\)") as info:
+            run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
+        assert "ZeroDivisionError: share failed in the worker" in str(info.value)
+        assert "Traceback" in str(info.value)
+        assert _no_child_left()
+
+    def test_a_worker_that_exits_fails_the_sweep(self, monkeypatch):
+        _share_that_fails_in_a_worker(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match=r"sweep worker pid \d+ failed "
+                           r"\(wait status 768, exit code 3\), sending no rows"):
+            run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
+        assert _no_child_left()
+
+    def test_workers_are_killed_when_the_caller_fails(self, monkeypatch):
+        # the workers would sleep for a minute; the caller's own share
+        # raises, so they are killed and reaped, not waited for
+        parent = os.getpid()
+
+        def share(payloads):
+            if os.getpid() == parent:
+                raise KeyError("the caller's share failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "_run_share", share)
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="the caller's share failed"):
+            run_experiment(tiny_spec(strategies=(0.01,), sizes=(150, 100)),
+                           jobs=3)
+        assert time.monotonic() - start < 30
+        assert _no_child_left()
+
+    def test_a_fork_that_fails_closes_its_pipe(self, monkeypatch):
+        # the second fork fails as under a process limit: its pipe is
+        # closed and the first worker is killed and reaped
+        fork, forks = os.fork, []
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        fds = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            run_experiment(tiny_spec(strategies=(0.01,), sizes=(150, 100)),
+                           jobs=3)
+        assert set(os.listdir("/proc/self/fd")) == fds
+        assert _no_child_left()
+
+    def test_no_child_is_left_after_a_sweep(self):
+        record = run_experiment(tiny_spec(strategies=(0.01,), reps=3), jobs=3)
+        assert len(record.rows) == 3
+        assert _no_child_left()
+
+    def test_jobs_2_needs_os_fork(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("data drawn for jobs the platform cannot fork")
+
+        monkeypatch.delattr(os, "fork")
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "gen_npiv", no_draw)
+            with pytest.raises(ValueError, match="no os.fork; use jobs=1"):
+                run_experiment(tiny_spec(), jobs=2)
+        assert len(run_experiment(tiny_spec(), jobs=1).rows) == 6
+
+    def test_buffered_output_is_written_once(self):
+        # a line the caller buffered before the fork, on stdout and
+        # stderr alike, is written by the caller alone
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)  # so both streams buffer
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(harness.__file__).parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _PRINT_THEN_SWEEP],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("buffered before the sweep") == 1
+        assert proc.stdout.count("rows: 6") == 1
+        assert proc.stderr.count("partial stderr line") == 1
+
+
+_PRINT_THEN_SWEEP = """
+import sys
+from adaptik.harness import ExperimentSpec, run_experiment
+
+print("buffered before the sweep")
+sys.stderr.write("partial stderr line")
+spec = ExperimentSpec(dgp="npiv", estimator="trae", strategies=(0.01,),
+                      sizes=(150, 100, 120), reps=2, seed=5)
+print("rows:", len(run_experiment(spec, jobs=2).rows))
+"""
+
+
+class InProcessPool:
+    """Stands in for harness._process_pool: logs ("pool",) and ("submit",
+    units) to `events`, and runs a task in-process when its result is
+    asked for."""
+
+    def __init__(self, events):
         self.events = events
-        events.append(("pool", workers))
+        self.tasks = []
+        events.append(("pool",))
 
     def __enter__(self):
         return self
@@ -570,7 +684,12 @@ class InProcessPool:
 
     def submit(self, fn, payloads):
         self.events.append(("submit", len(payloads)))
-        return SimpleNamespace(result=lambda: fn(payloads))
+        self.tasks.append((fn, payloads))
+        return len(self.tasks) - 1
+
+    def result(self, task):
+        fn, payloads = self.tasks[task]
+        return fn(payloads)
 
 
 def _row_cells(rows):
@@ -792,11 +911,11 @@ class TestFreedMemoryReuse:
         monkeypatch.setattr(harness, "_MALLOC_TRIM", lambda pad: calls.append(
             ("malloc_trim", pad)))
         monkeypatch.setattr(harness, "_process_pool",
-                            lambda count: InProcessPool(calls, count))
+                            lambda: InProcessPool(calls))
         run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
         # the worker is forked at its submit, before the caller's first
         # mallopt, so it inherits no heap kept by this sweep
-        assert calls == [("pool", 1), ("submit", 1),
+        assert calls == [("pool",), ("submit", 1),
                          ("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20),
                          ("malloc_trim", 0)]
         calls.clear()
