@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -44,6 +45,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="adaptik", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -74,8 +76,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=1, metavar="J",
-                   help="processes that share the (n, rep) units: J-1 forked "
-                   "workers plus this one (default 1, no fork)")
+                   help="processes that claim the (n, rep) units, largest n "
+                   "first, as each finishes one: J-1 forked workers plus this "
+                   "one (default 1, no fork)")
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("rates", help="log-log error slopes from a run record")

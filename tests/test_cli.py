@@ -254,6 +254,23 @@ class TestExitCodes:
         assert "usage error" in err and "--jobs must be at least 1" in err
         assert not (tmp_path / "run.csv").exists()
 
+    def test_each_call_parses_on_its_own(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser once per process; neither a call's usage
+        # error nor its flags carry into the next call
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec, jobs: (
+            calls.append((spec.seed, jobs)) or run_experiment(spec, jobs=jobs)))
+        config, out = write_config(tmp_path, seed=4), str(tmp_path / "run")
+        assert main(["experiment", "--config", config, "--jobs", "two"]) == 1
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+        assert main(["experiment", "--config", config, "--out", out,
+                     "--jobs", "2", "--seed", "9"]) == 0
+        assert main(["experiment", "--config", config, "--out", out]) == 0
+        assert main(["report", "--record", out + ".csv"]) == 0
+        assert calls == [(9, 2), (4, 1)]
+        assert "rows: 4  failures: 0" in capsys.readouterr().out
+        assert cli._build_parser() is cli._build_parser()
+
     def test_jobs_without_os_fork_is_usage_error(self, tmp_path, capsys,
                                                  monkeypatch):
         monkeypatch.delattr(os, "fork")

@@ -1,6 +1,7 @@
 import ctypes
 import math
 import os
+import select
 import subprocess
 import sys
 import time
@@ -210,13 +211,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("sizes, reps, workers", [
         ((150,), 2, [1]), ((150, 100), 1, [1]), ((150,), 1, []),
-        ((150, 100, 120), 2, [2, 1, 1])])
+        ((150, 100, 120), 2, [1, 2, 3])])
     def test_pool_starts_no_idle_worker(self, monkeypatch, sizes, reps,
                                         workers):
-        # at jobs=4, min(4, units) - 1 workers, as the caller runs a share,
-        # and none for a single (n, rep); `workers` lists the units each
-        # worker is given (6 units: the caller runs 2).  The fake pool runs
-        # in-process, so no process starts, and the rows equal jobs=1's
+        # at jobs=4, min(4, units) - 1 workers, as the caller claims units
+        # too, and none for a single (n, rep); `workers` numbers the
+        # workers started.  The fake pool runs in-process, so no process
+        # starts, and the rows equal jobs=1's
         events = []
         monkeypatch.setattr(harness, "_process_pool",
                             lambda: InProcessPool(events))
@@ -227,7 +228,7 @@ class TestRunExperiment:
         assert _row_cells(record.rows) == _row_cells(
             run_experiment(spec, jobs=1).rows)
 
-    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("jobs", [2, 3, 5])
     def test_real_pool_rows_equal_jobs_1_on_uneven_sizes(self, jobs):
         spec = tiny_spec(sizes=(120, 300, 200), reps=2)
         record = run_experiment(spec, jobs=jobs)
@@ -535,6 +536,15 @@ class TestOneBlasThread:
         harness._pin_one_blas_thread()
         assert _mapped_openblas_threads() == [1] * len(before)
 
+    def test_a_forked_worker_reads_one_thread(self, two_blas_threads,
+                                              worker_run_rep):
+        # the worker inherits the caller's pin and makes no call of its own
+        before = _mapped_openblas_threads()
+        worker_run_rep(_tagged_rows(_mapped_openblas_threads))
+        record = run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
+        assert _worker_tags(record.rows) == [[1] * len(before)]
+        assert _mapped_openblas_threads() == before
+
     def test_no_thread_outlives_a_pool_run(self, two_blas_threads):
         # a fork stops OpenBLAS's thread pool and a later set-count call
         # would start one whose idle threads spin in the caller
@@ -556,47 +566,78 @@ def _no_child_left():
     return False
 
 
-def _share_that_fails_in_a_worker(monkeypatch, fail):
-    """harness._run_share, but a forked worker calls fail() instead."""
-    parent, run_share = os.getpid(), harness._run_share
-    monkeypatch.setattr(harness, "_run_share", lambda payloads: (
-        run_share(payloads) if os.getpid() == parent else fail()))
+@pytest.fixture
+def worker_run_rep(monkeypatch):
+    """inject(in_worker, in_caller) makes harness._run_rep run
+    in_worker(payload) in a forked worker and in_caller(payload), by
+    default the real _run_rep, in the calling process.  The caller's first
+    unit waits, for up to a minute, until a worker has started a unit, so
+    a worker claims at least one however fast the caller is."""
+    parent, run_rep = os.getpid(), harness._run_rep
+    started, start = os.pipe()
+    waited = []
+
+    def inject(in_worker, in_caller=run_rep):
+        def run(payload):
+            if os.getpid() != parent:
+                os.write(start, b"!")
+                return in_worker(payload)
+            if not waited:
+                waited.append(select.select([started], [], [], 60))
+            return in_caller(payload)
+
+        monkeypatch.setattr(harness, "_run_rep", run)
+
+    yield inject
+    os.close(started)
+    os.close(start)
+
+
+def _tagged_rows(tag):
+    """harness._run_rep, with tag() added to every row under "tag"."""
+    run_rep = harness._run_rep
+    return lambda payload: [{**row, "tag": tag()} for row in run_rep(payload)]
+
+
+def _worker_tags(rows) -> list:
+    """The distinct tags of the rows _tagged_rows made in workers."""
+    tags = []
+    for row in rows:
+        if "tag" in row and row["tag"] not in tags:
+            tags.append(row["tag"])
+    return tags
 
 
 class TestForkedWorkers:
     def test_a_worker_that_raises_fails_the_sweep_with_its_traceback(
-            self, monkeypatch):
-        def fail():
-            raise ZeroDivisionError("share failed in the worker")
+            self, worker_run_rep):
+        def fail(payload):
+            raise ZeroDivisionError("unit failed in the worker")
 
-        _share_that_fails_in_a_worker(monkeypatch, fail)
+        worker_run_rep(fail)
         with pytest.raises(RuntimeError, match=r"sweep worker pid \d+ failed "
                            r"\(wait status 256, exit code 1\)") as info:
             run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
-        assert "ZeroDivisionError: share failed in the worker" in str(info.value)
+        assert "ZeroDivisionError: unit failed in the worker" in str(info.value)
         assert "Traceback" in str(info.value)
         assert _no_child_left()
 
-    def test_a_worker_that_exits_fails_the_sweep(self, monkeypatch):
-        _share_that_fails_in_a_worker(monkeypatch, lambda: os._exit(3))
+    def test_a_worker_that_exits_fails_the_sweep(self, worker_run_rep):
+        worker_run_rep(lambda payload: os._exit(3))
         with pytest.raises(RuntimeError, match=r"sweep worker pid \d+ failed "
                            r"\(wait status 768, exit code 3\), sending no rows"):
             run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
         assert _no_child_left()
 
-    def test_workers_are_killed_when_the_caller_fails(self, monkeypatch):
-        # the workers would sleep for a minute; the caller's own share
-        # raises, so they are killed and reaped, not waited for
-        parent = os.getpid()
+    def test_workers_are_killed_when_the_caller_fails(self, worker_run_rep):
+        # a worker's unit would sleep for a minute; the caller's own unit
+        # raises, so the workers are killed and reaped, not waited for
+        def fail(payload):
+            raise KeyError("the caller's unit failed")
 
-        def share(payloads):
-            if os.getpid() == parent:
-                raise KeyError("the caller's share failed")
-            time.sleep(60)
-
-        monkeypatch.setattr(harness, "_run_share", share)
+        worker_run_rep(lambda payload: time.sleep(60), fail)
         start = time.monotonic()
-        with pytest.raises(KeyError, match="the caller's share failed"):
+        with pytest.raises(KeyError, match="the caller's unit failed"):
             run_experiment(tiny_spec(strategies=(0.01,), sizes=(150, 100)),
                            jobs=3)
         assert time.monotonic() - start < 30
@@ -667,9 +708,10 @@ print("rows:", len(run_experiment(spec, jobs=2).rows))
 
 
 class InProcessPool:
-    """Stands in for harness._process_pool: logs ("pool",) and ("submit",
-    units) to `events`, and runs a task in-process when its result is
-    asked for."""
+    """Stands in for harness._process_pool: logs ("pool",) and, for its
+    k-th worker, ("submit", k) to `events`, and runs a worker in-process
+    when its result is asked for.  By then the caller has claimed every
+    unit, so the caller runs them all, in the order of the queue."""
 
     def __init__(self, events):
         self.events = events
@@ -682,14 +724,98 @@ class InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, payloads):
-        self.events.append(("submit", len(payloads)))
-        self.tasks.append((fn, payloads))
+    def submit(self, fn):
+        self.tasks.append(fn)
+        self.events.append(("submit", len(self.tasks)))
         return len(self.tasks) - 1
 
     def result(self, task):
-        fn, payloads = self.tasks[task]
-        return fn(payloads)
+        return self.tasks[task]()
+
+
+class TestUnitQueue:
+    """jobs >= 2: the caller and its workers claim units, largest n first,
+    from one pipe filled before the first fork."""
+
+    @staticmethod
+    def _logged_units(monkeypatch, path):
+        """harness._run_rep, appending "pid n rep" to `path` per unit."""
+        run_rep = harness._run_rep
+
+        def run(payload):
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, f"{os.getpid()} {payload[1]} {payload[2]}\n".encode())
+            os.close(fd)
+            return run_rep(payload)
+
+        monkeypatch.setattr(harness, "_run_rep", run)
+
+    @staticmethod
+    def _units(path):
+        lines = path.read_text().splitlines()
+        return ({line.split()[0] for line in lines},
+                sorted(tuple(map(int, line.split()[1:])) for line in lines))
+
+    def test_units_are_claimed_largest_n_first(self, monkeypatch):
+        # the fake pool's workers start after the caller has claimed every
+        # unit, so its log is the queue's order; ties keep their rep order
+        claimed = []
+        run_rep = harness._run_rep
+        monkeypatch.setattr(harness, "_run_rep", lambda payload: (
+            claimed.append(payload[1:]) or run_rep(payload)))
+        monkeypatch.setattr(harness, "_process_pool", lambda: InProcessPool([]))
+        spec = tiny_spec(sizes=(100, 150, 120), reps=2, strategies=(0.01,))
+        record = run_experiment(spec, jobs=2)
+        assert claimed == [(150, 0), (150, 1), (120, 0), (120, 1),
+                           (100, 0), (100, 1)]
+        assert _cell_ids(record.rows) == [
+            (n, "fixed_0.01", rep) for n in (100, 150, 120) for rep in (0, 1)]
+
+    @pytest.mark.parametrize("jobs", [2, 3, 5])
+    def test_every_unit_runs_exactly_once(self, monkeypatch, tmp_path, jobs):
+        # jobs=5 runs more processes than a 2-core host has cores
+        spec = tiny_spec(sizes=(150, 100, 120), reps=4, strategies=(0.01,))
+        clean = run_experiment(spec)
+        self._logged_units(monkeypatch, tmp_path / "units")
+        record = run_experiment(spec, jobs=jobs)
+        pids, units = self._units(tmp_path / "units")
+        assert units == sorted((n, rep) for n in spec.sizes for rep in range(4))
+        assert 1 <= len(pids) <= jobs
+        assert _row_cells(record.rows) == _row_cells(clean.rows)
+        assert _no_child_left()
+
+    def test_chunks_cover_the_units_in_order(self, monkeypatch):
+        # one unit a record up to the record cap, then proportionally
+        # larger chunks, so the records never outgrow 16 KiB
+        for units, size, count in ((2, 1, 2), (4096, 1, 4096), (4097, 2, 2049),
+                                   (10000, 3, 3334)):
+            fd, chunks = harness._unit_queue(list(range(units)))
+            try:
+                records = os.read(fd, 1 << 20)
+            finally:
+                os.close(fd)
+            assert len(records) == count * harness._RECORD.size <= 16 << 10
+            assert {len(c) for c in chunks[:-1]} <= {size}
+            assert [i for c in chunks for i in c] == list(range(units))
+        monkeypatch.setattr(harness, "_QUEUE_RECORDS", 2)
+        fd, chunks = harness._unit_queue([5, 4, 3, 2, 1])
+        os.close(fd)
+        assert chunks == [[5, 4, 3], [2, 1]]
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_chunked_queue_with_the_record_cap_at_2(self, monkeypatch,
+                                                     tmp_path, jobs):
+        # 6 units in 2 records of 3; at jobs=3 one process claims none
+        spec = tiny_spec(sizes=(150, 100, 120), reps=2, strategies=(0.01,))
+        clean = run_experiment(spec)
+        monkeypatch.setattr(harness, "_QUEUE_RECORDS", 2)
+        self._logged_units(monkeypatch, tmp_path / "units")
+        record = run_experiment(spec, jobs=jobs)
+        pids, units = self._units(tmp_path / "units")
+        assert units == sorted((n, rep) for n in spec.sizes for rep in (0, 1))
+        assert 1 <= len(pids) <= 2
+        assert _row_cells(record.rows) == _row_cells(clean.rows)
+        assert _no_child_left()
 
 
 def _row_cells(rows):
@@ -904,23 +1030,27 @@ class TestFreedMemoryReuse:
         assert float(proc.stdout) < 200
 
     def test_workers_start_before_the_caller_keeps_freed_memory(
-            self, monkeypatch):
+            self, monkeypatch, worker_run_rep):
         calls = []
         monkeypatch.setattr(harness, "_MALLOPT", lambda param, value: calls.append(
             ("mallopt", param, value)))
         monkeypatch.setattr(harness, "_MALLOC_TRIM", lambda pad: calls.append(
             ("malloc_trim", pad)))
-        monkeypatch.setattr(harness, "_process_pool",
-                            lambda: InProcessPool(calls))
-        run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_process_pool", lambda: InProcessPool(calls))
+            run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
         # the worker is forked at its submit, before the caller's first
         # mallopt, so it inherits no heap kept by this sweep
         assert calls == [("pool",), ("submit", 1),
                          ("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20),
                          ("malloc_trim", 0)]
         calls.clear()
-        harness._init_worker()
-        assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20)]
+        # a real worker's rows carry the calls made in it: its own two,
+        # none of the caller's
+        worker_run_rep(_tagged_rows(lambda: list(calls)))
+        record = run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
+        assert _worker_tags(record.rows) == [
+            [("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20)]]
         calls.clear()
         run_experiment(tiny_spec(strategies=(0.01,)))
         assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20),
