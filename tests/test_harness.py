@@ -802,6 +802,15 @@ class TestUnitQueue:
         os.close(fd)
         assert chunks == [[5, 4, 3], [2, 1]]
 
+    def test_records_beyond_the_pipe_raise_and_do_not_hang(self, monkeypatch):
+        # with no cap, 1 MiB of records cannot fit in a pipe: the fill
+        # raises at once, before any fork, and leaves no fd open
+        monkeypatch.setattr(harness, "_QUEUE_RECORDS", 1 << 20)
+        fds = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            harness._unit_queue(list(range(1 << 18)))
+        assert set(os.listdir("/proc/self/fd")) == fds
+
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_chunked_queue_with_the_record_cap_at_2(self, monkeypatch,
                                                      tmp_path, jobs):
