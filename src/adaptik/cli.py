@@ -76,9 +76,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=1, metavar="J",
-                   help="processes that claim the (n, rep) units, largest n "
-                   "first, as each finishes one: J-1 forked workers plus this "
-                   "one (default 1, no fork)")
+                   help="processes that share the (n, rep) units: J-1 forked "
+                   "workers plus this one (default 1, no fork)")
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("rates", help="log-log error slopes from a run record")

@@ -8,14 +8,12 @@ once, and every lambda strategy is fitted on that same draw, from
 factored systems built once (for dr, the primal and the dual).  Runs
 are therefore reproducible rep by rep and embarrassingly parallel with
 order-independent output.
-Sweeps run on one BLAS thread per process.  With `jobs` J >= 2 the
-calling process writes the units, largest n first, into one pipe as
-fixed-size records, then forks J-1 workers by os.fork; it and every
-worker claim the next record with one read until the pipe is empty, so
-a process that draws short units claims more of them.  A worker sends
-its rows back pickled through a pipe of its own.  A worker that fails
-or dies makes the sweep raise RuntimeError with its traceback, after
-every other worker is killed and reaped, so no process outlives the call.
+Sweeps run on one BLAS thread per process.  With `jobs` J the units are
+dealt round robin into at most J shares; a worker forked by os.fork runs
+each share but the first, which the calling process runs, and sends its
+rows back pickled through a pipe.  A worker that fails or dies makes the
+sweep raise RuntimeError with its traceback, after every other worker
+is killed and reaped, so no process outlives the call.
 
 Raw rows, one per (n, strategy, rep), go to a CSV with fixed columns
     n, strategy, rep, abs_error, strong_sq, weak_sq, lambda_dp, iters, wall_ms
@@ -38,7 +36,6 @@ import numbers
 import os
 import pickle
 import signal
-import struct
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -82,6 +79,8 @@ CSV_COLUMNS = (
     "lambda_dp", "iters", "wall_ms",
 )
 _CSV_TYPES = {"n": int, "strategy": str, "rep": int, "iters": int}  # else float
+# columns RunRecord.aggregate averages; the first two also get medians
+_AGGREGATED = ("abs_error", "lambda_dp", "iters", "strong_sq", "weak_sq")
 
 DEFAULT_CD = {"rdiv": 30.0, "trae": 15.0, "dr": 15.0}
 DEFAULT_SCHEDULE = {"rdiv": "rdiv_sqrt", "trae": "trae_squared", "dr": "trae_squared"}
@@ -351,6 +350,11 @@ def _run_rep(payload) -> list:
     return rows
 
 
+def _run_share(payloads: list) -> list:
+    """_run_rep of each (spec, n, rep), in order."""
+    return [_run_rep(p) for p in payloads]
+
+
 def _error_row(n: int, strategy, rep: int, exc: Exception) -> dict:
     return {
         "n": n,
@@ -471,77 +475,11 @@ def _keep_freed_memory() -> None:
 
 # -- workers ---------------------------------------------------------------------
 #
-# Units are handed out on demand from one queue: before any fork the
-# caller writes one fixed-size record per chunk of units into a pipe and
-# closes its write end, and each process claims the next record with one
-# read, which a pipe serves whole, until EOF.  Largest n first, so the
-# long units are spread out and the short ones fill the gaps.  A sweep
-# of up to _QUEUE_RECORDS units has one unit per record; larger sweeps
-# have proportionally larger chunks, so the records always fit in the
-# pipe's default capacity (64 KiB on Linux, 16 KiB on macOS) and the
-# fill never waits for a reader.  Nothing is locked, so a worker that
-# dies holds nothing; its claimed units are lost and the sweep fails.
-#
-# A worker is one os.fork and one result pipe, with no executor thread.
-# The child inherits the spec, the queue and the caller's one-thread
-# BLAS pin, so nothing is pickled on the way in and the fork does not
+# Each worker gets exactly one share, so a worker is one os.fork and one
+# pipe, with no executor thread or queue.  The child inherits the spec,
+# its share and the caller's one-thread BLAS pin, so nothing is pickled
+# on the way in, no library is looked up again, and the fork does not
 # depend on a multiprocessing start method.
-
-_RECORD = struct.Struct("=I")  # a chunk number
-_QUEUE_RECORDS = 4096  # 16 KiB of records
-
-
-def _unit_queue(order: list) -> tuple[int, list]:
-    """The read end of a pipe holding one record per chunk of `order`,
-    already closed for writing, and the chunks."""
-    size = -(-len(order) // _QUEUE_RECORDS)
-    chunks = [order[k:k + size] for k in range(0, len(order), size)]
-    records = b"".join(_RECORD.pack(k) for k in range(len(chunks)))
-    read_fd, write_fd = os.pipe()
-    try:
-        os.set_blocking(write_fd, False)  # a pipe too small raises, not hangs
-        if os.write(write_fd, records) != len(records):
-            raise BlockingIOError(f"{len(records)} bytes of unit records do "
-                                  "not fit in a pipe")
-    except BaseException:
-        os.close(read_fd)
-        raise
-    finally:
-        os.close(write_fd)
-    return read_fd, chunks
-
-
-def _run_claimed(queue_fd: int, chunks: list, payloads: list) -> list:
-    """(index, rows) of every unit of each chunk claimed from the queue,
-    one record per read, until the queue is empty."""
-    done = []
-    while record := os.read(queue_fd, _RECORD.size):
-        (k,) = _RECORD.unpack(record)
-        done.extend((i, _run_rep(payloads[i])) for i in chunks[k])
-    return done
-
-
-def _run_with_workers(payloads: list, workers: int) -> list:
-    """_run_rep of each payload, in order, each run by whichever of this
-    process and `workers` forked ones claimed it from the queue."""
-    # sorted is stable: units of one n keep their rep order
-    order = sorted(range(len(payloads)), key=lambda i: -payloads[i][1])
-    queue_fd, chunks = _unit_queue(order)
-
-    def claim():
-        return _run_claimed(queue_fd, chunks, payloads)
-
-    by_rep = [None] * len(payloads)
-    try:
-        with _process_pool() as pool:
-            pids = [pool.submit(claim) for _ in range(workers)]
-            _keep_freed_memory()
-            for i, rows in claim() + [c for pid in pids for c in pool.result(pid)]:
-                by_rep[i] = rows
-    finally:
-        os.close(queue_fd)
-    return by_rep
-
 
 def _process_pool() -> "_ForkedWorkers":
     """A block of workers, one forked at each submit, each keeping freed
@@ -550,10 +488,10 @@ def _process_pool() -> "_ForkedWorkers":
 
 
 class _ForkedWorkers:
-    """submit(fn) forks a worker that runs fn() and returns its pid;
-    result(pid) reads the worker's pipe to EOF, reaps it and returns what
-    fn returned, or raises RuntimeError naming the worker.  Leaving the
-    block kills and reaps every worker not yet reaped."""
+    """submit(fn, share) forks a worker that runs fn(share) and returns
+    its pid; result(pid) reads the worker's pipe to EOF, reaps it and
+    returns the rows, or raises RuntimeError naming the worker.  Leaving
+    the block kills and reaps every worker not yet reaped."""
 
     def __init__(self):
         self._pipes = {}  # pid -> read end, until the worker is reaped
@@ -567,7 +505,7 @@ class _ForkedWorkers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    def submit(self, fn):
+    def submit(self, fn, share):
         for stream in (sys.stdout, sys.stderr):  # else both copies flush it
             if stream is not None:
                 stream.flush()
@@ -580,7 +518,7 @@ class _ForkedWorkers:
             raise
         if pid == 0:
             os.close(read_fd)
-            _worker_main(fn, write_fd)
+            _worker_main(fn, share, write_fd)
         os.close(write_fd)
         self._pipes[pid] = open(read_fd, "rb")
         return pid
@@ -602,7 +540,7 @@ class _ForkedWorkers:
             f"{os.waitstatus_to_exitcode(status)}){detail}")
 
 
-def _worker_main(fn, write_fd: int):
+def _worker_main(fn, share, write_fd: int):
     """A forked worker's whole life.  It leaves by os._exit, so it never
     returns into the caller's stack, runs the parent's exit handlers or
     flushes buffers the parent also holds."""
@@ -610,7 +548,7 @@ def _worker_main(fn, write_fd: int):
     try:
         try:
             _keep_freed_memory()
-            payload, ok = fn(), True
+            payload, ok = fn(share), True
         except BaseException:
             import traceback
             payload, ok = traceback.format_exc(), False
@@ -654,31 +592,41 @@ class RunRecord:
         return cls(spec_hash, rows)
 
     def aggregate(self) -> list:
-        """Per-(n, strategy) means and standard errors, in row order."""
+        """Per-(n, strategy) means and standard errors, in row order.
+
+        Groups with the same row count are stacked and each statistic is
+        taken along the last axis in one call, which gives every group
+        the bits a reduction of its own column gives.
+        """
         groups: dict[tuple, list] = {}
         for row in self.rows:
             groups.setdefault((row["n"], row["strategy"]), []).append(row)
-        out = []
+        by_count: dict[int, list] = {}
         for key, rows in groups.items():
-            errs = np.array([r["abs_error"] for r in rows])
-            lams = np.array([r["lambda_dp"] for r in rows])
-            summary = {
-                "n": key[0],
-                "strategy": key[1],
-                "reps": len(rows),
-                "mean_abs_error": float(errs.mean()),
-                "se_abs_error": float(errs.std(ddof=1) / math.sqrt(len(errs)))
-                if len(errs) > 1 else 0.0,
-                "median_abs_error": float(np.median(errs)),
-                "mean_lambda_dp": float(lams.mean()),
-                "median_lambda_dp": float(np.median(lams)),
-                "mean_iters": float(np.mean([r["iters"] for r in rows])),
-            }
-            for col in ("strong_sq", "weak_sq"):
-                vals = np.array([r[col] for r in rows])
-                summary[f"mean_{col}"] = float(vals.mean())
-            out.append(summary)
-        return out
+            by_count.setdefault(len(rows), []).append(key)
+        out = {}
+        for count, keys in by_count.items():
+            cols = np.array([[[r[c] for r in groups[key]] for c in _AGGREGATED]
+                             for key in keys], dtype=np.float64)
+            means = cols.mean(axis=2).tolist()
+            medians = np.median(cols[:, :2], axis=2).tolist()
+            ses = ((cols[:, 0].std(axis=1, ddof=1) / math.sqrt(count)).tolist()
+                   if count > 1 else [0.0] * len(keys))
+            for key, mean, median, se in zip(keys, means, medians, ses):
+                out[key] = {
+                    "n": key[0],
+                    "strategy": key[1],
+                    "reps": count,
+                    "mean_abs_error": mean[0],
+                    "se_abs_error": se,
+                    "median_abs_error": median[0],
+                    "mean_lambda_dp": mean[1],
+                    "median_lambda_dp": median[1],
+                    "mean_iters": mean[2],
+                    "mean_strong_sq": mean[3],
+                    "mean_weak_sq": mean[4],
+                }
+        return [out[key] for key in groups]
 
     def summary_json(self) -> str:
         return json.dumps(
@@ -699,12 +647,11 @@ def _format_cell(value) -> str:
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunRecord:
     """Run every (n, rep) on one BLAS thread; failures are recorded, not raised.
 
-    Rows and failures come back in (n, strategy, rep) order, whatever
-    `jobs`.  jobs=1 or a single (n, rep) runs every unit in this process
-    and forks nothing.  Otherwise min(jobs, units) - 1 workers are forked,
-    and they and this process claim the units, largest n first, from one
-    queue until it is empty.  A worker that fails raises RuntimeError
-    with its traceback; jobs >= 2 needs os.fork.
+    Rows and failures come back in (n, strategy, rep) order.  The units
+    are dealt round robin into min(jobs, units) shares; a worker is
+    forked for each share but the first, which the calling process runs,
+    so jobs=1 or a single (n, rep) forks nothing.  A worker that fails
+    raises RuntimeError with its traceback; jobs >= 2 needs os.fork.
     """
     jobs = _whole(jobs, "jobs")
     if jobs < 1:
@@ -713,15 +660,20 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunRecord:
         raise ValueError(f"jobs={jobs} forks workers, and this platform has "
                          "no os.fork; use jobs=1")
     payloads = [(spec, n, rep) for n in spec.sizes for rep in range(spec.reps)]
-    workers = min(jobs, len(payloads)) - 1
-    with _one_blas_thread():
-        if workers:
-            by_rep = _run_with_workers(payloads, workers)
-        else:
-            _keep_freed_memory()
-            by_rep = [_run_rep(p) for p in payloads]
+    count = min(jobs, len(payloads))
+    shares = [payloads[k::count] for k in range(count)]
+    with _one_blas_thread(), contextlib.ExitStack() as stack:
+        pids = []
+        if count > 1:
+            pool = stack.enter_context(_process_pool())
+            pids = [pool.submit(_run_share, share) for share in shares[1:]]
+        _keep_freed_memory()
+        done = [_run_share(shares[0])] + [pool.result(pid) for pid in pids]
         if _MALLOC_TRIM is not None:
             _MALLOC_TRIM(0)
+    by_rep = [None] * len(payloads)
+    for k, share in enumerate(done):
+        by_rep[k::count] = share
     results = [
         by_rep[i * spec.reps + rep][si]
         for i in range(len(spec.sizes))

@@ -1,7 +1,6 @@
 import ctypes
 import math
 import os
-import select
 import subprocess
 import sys
 import time
@@ -211,13 +210,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("sizes, reps, workers", [
         ((150,), 2, [1]), ((150, 100), 1, [1]), ((150,), 1, []),
-        ((150, 100, 120), 2, [1, 2, 3])])
+        ((150, 100, 120), 2, [2, 1, 1])])
     def test_pool_starts_no_idle_worker(self, monkeypatch, sizes, reps,
                                         workers):
-        # at jobs=4, min(4, units) - 1 workers, as the caller claims units
-        # too, and none for a single (n, rep); `workers` numbers the
-        # workers started.  The fake pool runs in-process, so no process
-        # starts, and the rows equal jobs=1's
+        # at jobs=4, min(4, units) - 1 workers, as the caller runs a share,
+        # and none for a single (n, rep); `workers` lists the units each
+        # worker is given (6 units: the caller runs 2).  The fake pool runs
+        # in-process, so no process starts, and the rows equal jobs=1's
         events = []
         monkeypatch.setattr(harness, "_process_pool",
                             lambda: InProcessPool(events))
@@ -230,11 +229,34 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("jobs", [2, 3, 5])
     def test_real_pool_rows_equal_jobs_1_on_uneven_sizes(self, jobs):
+        # jobs=5 runs more processes than a 2-core host has cores
         spec = tiny_spec(sizes=(120, 300, 200), reps=2)
         record = run_experiment(spec, jobs=jobs)
         assert not record.failures
         assert _row_cells(record.rows) == _row_cells(
             run_experiment(spec, jobs=1).rows)
+
+    @pytest.mark.parametrize("jobs", [2, 3, 5])
+    def test_every_unit_runs_exactly_once(self, monkeypatch, tmp_path, jobs):
+        # the caller and each worker log "pid n rep" per unit they run
+        spec = tiny_spec(sizes=(150, 100, 120), reps=4, strategies=(0.01,))
+        clean = run_experiment(spec)
+        log, run_rep = tmp_path / "units", harness._run_rep
+
+        def run(payload):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, f"{os.getpid()} {payload[1]} {payload[2]}\n".encode())
+            os.close(fd)
+            return run_rep(payload)
+
+        monkeypatch.setattr(harness, "_run_rep", run)
+        record = run_experiment(spec, jobs=jobs)
+        lines = [line.split() for line in log.read_text().splitlines()]
+        assert sorted((int(n), int(rep)) for _, n, rep in lines) == sorted(
+            (n, rep) for n in spec.sizes for rep in range(4))
+        assert len({pid for pid, _, _ in lines}) == jobs
+        assert _row_cells(record.rows) == _row_cells(clean.rows)
+        assert _no_child_left()
 
     @pytest.mark.parametrize("jobs, message", [
         (0, "at least 1"), (-3, "at least 1"), (1.5, "whole numbers"),
@@ -269,6 +291,44 @@ class TestRunExperiment:
             assert cell["se_abs_error"] == pytest.approx(
                 errs.std(ddof=1) / math.sqrt(len(errs)), abs=1e-12
             )
+
+    def test_aggregation_is_bit_identical_per_group_on_uneven_groups(self):
+        # groups of 1, 2, 3, 9 and 130 rows, a NaN column and signed
+        # zeros: every statistic equals the group's own 1-d reduction
+        rng = np.random.default_rng(5)
+        rows = []
+        for n, strategy, count in ((100, "dp", 3), (100, "fixed_0.1", 1),
+                                   (200, "dp", 9), (200, "fixed_0.1", 130),
+                                   (300, "dp", 2), (300, "fixed_0.1", 3)):
+            for rep in range(count):
+                rows.append({"n": n, "strategy": strategy, "rep": rep,
+                             "abs_error": abs(rng.standard_normal()) * 1e3,
+                             "strong_sq": float("nan"),
+                             "weak_sq": rng.choice([0.0, -0.0, 1e-300]),
+                             "lambda_dp": float(rng.random()),
+                             "iters": int(rng.integers(0, 40)), "wall_ms": 1.0})
+        cells = RunRecord("h", rows).aggregate()
+        assert [(c["n"], c["strategy"]) for c in cells] == [
+            (100, "dp"), (100, "fixed_0.1"), (200, "dp"), (200, "fixed_0.1"),
+            (300, "dp"), (300, "fixed_0.1")]
+        for cell in cells:
+            group = [r for r in rows if (r["n"], r["strategy"])
+                     == (cell["n"], cell["strategy"])]
+            col = {c: np.array([r[c] for r in group]) for c in group[0]}
+            errs = col["abs_error"]
+            expected = {
+                "n": cell["n"], "strategy": cell["strategy"], "reps": len(group),
+                "mean_abs_error": float(errs.mean()),
+                "se_abs_error": float(errs.std(ddof=1) / math.sqrt(len(errs)))
+                if len(errs) > 1 else 0.0,
+                "median_abs_error": float(np.median(errs)),
+                "mean_lambda_dp": float(col["lambda_dp"].mean()),
+                "median_lambda_dp": float(np.median(col["lambda_dp"])),
+                "mean_iters": float(col["iters"].mean()),
+                "mean_strong_sq": float(col["strong_sq"].mean()),
+                "mean_weak_sq": float(col["weak_sq"].mean()),
+            }
+            assert repr(cell) == repr(expected)
 
     def test_report_text_mentions_all_strategies(self):
         record = run_experiment(tiny_spec())
@@ -537,10 +597,10 @@ class TestOneBlasThread:
         assert _mapped_openblas_threads() == [1] * len(before)
 
     def test_a_forked_worker_reads_one_thread(self, two_blas_threads,
-                                              worker_run_rep):
-        # the worker inherits the caller's pin and makes no call of its own
+                                              monkeypatch):
+        # the worker sets no count itself: it runs on the pin it inherits
         before = _mapped_openblas_threads()
-        worker_run_rep(_tagged_rows(_mapped_openblas_threads))
+        _tag_worker_rows(monkeypatch, _mapped_openblas_threads)
         record = run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
         assert _worker_tags(record.rows) == [[1] * len(before)]
         assert _mapped_openblas_threads() == before
@@ -566,41 +626,29 @@ def _no_child_left():
     return False
 
 
-@pytest.fixture
-def worker_run_rep(monkeypatch):
-    """inject(in_worker, in_caller) makes harness._run_rep run
-    in_worker(payload) in a forked worker and in_caller(payload), by
-    default the real _run_rep, in the calling process.  The caller's first
-    unit waits, for up to a minute, until a worker has started a unit, so
-    a worker claims at least one however fast the caller is."""
-    parent, run_rep = os.getpid(), harness._run_rep
-    started, start = os.pipe()
-    waited = []
-
-    def inject(in_worker, in_caller=run_rep):
-        def run(payload):
-            if os.getpid() != parent:
-                os.write(start, b"!")
-                return in_worker(payload)
-            if not waited:
-                waited.append(select.select([started], [], [], 60))
-            return in_caller(payload)
-
-        monkeypatch.setattr(harness, "_run_rep", run)
-
-    yield inject
-    os.close(started)
-    os.close(start)
+def _share_that_fails_in_a_worker(monkeypatch, fail):
+    """harness._run_share, but a forked worker calls fail() instead."""
+    parent, run_share = os.getpid(), harness._run_share
+    monkeypatch.setattr(harness, "_run_share", lambda payloads: (
+        run_share(payloads) if os.getpid() == parent else fail()))
 
 
-def _tagged_rows(tag):
-    """harness._run_rep, with tag() added to every row under "tag"."""
-    run_rep = harness._run_rep
-    return lambda payload: [{**row, "tag": tag()} for row in run_rep(payload)]
+def _tag_worker_rows(monkeypatch, tag):
+    """harness._run_share, but a forked worker adds tag() to every row it
+    sends, under "tag"."""
+    parent, run_share = os.getpid(), harness._run_share
+
+    def share(payloads):
+        done = run_share(payloads)
+        if os.getpid() == parent:
+            return done
+        return [[{**row, "tag": tag()} for row in rows] for rows in done]
+
+    monkeypatch.setattr(harness, "_run_share", share)
 
 
 def _worker_tags(rows) -> list:
-    """The distinct tags of the rows _tagged_rows made in workers."""
+    """The distinct tags of the rows _tag_worker_rows made in workers."""
     tags = []
     for row in rows:
         if "tag" in row and row["tag"] not in tags:
@@ -610,34 +658,38 @@ def _worker_tags(rows) -> list:
 
 class TestForkedWorkers:
     def test_a_worker_that_raises_fails_the_sweep_with_its_traceback(
-            self, worker_run_rep):
-        def fail(payload):
-            raise ZeroDivisionError("unit failed in the worker")
+            self, monkeypatch):
+        def fail():
+            raise ZeroDivisionError("share failed in the worker")
 
-        worker_run_rep(fail)
+        _share_that_fails_in_a_worker(monkeypatch, fail)
         with pytest.raises(RuntimeError, match=r"sweep worker pid \d+ failed "
                            r"\(wait status 256, exit code 1\)") as info:
             run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
-        assert "ZeroDivisionError: unit failed in the worker" in str(info.value)
+        assert "ZeroDivisionError: share failed in the worker" in str(info.value)
         assert "Traceback" in str(info.value)
         assert _no_child_left()
 
-    def test_a_worker_that_exits_fails_the_sweep(self, worker_run_rep):
-        worker_run_rep(lambda payload: os._exit(3))
+    def test_a_worker_that_exits_fails_the_sweep(self, monkeypatch):
+        _share_that_fails_in_a_worker(monkeypatch, lambda: os._exit(3))
         with pytest.raises(RuntimeError, match=r"sweep worker pid \d+ failed "
                            r"\(wait status 768, exit code 3\), sending no rows"):
             run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
         assert _no_child_left()
 
-    def test_workers_are_killed_when_the_caller_fails(self, worker_run_rep):
-        # a worker's unit would sleep for a minute; the caller's own unit
-        # raises, so the workers are killed and reaped, not waited for
-        def fail(payload):
-            raise KeyError("the caller's unit failed")
+    def test_workers_are_killed_when_the_caller_fails(self, monkeypatch):
+        # the workers would sleep for a minute; the caller's own share
+        # raises, so they are killed and reaped, not waited for
+        parent = os.getpid()
 
-        worker_run_rep(lambda payload: time.sleep(60), fail)
+        def share(payloads):
+            if os.getpid() == parent:
+                raise KeyError("the caller's share failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "_run_share", share)
         start = time.monotonic()
-        with pytest.raises(KeyError, match="the caller's unit failed"):
+        with pytest.raises(KeyError, match="the caller's share failed"):
             run_experiment(tiny_spec(strategies=(0.01,), sizes=(150, 100)),
                            jobs=3)
         assert time.monotonic() - start < 30
@@ -708,10 +760,9 @@ print("rows:", len(run_experiment(spec, jobs=2).rows))
 
 
 class InProcessPool:
-    """Stands in for harness._process_pool: logs ("pool",) and, for its
-    k-th worker, ("submit", k) to `events`, and runs a worker in-process
-    when its result is asked for.  By then the caller has claimed every
-    unit, so the caller runs them all, in the order of the queue."""
+    """Stands in for harness._process_pool: logs ("pool",) and ("submit",
+    units) to `events`, and runs a task in-process when its result is
+    asked for."""
 
     def __init__(self, events):
         self.events = events
@@ -724,107 +775,14 @@ class InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn):
-        self.tasks.append(fn)
-        self.events.append(("submit", len(self.tasks)))
+    def submit(self, fn, payloads):
+        self.events.append(("submit", len(payloads)))
+        self.tasks.append((fn, payloads))
         return len(self.tasks) - 1
 
     def result(self, task):
-        return self.tasks[task]()
-
-
-class TestUnitQueue:
-    """jobs >= 2: the caller and its workers claim units, largest n first,
-    from one pipe filled before the first fork."""
-
-    @staticmethod
-    def _logged_units(monkeypatch, path):
-        """harness._run_rep, appending "pid n rep" to `path` per unit."""
-        run_rep = harness._run_rep
-
-        def run(payload):
-            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-            os.write(fd, f"{os.getpid()} {payload[1]} {payload[2]}\n".encode())
-            os.close(fd)
-            return run_rep(payload)
-
-        monkeypatch.setattr(harness, "_run_rep", run)
-
-    @staticmethod
-    def _units(path):
-        lines = path.read_text().splitlines()
-        return ({line.split()[0] for line in lines},
-                sorted(tuple(map(int, line.split()[1:])) for line in lines))
-
-    def test_units_are_claimed_largest_n_first(self, monkeypatch):
-        # the fake pool's workers start after the caller has claimed every
-        # unit, so its log is the queue's order; ties keep their rep order
-        claimed = []
-        run_rep = harness._run_rep
-        monkeypatch.setattr(harness, "_run_rep", lambda payload: (
-            claimed.append(payload[1:]) or run_rep(payload)))
-        monkeypatch.setattr(harness, "_process_pool", lambda: InProcessPool([]))
-        spec = tiny_spec(sizes=(100, 150, 120), reps=2, strategies=(0.01,))
-        record = run_experiment(spec, jobs=2)
-        assert claimed == [(150, 0), (150, 1), (120, 0), (120, 1),
-                           (100, 0), (100, 1)]
-        assert _cell_ids(record.rows) == [
-            (n, "fixed_0.01", rep) for n in (100, 150, 120) for rep in (0, 1)]
-
-    @pytest.mark.parametrize("jobs", [2, 3, 5])
-    def test_every_unit_runs_exactly_once(self, monkeypatch, tmp_path, jobs):
-        # jobs=5 runs more processes than a 2-core host has cores
-        spec = tiny_spec(sizes=(150, 100, 120), reps=4, strategies=(0.01,))
-        clean = run_experiment(spec)
-        self._logged_units(monkeypatch, tmp_path / "units")
-        record = run_experiment(spec, jobs=jobs)
-        pids, units = self._units(tmp_path / "units")
-        assert units == sorted((n, rep) for n in spec.sizes for rep in range(4))
-        assert 1 <= len(pids) <= jobs
-        assert _row_cells(record.rows) == _row_cells(clean.rows)
-        assert _no_child_left()
-
-    def test_chunks_cover_the_units_in_order(self, monkeypatch):
-        # one unit a record up to the record cap, then proportionally
-        # larger chunks, so the records never outgrow 16 KiB
-        for units, size, count in ((2, 1, 2), (4096, 1, 4096), (4097, 2, 2049),
-                                   (10000, 3, 3334)):
-            fd, chunks = harness._unit_queue(list(range(units)))
-            try:
-                records = os.read(fd, 1 << 20)
-            finally:
-                os.close(fd)
-            assert len(records) == count * harness._RECORD.size <= 16 << 10
-            assert {len(c) for c in chunks[:-1]} <= {size}
-            assert [i for c in chunks for i in c] == list(range(units))
-        monkeypatch.setattr(harness, "_QUEUE_RECORDS", 2)
-        fd, chunks = harness._unit_queue([5, 4, 3, 2, 1])
-        os.close(fd)
-        assert chunks == [[5, 4, 3], [2, 1]]
-
-    def test_records_beyond_the_pipe_raise_and_do_not_hang(self, monkeypatch):
-        # with no cap, 1 MiB of records cannot fit in a pipe: the fill
-        # raises at once, before any fork, and leaves no fd open
-        monkeypatch.setattr(harness, "_QUEUE_RECORDS", 1 << 20)
-        fds = set(os.listdir("/proc/self/fd"))
-        with pytest.raises(BlockingIOError):
-            harness._unit_queue(list(range(1 << 18)))
-        assert set(os.listdir("/proc/self/fd")) == fds
-
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_chunked_queue_with_the_record_cap_at_2(self, monkeypatch,
-                                                     tmp_path, jobs):
-        # 6 units in 2 records of 3; at jobs=3 one process claims none
-        spec = tiny_spec(sizes=(150, 100, 120), reps=2, strategies=(0.01,))
-        clean = run_experiment(spec)
-        monkeypatch.setattr(harness, "_QUEUE_RECORDS", 2)
-        self._logged_units(monkeypatch, tmp_path / "units")
-        record = run_experiment(spec, jobs=jobs)
-        pids, units = self._units(tmp_path / "units")
-        assert units == sorted((n, rep) for n in spec.sizes for rep in (0, 1))
-        assert 1 <= len(pids) <= 2
-        assert _row_cells(record.rows) == _row_cells(clean.rows)
-        assert _no_child_left()
+        fn, payloads = self.tasks[task]
+        return fn(payloads)
 
 
 def _row_cells(rows):
@@ -1039,7 +997,7 @@ class TestFreedMemoryReuse:
         assert float(proc.stdout) < 200
 
     def test_workers_start_before_the_caller_keeps_freed_memory(
-            self, monkeypatch, worker_run_rep):
+            self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "_MALLOPT", lambda param, value: calls.append(
             ("mallopt", param, value)))
@@ -1056,7 +1014,7 @@ class TestFreedMemoryReuse:
         calls.clear()
         # a real worker's rows carry the calls made in it: its own two,
         # none of the caller's
-        worker_run_rep(_tagged_rows(lambda: list(calls)))
+        _tag_worker_rows(monkeypatch, lambda: list(calls))
         record = run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
         assert _worker_tags(record.rows) == [
             [("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20)]]
