@@ -8,12 +8,13 @@ once, and every lambda strategy is fitted on that same draw, from
 factored systems built once (for dr, the primal and the dual).  Runs
 are therefore reproducible rep by rep and embarrassingly parallel with
 order-independent output.
-Sweeps run on one BLAS thread per process.  With `jobs` J the units are
-dealt round robin into at most J shares; a worker forked by os.fork runs
-each share but the first, which the calling process runs, and sends its
-rows back pickled through a pipe.  A worker that fails or dies makes the
-sweep raise RuntimeError with its traceback, after every other worker
-is killed and reaped, so no process outlives the call.
+Sweeps pin numpy's OpenBLAS, looked up once at import, to one thread.
+With `jobs` J the units are dealt round robin into at most J shares; a
+worker forked by os.fork runs each share but the first, which the
+calling process runs, and sends its rows back pickled through a pipe.
+A worker that fails or dies makes the sweep raise RuntimeError with its
+traceback, after every other worker is killed and reaped, so no process
+outlives the call.
 
 Raw rows, one per (n, strategy, rep), go to a CSV with fixed columns
     n, strategy, rep, abs_error, strong_sq, weak_sq, lambda_dp, iters, wall_ms
@@ -112,6 +113,7 @@ class ExperimentSpec:
         if not self.sizes or not self.strategies:
             raise ValueError("sizes and strategies must be nonempty")
         object.__setattr__(self, "reps", _whole(self.reps, "reps"))
+        object.__setattr__(self, "max_iters", _whole(self.max_iters, "max_iters"))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         for s in self.strategies:
@@ -368,9 +370,10 @@ def _error_row(n: int, strategy, rep: int, exc: Exception) -> dict:
 #
 # Sweep matrices are K <= ~70, so threaded BLAS only adds synchronization;
 # parallelism comes from the `jobs` processes, the caller and its forked
-# workers.  numpy's wheel ships its own OpenBLAS, and so does scipy's,
-# which is mapped only once something in the process has imported scipy
-# (adaptik never does); every copy that is mapped is pinned.
+# workers; unpinned, the cli_sweep_jobs2 benchmark ran 55 cells/s against
+# 673 pinned (2-core Xeon).  Only numpy's own OpenBLAS is pinned: adaptik
+# never imports scipy, whose wheel maps another copy.  numpy's calls are
+# looked up once, at import; a forked worker inherits them and the pin.
 #
 # A fork takes down OpenBLAS's thread pool in parent and child alike, and
 # the next set-count call starts a new one whose idle threads spin for
@@ -380,64 +383,45 @@ def _error_row(n: int, strategy, rep: int, exc: Exception) -> dict:
 # the counts after a sweep with workers left two spinning threads in the
 # caller, which took CPU from whatever ran next.
 
-_OPENBLAS_THREAD_CALLS = (
-    # (get, set): numpy's 64-bit-integer build, then scipy's
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
+def _openblas_thread_calls():
+    """(get, set) thread-count calls of numpy's OpenBLAS, or None where
+    numpy maps none; `set` also stops the library's thread pool."""
+    root = Path(np.__file__).parent
+    for lib_dir in (root.parent / "numpy.libs", root / ".dylibs"):
+        for path in sorted(lib_dir.glob("*openblas*")):
+            try:  # RTLD_NOLOAD: a handle only if the library is mapped
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get = lib.scipy_openblas_get_num_threads64_
+                put = lib.scipy_openblas_set_num_threads64_
+            except (AttributeError, OSError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            stop = getattr(lib, "blas_thread_shutdown_", None)
+
+            def set_count(count: int) -> None:
+                put(count)
+                if stop is not None:
+                    stop()
+            return get, set_count
+    return None
 
 
-def _openblas_thread_calls() -> list:
-    """(get, set) thread-count calls of every OpenBLAS numpy and, once
-    imported, scipy loaded.
-
-    `set` leaves the library without a running thread pool.
-    """
-    calls = []
-    for pkg in filter(None, (np, sys.modules.get("scipy"))):
-        root = Path(pkg.__file__).parent
-        for lib_dir in (root.parent / f"{pkg.__name__}.libs", root / ".dylibs"):
-            for path in sorted(lib_dir.glob("*openblas*")):
-                try:  # RTLD_NOLOAD: a handle only if the library is mapped
-                    lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-                except OSError:
-                    continue
-                for get_name, set_name in _OPENBLAS_THREAD_CALLS:
-                    if hasattr(lib, get_name) and hasattr(lib, set_name):
-                        get, put = getattr(lib, get_name), getattr(lib, set_name)
-                        get.argtypes, get.restype = [], ctypes.c_int
-                        put.argtypes, put.restype = [ctypes.c_int], None
-                        stop = getattr(lib, "blas_thread_shutdown_", None)
-                        calls.append((get, _set_and_stop(put, stop)))
-    return calls
-
-
-def _set_and_stop(put, stop):
-    def set_count(count: int) -> None:
-        put(count)
-        if stop is not None:
-            stop()
-    return set_count
-
-
-def _pin_one_blas_thread() -> None:
-    # a forked worker inherits the count and needs no call
-    for get, put in _openblas_thread_calls():
-        if get() != 1:
-            put(1)
+# without numpy's OpenBLAS the pin does nothing
+_BLAS_GET, _BLAS_SET = _openblas_thread_calls() or (lambda: 1, lambda count: None)
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Pin every loaded OpenBLAS to one thread; restore the counts on exit."""
-    saved = [(get, put, get()) for get, put in _openblas_thread_calls()]
-    _pin_one_blas_thread()
+    """Pin numpy's OpenBLAS to one thread; restore its count on exit."""
+    count = _BLAS_GET()
+    if count != 1:
+        _BLAS_SET(1)
     try:
         yield
     finally:
-        for get, put, count in saved:
-            if get() != count:
-                put(count)
+        if _BLAS_GET() != count:
+            _BLAS_SET(count)
 
 
 # -- allocator -------------------------------------------------------------------
@@ -478,20 +462,15 @@ def _keep_freed_memory() -> None:
 # Each worker gets exactly one share, so a worker is one os.fork and one
 # pipe, with no executor thread or queue.  The child inherits the spec,
 # its share and the caller's one-thread BLAS pin, so nothing is pickled
-# on the way in, no library is looked up again, and the fork does not
-# depend on a multiprocessing start method.
-
-def _process_pool() -> "_ForkedWorkers":
-    """A block of workers, one forked at each submit, each keeping freed
-    memory."""
-    return _ForkedWorkers()
-
+# on the way in and the fork does not depend on a multiprocessing start
+# method.
 
 class _ForkedWorkers:
-    """submit(fn, share) forks a worker that runs fn(share) and returns
-    its pid; result(pid) reads the worker's pipe to EOF, reaps it and
-    returns the rows, or raises RuntimeError naming the worker.  Leaving
-    the block kills and reaps every worker not yet reaped."""
+    """submit(share) forks a worker that keeps freed memory and runs
+    _run_share(share), and returns its pid; result(pid) reads the
+    worker's pipe to EOF, reaps it and returns the rows, or raises
+    RuntimeError naming the worker.  Leaving the block kills and reaps
+    every worker not yet reaped."""
 
     def __init__(self):
         self._pipes = {}  # pid -> read end, until the worker is reaped
@@ -505,7 +484,7 @@ class _ForkedWorkers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    def submit(self, fn, share):
+    def submit(self, share):
         for stream in (sys.stdout, sys.stderr):  # else both copies flush it
             if stream is not None:
                 stream.flush()
@@ -518,7 +497,7 @@ class _ForkedWorkers:
             raise
         if pid == 0:
             os.close(read_fd)
-            _worker_main(fn, share, write_fd)
+            _worker_main(share, write_fd)
         os.close(write_fd)
         self._pipes[pid] = open(read_fd, "rb")
         return pid
@@ -540,7 +519,7 @@ class _ForkedWorkers:
             f"{os.waitstatus_to_exitcode(status)}){detail}")
 
 
-def _worker_main(fn, share, write_fd: int):
+def _worker_main(share, write_fd: int):
     """A forked worker's whole life.  It leaves by os._exit, so it never
     returns into the caller's stack, runs the parent's exit handlers or
     flushes buffers the parent also holds."""
@@ -548,7 +527,7 @@ def _worker_main(fn, share, write_fd: int):
     try:
         try:
             _keep_freed_memory()
-            payload, ok = fn(share), True
+            payload, ok = _run_share(share), True
         except BaseException:
             import traceback
             payload, ok = traceback.format_exc(), False
@@ -629,11 +608,12 @@ class RunRecord:
         return [out[key] for key in groups]
 
     def summary_json(self) -> str:
-        return json.dumps(
-            {"spec_hash": self.spec_hash, "cells": self.aggregate(),
-             "failures": self.failures},
-            indent=2,
-        )
+        """Aggregates and failures as strict JSON: a non-finite aggregate,
+        such as proxy_nc's NaN mean_strong_sq, is written as null."""
+        cells = [{k: v if not isinstance(v, float) or math.isfinite(v) else None
+                  for k, v in cell.items()} for cell in self.aggregate()]
+        return json.dumps({"spec_hash": self.spec_hash, "cells": cells,
+                           "failures": self.failures}, indent=2, allow_nan=False)
 
 
 def _format_cell(value) -> str:
@@ -662,11 +642,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunRecord:
     payloads = [(spec, n, rep) for n in spec.sizes for rep in range(spec.reps)]
     count = min(jobs, len(payloads))
     shares = [payloads[k::count] for k in range(count)]
-    with _one_blas_thread(), contextlib.ExitStack() as stack:
-        pids = []
-        if count > 1:
-            pool = stack.enter_context(_process_pool())
-            pids = [pool.submit(_run_share, share) for share in shares[1:]]
+    with _one_blas_thread(), _ForkedWorkers() as pool:
+        pids = [pool.submit(share) for share in shares[1:]]
         _keep_freed_memory()
         done = [_run_share(shares[0])] + [pool.result(pid) for pid in pids]
         if _MALLOC_TRIM is not None:

@@ -158,6 +158,31 @@ class TestExperimentReportRates:
         assert ("n=200 strategy=fixed_0.01 rep=0: FloatingPointError: injected"
                 in text)
 
+    def test_proxy_summary_is_strict_json(self, tmp_path, capsys, monkeypatch):
+        # proxy_nc has no strong or weak error, so those means are NaN in
+        # aggregate() and the CSV, and null in the summary
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        solve = TikhonovSystem.solve
+        monkeypatch.setattr(TikhonovSystem, "solve", lambda self, lam: (
+            solve(self, lam) if lam != 0.01 else 1 / 0))
+        config = write_config(tmp_path, dgp="proxy_nc", sizes=[300],
+                              strategies=["dp", 0.0, 0.01])
+        out = str(tmp_path / "run")
+        assert main(["experiment", "--config", config, "--out", out]) == 2
+        summary = json.loads((tmp_path / "run.summary.json").read_text(),
+                             parse_constant=no_constant)
+        assert [c["mean_strong_sq"] for c in summary["cells"]] == [None, None]
+        assert [c["mean_weak_sq"] for c in summary["cells"]] == [None, None]
+        assert len(summary["failures"]) == 2
+        assert "nan" in Path(out + ".csv").read_text()
+        capsys.readouterr()
+        assert main(["report", "--record", out + ".csv"]) == 0
+        text = capsys.readouterr().out
+        assert "rows: 4  failures: 2" in text
+        assert "n=300 strategy=fixed_0.01 rep=1: ZeroDivisionError" in text
+
     def test_jobs_flag(self, tmp_path):
         config = write_config(tmp_path)
         out = str(tmp_path / "runp")

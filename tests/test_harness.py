@@ -81,6 +81,10 @@ class TestExperimentSpec:
         spec = tiny_spec(reps=2.0, sizes=(200.0, 300))
         assert (spec.reps, spec.sizes) == (2, (200, 300))
         assert type(spec.reps) is int
+        assert tiny_spec(max_iters=20.0).max_iters == 20
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="max_iters must be whole"):
+                tiny_spec(max_iters=bad)
         for bad in (2.5, 20.0, True):
             with pytest.raises(ValueError, match="max_iters must be an int"):
                 DpConfig(NoiseSchedule("fixed", 1.0), max_iters=bad)
@@ -218,12 +222,11 @@ class TestRunExperiment:
         # worker is given (6 units: the caller runs 2).  The fake pool runs
         # in-process, so no process starts, and the rows equal jobs=1's
         events = []
-        monkeypatch.setattr(harness, "_process_pool",
+        monkeypatch.setattr(harness, "_ForkedWorkers",
                             lambda: InProcessPool(events))
         spec = tiny_spec(sizes=sizes, reps=reps, strategies=("dp", 0.01))
         record = run_experiment(spec, jobs=4)
-        assert events == ([("pool",)] if workers else []) + [
-            ("submit", units) for units in workers]
+        assert events == [("submit", units) for units in workers]
         assert _row_cells(record.rows) == _row_cells(
             run_experiment(spec, jobs=1).rows)
 
@@ -520,29 +523,27 @@ class TestPlugInRows:
         assert _row_cells(record.rows) == _row_cells(self._public_rows(spec))
 
 
-_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
-
-
-def _mapped_openblas_threads() -> list:
-    """Thread count of every OpenBLAS copy mapped into this process."""
+def _numpy_openblas_get():
+    """Thread-count getter of numpy's OpenBLAS, found among the libraries
+    mapped into this process."""
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
         pytest.skip("/proc/self/maps is not readable, so the mapped "
                     "libraries cannot be listed")
-    paths = sorted({line.split()[-1] for line in maps.splitlines()
-                    if "openblas" in line.rsplit("/", 1)[-1].lower()})
-    counts = []
-    for path in paths:
-        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        for name in _GETTERS:
-            if hasattr(lib, name):
-                getter = getattr(lib, name)
-                getter.restype = ctypes.c_int
-                counts.append(getter())
-    if not counts:
-        pytest.skip("no numpy or scipy OpenBLAS is mapped into this process")
-    return counts
+    for line in maps.splitlines():
+        path = Path(line.split()[-1])
+        if path.parent.name == "numpy.libs" and "openblas" in path.name:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            getter = lib.scipy_openblas_get_num_threads64_
+            getter.restype = ctypes.c_int
+            return getter
+    pytest.skip("numpy's OpenBLAS is not mapped into this process")
+
+
+def _mapped_openblas_threads() -> int:
+    """Thread count of numpy's OpenBLAS, read apart from harness's lookup."""
+    return _numpy_openblas_get()()
 
 
 def _thread_ids() -> set:
@@ -564,23 +565,21 @@ def _new_threads(before: set) -> set:
 
 @pytest.fixture
 def two_blas_threads():
-    """Every pinned OpenBLAS set to 2 threads; the old counts come back after."""
-    calls = harness._openblas_thread_calls()
-    saved = [get() for get, _ in calls]
-    for _, put in calls:
-        put(2)
+    """numpy's OpenBLAS set to 2 threads; the old count comes back after."""
+    saved = harness._BLAS_GET()
+    harness._BLAS_SET(2)
     yield
-    for (_, put), count in zip(calls, saved):
-        put(count)
+    harness._BLAS_SET(saved)
 
 
 class TestOneBlasThread:
     def test_every_mapped_copy_reads_one_inside(self, two_blas_threads):
-        before = _mapped_openblas_threads()
-        assert len(harness._openblas_thread_calls()) == len(before)
+        # only numpy's copy is pinned; scipy's, mapped here by the tests'
+        # own scipy import, is not adaptik's
+        assert _mapped_openblas_threads() == 2
         with harness._one_blas_thread():
-            assert _mapped_openblas_threads() == [1] * len(before)
-        assert _mapped_openblas_threads() == before
+            assert _mapped_openblas_threads() == 1
+        assert _mapped_openblas_threads() == 2
 
     def test_counts_restored_when_the_body_raises(self, two_blas_threads):
         before = _mapped_openblas_threads()
@@ -591,19 +590,35 @@ class TestOneBlasThread:
         run_experiment(tiny_spec(strategies=(0.01,), reps=1))
         assert _mapped_openblas_threads() == before
 
-    def test_pool_initializer_pins(self, two_blas_threads):
-        before = _mapped_openblas_threads()
-        harness._pin_one_blas_thread()
-        assert _mapped_openblas_threads() == [1] * len(before)
-
     def test_a_forked_worker_reads_one_thread(self, two_blas_threads,
                                               monkeypatch):
-        # the worker sets no count itself: it runs on the pin it inherits
-        before = _mapped_openblas_threads()
-        _tag_worker_rows(monkeypatch, _mapped_openblas_threads)
+        # the worker sets no count itself: it runs on the pin it inherits,
+        # and the caller runs its own share on the same pin
+        _tag_rows(monkeypatch, _mapped_openblas_threads)
         record = run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
-        assert _worker_tags(record.rows) == [[1] * len(before)]
-        assert _mapped_openblas_threads() == before
+        assert _tags(record.rows, worker=True) == [1]
+        assert _tags(record.rows, worker=False) == [1]
+        assert _mapped_openblas_threads() == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_later_sweep_looks_up_no_library(self, two_blas_threads,
+                                               monkeypatch, jobs):
+        # numpy's OpenBLAS is looked up once per process, at import, so
+        # neither the caller nor a forked worker opens a library
+        get = _numpy_openblas_get()
+        run_experiment(tiny_spec(strategies=(0.01,), reps=1))
+
+        def no_lookup(*args, **kwargs):
+            raise AssertionError("ctypes.CDLL called during a sweep")
+
+        _tag_rows(monkeypatch, get)
+        with monkeypatch.context() as patch:
+            patch.setattr(ctypes, "CDLL", no_lookup)
+            record = run_experiment(tiny_spec(strategies=(0.01,)), jobs=jobs)
+        assert not record.failures
+        assert _tags(record.rows, worker=False) == [1]
+        assert _tags(record.rows, worker=True) == ([1] if jobs > 1 else [])
+        assert get() == 2
 
     def test_no_thread_outlives_a_pool_run(self, two_blas_threads):
         # a fork stops OpenBLAS's thread pool and a later set-count call
@@ -633,25 +648,27 @@ def _share_that_fails_in_a_worker(monkeypatch, fail):
         run_share(payloads) if os.getpid() == parent else fail()))
 
 
-def _tag_worker_rows(monkeypatch, tag):
-    """harness._run_share, but a forked worker adds tag() to every row it
-    sends, under "tag"."""
+def _tag_rows(monkeypatch, tag):
+    """harness._run_share, but every row carries tag(), taken in the
+    process that ran its share, under "tag", and under "worker" whether
+    that process was a forked worker."""
     parent, run_share = os.getpid(), harness._run_share
 
     def share(payloads):
         done = run_share(payloads)
-        if os.getpid() == parent:
-            return done
-        return [[{**row, "tag": tag()} for row in rows] for rows in done]
+        worker = os.getpid() != parent
+        return [[{**row, "tag": tag(), "worker": worker} for row in rows]
+                for rows in done]
 
     monkeypatch.setattr(harness, "_run_share", share)
 
 
-def _worker_tags(rows) -> list:
-    """The distinct tags of the rows _tag_worker_rows made in workers."""
+def _tags(rows, worker: bool) -> list:
+    """The distinct tags of the rows _tag_rows made in workers, or in the
+    caller."""
     tags = []
     for row in rows:
-        if "tag" in row and row["tag"] not in tags:
+        if row.get("worker") is worker and row["tag"] not in tags:
             tags.append(row["tag"])
     return tags
 
@@ -760,14 +777,12 @@ print("rows:", len(run_experiment(spec, jobs=2).rows))
 
 
 class InProcessPool:
-    """Stands in for harness._process_pool: logs ("pool",) and ("submit",
-    units) to `events`, and runs a task in-process when its result is
-    asked for."""
+    """Stands in for harness._ForkedWorkers: logs ("submit", units) to
+    `events`, and runs a share in-process when its result is asked for."""
 
     def __init__(self, events):
         self.events = events
-        self.tasks = []
-        events.append(("pool",))
+        self.shares = []
 
     def __enter__(self):
         return self
@@ -775,14 +790,13 @@ class InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, payloads):
+    def submit(self, payloads):
         self.events.append(("submit", len(payloads)))
-        self.tasks.append((fn, payloads))
-        return len(self.tasks) - 1
+        self.shares.append(payloads)
+        return len(self.shares) - 1
 
     def result(self, task):
-        fn, payloads = self.tasks[task]
-        return fn(payloads)
+        return harness._run_share(self.shares[task])
 
 
 def _row_cells(rows):
@@ -798,18 +812,18 @@ class TestThreadCountIndependence:
     def test_dr_rows_at_n_2000_equal_the_pipeline_at_two_threads(
             self, two_blas_threads):
         # the sweep pins one thread; the public steps run at two
-        assert set(_mapped_openblas_threads()) == {2}
+        assert _mapped_openblas_threads() == 2
         spec = _proxy_spec(estimator="dr", sizes=(2000,), reps=1)
         record = run_experiment(spec)
         assert not record.failures
-        assert set(_mapped_openblas_threads()) == {2}
+        assert _mapped_openblas_threads() == 2
         assert _row_cells(record.rows) == _row_cells(
             TestDrRows._pipeline_rows(spec))
 
     @pytest.mark.parametrize("estimator", ["rdiv", "trae"])
     def test_systems_at_n_2000_are_bit_identical(self, two_blas_threads,
                                                  estimator):
-        assert set(_mapped_openblas_threads()) == {2}
+        assert _mapped_openblas_threads() == 2
         spec = _proxy_spec(estimator=estimator, sizes=(2000,))
         cell = harness.prepare_cell(spec, 2000, 0)
         handle = harness.estimator_handle(spec, cell)
@@ -1004,19 +1018,19 @@ class TestFreedMemoryReuse:
         monkeypatch.setattr(harness, "_MALLOC_TRIM", lambda pad: calls.append(
             ("malloc_trim", pad)))
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "_process_pool", lambda: InProcessPool(calls))
+            patch.setattr(harness, "_ForkedWorkers", lambda: InProcessPool(calls))
             run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
         # the worker is forked at its submit, before the caller's first
         # mallopt, so it inherits no heap kept by this sweep
-        assert calls == [("pool",), ("submit", 1),
+        assert calls == [("submit", 1),
                          ("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20),
                          ("malloc_trim", 0)]
         calls.clear()
         # a real worker's rows carry the calls made in it: its own two,
         # none of the caller's
-        _tag_worker_rows(monkeypatch, lambda: list(calls))
+        _tag_rows(monkeypatch, lambda: list(calls))
         record = run_experiment(tiny_spec(strategies=(0.01,)), jobs=2)
-        assert _worker_tags(record.rows) == [
+        assert _tags(record.rows, worker=True) == [
             [("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20)]]
         calls.clear()
         run_experiment(tiny_spec(strategies=(0.01,)))
