@@ -42,18 +42,12 @@ __all__ = [
     "gen_proxy_nc",
     "true_ate",
     "gen_npiv",
-    "signed_cbrt",
     "treatment_rate",
 ]
 
 
-def signed_cbrt(x: np.ndarray) -> np.ndarray:
-    """Componentwise cube root extended oddly to negative reals."""
-    return np.cbrt(x)
-
-
 # observation transforms, applied to every latent coordinate
-_TRANSFORMS: dict[str, Callable] = {"cbrt": signed_cbrt, "identity": lambda x: x}
+_TRANSFORMS: dict[str, Callable] = {"cbrt": np.cbrt, "identity": lambda x: x}
 
 
 @dataclass(frozen=True)

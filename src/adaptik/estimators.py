@@ -20,8 +20,8 @@ over the Z-sieve, which is a concave quadratic with maximizer
 f = M^{-1} (g - B c), value (g - B c)^T M^{-1} (g - B c), where
 g_j = E_n[m(W; phi_j)], B_jk = E_n[psi_k(X) phi_j(Z)], M the Z-Gram.
 The outer problem adds lam * c^T G_x c and stays quadratic in c.  The
-dual fit is the same problem on the records with X and Z swapped
-(Dataset.swapped), with the target moment in place of the outcome one.
+dual fit is the same problem with the X and Z blocks exchanged and the
+target moment in place of the outcome one.
 
 Every estimator minimizes L(c) + lam c'G c with L(c) = const - 2 rhs'c
 + c'A c, where G is the empirical Gram of the hypothesis basis.  These
@@ -29,8 +29,10 @@ are second moments of (psi(X), phi(Z), Y), so a system is built from the
 fold's stacked Gram of [psi | phi | y] alone (sieve.stacked_gram): RDIV's
 stage 2 is A = B'G_z B, rhs = B'(Phi'y/n), and TRAE's B and outcome g
 are blocks of it; no n-row product is formed after the Gram.  An
-estimator handle's system_from is the one way to a system; trae_fit and
-trae_dual_fit stack a fold's Gram from its records and call it.  A
+estimator handle's system_from is the one way to a system, and
+TraeEstimator.system_of the one way to it from a fold's basis values
+(DrFold's two sides, trae_fit, trae_dual_fit): it stacks their Gram in
+the caller's column order and adds the moment's adversary mean.  A
 TikhonovSystem factors this once per fold: it whitens by G and
 diagonalizes the whitened A into G-orthonormal V with V'A V = diag(mu).
 Each lambda is then the filter w = p / (mu + lam), p = V'rhs, giving
@@ -67,8 +69,6 @@ __all__ = [
     "ate_moment",
     "mean_moment",
     "rdiv_stage1",
-    "rdiv_loss",
-    "trae_inner_max",
     "trae_fit",
     "trae_dual_fit",
     "RdivEstimator",
@@ -293,52 +293,13 @@ def rdiv_stage1(gram: np.ndarray, k: int,
                         "rdiv stage 1")
 
 
-def rdiv_loss(data: Dataset, b: np.ndarray, basis_z: SieveBasis,
-              coeffs: np.ndarray) -> float:
-    """(1/n) sum_i (y_i - phi(z_i)' B c)^2."""
-    phi = basis_z.evaluate(data.z)
-    resid = data.y - phi @ (b @ np.asarray(coeffs, dtype=np.float64))
-    return float(resid @ resid / data.n)
-
-
 # -- TRAE ------------------------------------------------------------------------
-
-def _fold_gram(data: Dataset, basis_h: SieveBasis,
-               basis_f: SieveBasis) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked Gram of [basis_h(x) | basis_f(z) | y] on data, and the
-    unscaled basis_f(z)."""
-    hyp = basis_h.unscaled().evaluate(data.x)
-    adv = basis_f.unscaled().evaluate(data.z)
-    return stacked_gram((hyp, adv), data.y, (basis_h, basis_f)), adv
-
 
 def _adversary_mats(gram: np.ndarray, k: int, g: np.ndarray | None) -> tuple:
     """(M, g, B) of the inner maximum from the stacked Gram of [hypothesis
     (k) | adversary | y]; g defaults to the outcome moment's, Phi'y/n."""
     adv = slice(k, -1)
     return gram[adv, adv], gram[adv, -1] if g is None else g, gram[adv, :k]
-
-
-def trae_inner_max(
-    data: Dataset,
-    moment: MomentFunctional,
-    basis_h: SieveBasis,
-    basis_f: SieveBasis,
-    coeffs_h: np.ndarray,
-    ridge_inner: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """Closed-form inner maximization of the adversarial loss at fixed h.
-
-    Returns (f_coeffs, value) with f = (M + ridge I)^{-1}(g - B c) and
-    value = (g - B c)' f; with ridge 0 the value is the exact maximum of
-    E_n[2 m(W; f) - 2 h(X) f(Z) - f(Z)^2] over the span of basis_f.
-    """
-    gram, adv = _fold_gram(data, basis_h, basis_f)
-    g = TraeEstimator(moment, basis_h, basis_f).adversary_mean(data.z, data.y, adv)
-    m, g, b = _adversary_mats(gram, basis_h.n_funcs, g)
-    v = g - b @ np.asarray(coeffs_h, dtype=np.float64)
-    f = _ridge_solve(m, v, ridge_inner, 1e-8, "trae inner max")
-    return f, float(v @ f)
 
 
 def trae_fit(
@@ -349,16 +310,15 @@ def trae_fit(
     lam: float,
     ridge_inner: float | None = None,
 ) -> FitResult:
-    """Adversarial Tikhonov fit of h over the X-sieve.
-
-    Plugging the closed-form inner maximum into the outer problem gives
-    the convex quadratic (g - B c)' M^{-1} (g - B c) + lam c' G_x c; the
-    stored empirical loss is the inner-max value at the fitted
-    coefficients.
-    """
+    """Adversarial Tikhonov fit of h over the X-sieve at lam, by
+    TraeEstimator.system_of on data's records; the empirical loss is the
+    inner-max value at the fitted coefficients.  The program never calls
+    it: it stays, as trae_dual_fit does, because
+    perfbench/tests/test_perfbench.py wraps both by name."""
     est = TraeEstimator(moment, basis_h, basis_f, ridge_inner)
-    gram, adv = _fold_gram(data, basis_h, basis_f)
-    return est.system_from(gram, est.adversary_mean(data.z, data.y, adv)).solve(lam)
+    return est.system_of(basis_h.unscaled().evaluate(data.x),
+                         basis_f.unscaled().evaluate(data.z),
+                         data.z, data.y).solve(lam)
 
 
 def trae_dual_fit(
@@ -370,9 +330,12 @@ def trae_dual_fit(
     ridge_inner: float | None = None,
 ) -> FitResult:
     """Adversarial Tikhonov fit of the dual representer q over the Z-sieve:
-    trae_fit on the records with X and Z swapped, with the target moment
-    in place of the outcome moment."""
-    return trae_fit(data.swapped(), moment, basis_q, basis_s, lam, ridge_inner)
+    trae_fit with X and Z exchanged, stacking [basis_q(z) | basis_s(x) |
+    y], and the target moment in place of the outcome one."""
+    est = TraeEstimator(moment, basis_q, basis_s, ridge_inner)
+    return est.system_of(basis_q.unscaled().evaluate(data.z),
+                         basis_s.unscaled().evaluate(data.x),
+                         data.x, data.y).solve(lam)
 
 
 # -- uniform estimator handles ------------------------------------------------
@@ -411,6 +374,15 @@ class TraeEstimator:
         if self.moment.kind != "outcome":
             values = adv * self.basis_f.normalization
             return self.moment.matrix(points, y, self.basis_f, values).mean(axis=0)
+
+    def system_of(self, hyp: np.ndarray, adv: np.ndarray, points: np.ndarray,
+                  y: np.ndarray, gram: np.ndarray | None = None) -> TikhonovSystem:
+        """The system from the unscaled values hyp = basis_h(.) and adv =
+        basis_f(points), stacked as [hyp | adv | y] unless gram already
+        holds that stacked Gram; points is the adversary's feature block."""
+        if gram is None:
+            gram = stacked_gram((hyp, adv), y, (self.basis_h, self.basis_f))
+        return self.system_from(gram, self.adversary_mean(points, y, adv))
 
     def system_from(self, gram: np.ndarray,
                     g: np.ndarray | None = None) -> TikhonovSystem:

@@ -13,10 +13,11 @@ per-record values, which estimates the influence-function variance.
 
 One split is a DrFold: DrFold.of factors the primal and dual TRAE
 systems of the fit fold (the dual is the primal problem with X and Z
-swapped and the target moment in place of the outcome one), each from
-one stacked Gram, and builds the eval fold's DrEvaluation, evaluating
-each distinct (basis, fold, feature block) once; DrFold.run(strategy)
-tunes both sides by the search ("dp") or a fixed lambda and estimates.
+exchanged and the target moment in place of the outcome one), each by
+TraeEstimator.system_of from one stacked Gram, and builds the eval
+fold's DrEvaluation, evaluating each distinct (basis, fold, feature
+block) once; DrFold.run(strategy) tunes both sides by the search ("dp")
+or a fixed lambda and estimates.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from adaptik.estimators import (  # noqa: F401
     trae_dual_fit,
     trae_fit,
 )
-from adaptik.sieve import Dataset, SieveBasis, stacked_gram
+from adaptik.sieve import Dataset, SieveBasis
 from adaptik.util import stream_rng
 
 __all__ = [
@@ -205,21 +206,19 @@ class DrFold:
            fit_gram: np.ndarray | None = None) -> "DrFold":
         """Fit-fold basis_h(x), basis_f(z) come unscaled from fit_values or one
         evaluation each; basis_q(z), basis_s(x) are evaluated only if other bases.
-        Each side stacks its Gram in trae_fit's and trae_dual_fit's column order
-        (a SYRK entry's last bits depend on position); fit_gram is the primal's."""
-        c = config
+        Each side's system_of stacks its Gram in trae_fit's and trae_dual_fit's
+        column order (a SYRK entry's last bits depend on position); fit_gram,
+        if given, is the primal's."""
+        c, y = config, fit_fold.y
         hx, fz = fit_values or (c.basis_h.unscaled().evaluate(fit_fold.x),
                                 c.basis_f.unscaled().evaluate(fit_fold.z))
         qz = fz if c.basis_q is c.basis_f else c.basis_q.unscaled().evaluate(fit_fold.z)
         sx = hx if c.basis_s is c.basis_h else c.basis_s.unscaled().evaluate(fit_fold.x)
-        if fit_gram is None:
-            fit_gram = stacked_gram((hx, fz), fit_fold.y, (c.basis_h, c.basis_f))
         primal = TraeEstimator(c.outcome_moment, c.basis_h, c.basis_f)
         dual = TraeEstimator(c.target_moment, c.basis_q, c.basis_s)
         return cls(
-            config, fit_fold, primal.system_from(fit_gram),
-            dual.system_from(stacked_gram((qz, sx), fit_fold.y, (c.basis_q, c.basis_s)),
-                             dual.adversary_mean(fit_fold.x, fit_fold.y, sx)),
+            config, fit_fold, primal.system_of(hx, fz, fit_fold.z, y, fit_gram),
+            dual.system_of(qz, sx, fit_fold.x, y),
             DrEvaluation.of(eval_fold, config.basis_h, config.basis_q,
                             config.target_moment, config.outcome_moment),
         )

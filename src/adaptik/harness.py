@@ -67,8 +67,6 @@ __all__ = [
     "prepare_cell",
     "shared_fits",
     "iterations",
-    "estimator_handle",
-    "dr_config",
     "run_experiment",
     "fit_rate",
     "fit_rate_by_strategy",
@@ -112,8 +110,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if not self.sizes or not self.strategies:
             raise ValueError("sizes and strategies must be nonempty")
-        object.__setattr__(self, "reps", _whole(self.reps, "reps"))
-        object.__setattr__(self, "max_iters", _whole(self.max_iters, "max_iters"))
+        for key in ("reps", "max_iters", "seed"):
+            object.__setattr__(self, key, _whole(getattr(self, key), key))
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         for s in self.strategies:
@@ -259,43 +259,36 @@ def prepare_cell(spec: ExperimentSpec, n: int, rep: int) -> CellSetup:
                      target, gram, values if keep_values else None)
 
 
-def estimator_handle(spec: ExperimentSpec, cell: CellSetup):
-    if spec.estimator == "rdiv":
-        return RdivEstimator(cell.basis_x)
-    return TraeEstimator(outcome_moment(), cell.basis_x, cell.basis_z)
-
-
-def dr_config(spec: ExperimentSpec, cell: CellSetup) -> DrPipelineConfig:
-    """The cell's DR pipeline, both sides tuned by the spec's DP search."""
-    return DrPipelineConfig(
-        basis_h=cell.basis_x, basis_f=cell.basis_z,
-        basis_q=cell.basis_z, basis_s=cell.basis_x,
-        outcome_moment=outcome_moment(), target_moment=cell.target,
-        dp_primal=spec.dp_config(), dp_dual=spec.dp_config(),
-        split_plan=cell.split_plan,
-    )
-
-
 def shared_fits(spec: ExperimentSpec, cell: CellSetup):
     """The rep's fitter, fit(strategy) -> (theta_hat, h_fit, searches,
-    estimate), on what it builds once: for dr the cell's DrFold (estimate
-    is its FunctionalEstimate), otherwise the fit fold's factored system
-    and the eval fold's target matrix (estimate is None).  searches holds
-    the DpOutcome of each search run: none for a fixed lambda, the
-    primal's and the dual's for dr.  The cell may be that of a spec
-    differing only in its search settings; spec's settings tune it."""
+    estimate), on what it builds once: for dr the cell's DrFold, both
+    sides tuned by the spec's search (estimate is its FunctionalEstimate),
+    otherwise the fit fold's factored RDIV or TRAE system and the eval
+    fold's target matrix (estimate is None).  This is the one place the
+    estimator is chosen.  searches holds the DpOutcome of each search
+    run: none for a fixed lambda, the primal's and the dual's for dr.
+    The cell may be that of a spec differing only in its search
+    settings; spec's settings tune it."""
+    bx, bz = cell.basis_x, cell.basis_z
     if spec.estimator == "dr":
+        config = DrPipelineConfig(
+            basis_h=bx, basis_f=bz, basis_q=bz, basis_s=bx,
+            outcome_moment=outcome_moment(), target_moment=cell.target,
+            dp_primal=spec.dp_config(), dp_dual=spec.dp_config(),
+            split_plan=cell.split_plan)
         values, cell.fit_values = cell.fit_values, None
-        fold = DrFold.of(cell.fit_fold, cell.eval_fold, dr_config(spec, cell),
-                         values, cell.fit_gram)
+        fold = DrFold.of(cell.fit_fold, cell.eval_fold, config, values,
+                         cell.fit_gram)
 
         def fit(strategy):
             r = fold.run(strategy)
             searches = () if r.dp_primal is None else (r.dp_primal, r.dp_dual)
             return r.estimate.theta_hat, r.h_fit, searches, r.estimate
         return fit
-    system = estimator_handle(spec, cell).system_from(cell.fit_gram)
-    target = cell.target.matrix(cell.eval_fold.x, cell.eval_fold.y, cell.basis_x)
+    handle = (RdivEstimator(bx) if spec.estimator == "rdiv"
+              else TraeEstimator(outcome_moment(), bx, bz))
+    system = handle.system_from(cell.fit_gram)
+    target = cell.target.matrix(cell.eval_fold.x, cell.eval_fold.y, bx)
 
     def fit(strategy):
         h_fit, outcome = tune(system, cell.fit_fold.n, spec.dp_config(), strategy)

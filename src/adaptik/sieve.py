@@ -12,8 +12,7 @@ then each higher frequency by angle addition from the one below
 adds rounding below 4 K eps (tested for |x| <= 1e3).
 
 Datasets are immutable (x, z, y, extras) bundles that can be written to
-CSV; `Dataset.swapped` exchanges the X and Z blocks, which turns a
-primal adversarial problem into its dual.
+CSV.
 """
 
 from __future__ import annotations
@@ -304,10 +303,6 @@ class Dataset:
         object.__setattr__(out, "w_extra", None if self.w_extra is None else
                            {k: _freeze(v[idx]) for k, v in self.w_extra.items()})
         return out
-
-    def swapped(self) -> "Dataset":
-        """The same records with the X and Z blocks exchanged."""
-        return Dataset(self.z, self.x, self.y, self.w_extra)
 
 
 def empirical_gram(m: np.ndarray) -> np.ndarray:

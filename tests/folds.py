@@ -7,7 +7,7 @@ bases' normalizations, so a system from it has the bits of one built
 from prepare_cell's Gram of the same fold.
 """
 
-from adaptik.estimators import RdivEstimator
+from adaptik.estimators import RdivEstimator, TraeEstimator, outcome_moment
 from adaptik.sieve import stacked_gram
 
 
@@ -19,11 +19,20 @@ def fold_gram(data, basis_h, basis_f):
 
 
 def fold_system(handle, data, basis_z=None):
-    """handle.system_from on data's stacked Gram; an RDIV handle's Gram
-    stacks the instrument basis basis_z, and a TRAE handle also gets its
-    moment's adversary mean on data."""
+    """handle's system on data: an RDIV handle's system_from on the
+    stacked Gram with instrument basis basis_z, a TRAE handle's system_of
+    on data's basis values."""
     if isinstance(handle, RdivEstimator):
         return handle.system_from(fold_gram(data, handle.basis_x, basis_z))
-    gram = fold_gram(data, handle.basis_h, handle.basis_f)
-    adv = handle.basis_f.unscaled().evaluate(data.z)
-    return handle.system_from(gram, handle.adversary_mean(data.z, data.y, adv))
+    return handle.system_of(handle.basis_h.unscaled().evaluate(data.x),
+                            handle.basis_f.unscaled().evaluate(data.z),
+                            data.z, data.y)
+
+
+def inner_maximizer(data, basis_h, basis_f, coeffs):
+    """The inner maximizer f = M^{-1} (g - B c) at h = basis_h c, read from
+    the adversary (M^{-1} g, M^{-1} B) of the outcome-moment TRAE system
+    of data at zero inner ridge."""
+    handle = TraeEstimator(outcome_moment(), basis_h, basis_f, 0.0)
+    minv_g, minv_b = fold_system(handle, data).adversary
+    return minv_g - minv_b @ coeffs

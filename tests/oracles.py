@@ -96,6 +96,23 @@ def trae_mats(data, moment, basis_h, basis_f):
     return m, g, b, hyp.T @ hyp / data.n
 
 
+def dense_inner_max(data, moment, basis_h, basis_f, coeffs):
+    """The exact maximum of E_n[2 m(W; f) - 2 h(X) f(Z) - f(Z)^2] over the
+    span of basis_f at h = basis_h c: (g - B c)' M^{-1} (g - B c), by one
+    dense solve on trae_mats."""
+    m, g, b, _ = trae_mats(data, moment, basis_h, basis_f)
+    v = g - b @ np.asarray(coeffs, dtype=np.float64)
+    return float(v @ np.linalg.solve(m, v))
+
+
+def rdiv_loss(data, b, basis_z, coeffs):
+    """RDIV's empirical loss (1/n) sum_i (y_i - phi(z_i)' B c)^2: the
+    residual of y against Phi B c, with Phi from basis_z.evaluate."""
+    phi = basis_z.evaluate(data.z)
+    resid = data.y - phi @ (b @ np.asarray(coeffs, dtype=np.float64))
+    return float(resid @ resid / data.n)
+
+
 def trae_reference_system(data, moment, basis_h, basis_f, ridge_inner):
     """(A, rhs, const, G_h) of TRAE's quadratic with inner ridge
     ridge_inner, from trae_mats and a dense solve."""

@@ -11,10 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from folds import fold_gram, fold_system
+from folds import fold_gram, fold_system, inner_maximizer
 from oracles import (
     classical_dp_walk,
     grid_inner_max,
+    inner_objective,
     nested_grid_trae_objective,
     path_shows_bracket,
     trae_mats,
@@ -29,7 +30,6 @@ from adaptik.estimators import (
     outcome_moment,
     rdiv_stage1,
     trae_fit,
-    trae_inner_max,
 )
 from adaptik.functional import (
     DrPipelineConfig,
@@ -232,8 +232,7 @@ def _trae_instance(rng):
         if np.linalg.cond(m) > 50.0:
             continue
         c_h = 0.5 * rng.normal(size=k)
-        f_star, _ = trae_inner_max(data, outcome_moment(), bh, bf, c_h,
-                                   ridge_inner=0.0)
+        f_star = inner_maximizer(data, bh, bf, c_h)
         fit = trae_fit(data, outcome_moment(), bh, bf, 0.15, ridge_inner=0.0)
         if (np.abs(f_star).max() < 2.5 and np.abs(fit.coeffs).max() < 2.5
                 and np.abs(fit.inner_adversary).max() < 2.5):
@@ -248,8 +247,9 @@ class TestCriterion5TraeBruteForce:
         for _ in range(50):
             data, bh, bf, c_h = _trae_instance(rng)
             m, g, b, _ = trae_mats(data, outcome_moment(), bh, bf)
-            _, value = trae_inner_max(data, outcome_moment(), bh, bf, c_h,
-                                      ridge_inner=0.0)
+            # the inner objective at the program's maximizer
+            f = inner_maximizer(data, bh, bf, c_h)
+            value = inner_objective(f, g, b @ c_h, m)
             _, grid_value = grid_inner_max(g, b @ c_h, m, step=1e-3)
             worst_inner = max(worst_inner, abs(value - grid_value))
             lam = 0.15

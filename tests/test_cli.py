@@ -369,7 +369,10 @@ class TestExitCodes:
         # counts that are not whole numbers
         ("reps", 2.5), ("max_iters", 2.5), ("sizes", [200.7, 300, 400]),
         # JSON true is not the number 1
-        ("strategies", ["dp", True]), ("cd", True), ("lambda0", True)])
+        ("strategies", ["dp", True]), ("cd", True), ("lambda0", True),
+        # a seed that is not a whole number, which would hash apart from
+        # the integer and run another experiment
+        ("seed", "3"), ("seed", True), ("seed", None), ("seed", 1.5)])
     def test_out_of_range_search_setting_is_usage_error(self, tmp_path, capsys,
                                                         key, value):
         config = write_config(tmp_path, **{key: value})
@@ -377,6 +380,14 @@ class TestExitCodes:
         assert main(["experiment", "--config", config, "--out", out]) == 1
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
+
+    def test_out_that_is_not_a_string_is_usage_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "--config", write_config(tmp_path, out=5)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "out must be a path string" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_dgp_params_typo_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path, dgp_params={"bogus": 1})

@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from folds import fold_gram, fold_system
+from folds import fold_gram, fold_system, inner_maximizer
 from oracles import (
+    dense_inner_max,
     dense_tikhonov,
     grid_inner_max,
+    inner_objective,
     nested_grid_trae_objective,
+    rdiv_loss,
     rdiv_reference_system,
     trae_mats,
     trae_reference_system,
@@ -22,11 +25,9 @@ from adaptik.estimators import (
     ate_moment,
     mean_moment,
     outcome_moment,
-    rdiv_loss,
     rdiv_stage1,
     trae_dual_fit,
     trae_fit,
-    trae_inner_max,
 )
 from adaptik.sieve import (
     Dataset,
@@ -154,19 +155,29 @@ class TestRdivFit:
                                                                      abs=1e-16)
 
     def test_loss_matches_per_record_loop(self):
+        # the reference rdiv_loss at any c, and the system's own loss at
+        # its fitted coefficients, against a loop over the records
         rng = np.random.default_rng(8)
         data = small_data(rng, n=11)
         basis = polynomial_basis(1, 2)
-        b = rdiv_stage1(fold_gram(data, basis, basis), 3)
+        gram = fold_gram(data, basis, basis)
+        b = rdiv_stage1(gram, 3)
         c = rng.normal(size=3)
         phi = basis.evaluate(data.z)
-        slow = sum(
-            (data.y[i] - float(phi[i] @ b @ c)) ** 2 for i in range(11)
-        ) / 11.0
-        assert rdiv_loss(data, b, basis, c) == pytest.approx(slow, rel=1e-12)
+
+        def slow(c):
+            return sum(
+                (data.y[i] - float(phi[i] @ b @ c)) ** 2 for i in range(11)
+            ) / 11.0
+        assert rdiv_loss(data, b, basis, c) == pytest.approx(slow(c), rel=1e-12)
+        fit = RdivEstimator(basis).system_from(gram).solve(0.1)
+        assert fit.empirical_loss == pytest.approx(slow(fit.coeffs), rel=1e-12)
 
 
 class TestTraeInnerMax:
+    """The inner maximizer a TRAE system carries, against references
+    built from the records."""
+
     def test_matched_moments_give_zero(self):
         rng = np.random.default_rng(9)
         data = small_data(rng, n=15)
@@ -174,21 +185,22 @@ class TestTraeInnerMax:
         bf = polynomial_basis(1, 1)
         m, g, b, _ = trae_mats(data, outcome_moment(), bh, bf)
         coeffs_h = np.linalg.solve(b, g)  # makes g - B h = 0 exactly
-        f, value = trae_inner_max(data, outcome_moment(), bh, bf, coeffs_h,
-                                  ridge_inner=0.0)
+        f = inner_maximizer(data, bh, bf, coeffs_h)
         np.testing.assert_allclose(f, 0.0, atol=1e-10)
-        assert abs(value) <= 1e-12
+        assert abs(inner_objective(f, g, b @ coeffs_h, m)) <= 1e-12
 
     def test_scalar_constant_adversary(self):
+        # f = E_n[y] - E_n[h(X)] against the constant function, whose
+        # inner value is its square
         rng = np.random.default_rng(10)
         data = small_data(rng, n=10)
         bh = polynomial_basis(1, 1)
         const = polynomial_basis(1, 0)  # single function, identically 1
         c_h = rng.normal(size=2)
         h_bar = float(bh.evaluate(data.x).mean(axis=0) @ c_h)
-        _, value = trae_inner_max(data, outcome_moment(), bh, const, c_h,
-                                  ridge_inner=0.0)
-        assert value == pytest.approx((data.y.mean() - h_bar) ** 2, rel=1e-12)
+        f = inner_maximizer(data, bh, const, c_h)
+        assert f[0] ** 2 == pytest.approx((data.y.mean() - h_bar) ** 2,
+                                          rel=1e-12)
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(11)
@@ -198,8 +210,8 @@ class TestTraeInnerMax:
         c_h = 0.3 * rng.normal(size=2)
         m, g, b, _ = trae_mats(data, outcome_moment(), bh, bf)
         _, grid_val = grid_inner_max(g, b @ c_h, m, step=2e-3)
-        _, value = trae_inner_max(data, outcome_moment(), bh, bf, c_h,
-                                  ridge_inner=0.0)
+        f = inner_maximizer(data, bh, bf, c_h)
+        value = inner_objective(f, g, b @ c_h, m)
         assert value == pytest.approx(grid_val, abs=5e-3)
 
     def test_singular_gram_zero_ridge_raises(self):
@@ -207,8 +219,7 @@ class TestTraeInnerMax:
         data = small_data(rng, n=8)
         dup = custom_basis([lambda p: p[:, 0], lambda p: p[:, 0]], 1)
         with pytest.raises(NumericalError, match="singular"):
-            trae_inner_max(data, outcome_moment(), polynomial_basis(1, 1), dup,
-                           np.zeros(2), ridge_inner=0.0)
+            inner_maximizer(data, polynomial_basis(1, 1), dup, np.zeros(2))
 
 
 _RIDGE_ENTRY_POINTS = {
@@ -218,8 +229,6 @@ _RIDGE_ENTRY_POINTS = {
         data, outcome_moment(), b, adv, 0.1, ridge),
     "TraeEstimator.system_from": lambda data, b, adv, ridge: fold_system(
         TraeEstimator(outcome_moment(), b, adv, ridge), data),
-    "trae_inner_max": lambda data, b, adv, ridge: trae_inner_max(
-        data, outcome_moment(), b, adv, np.zeros(2), ridge),
 }
 
 
@@ -333,9 +342,10 @@ class TestTraeFit:
 
 class TestClosedFormLoss:
     def test_matches_direct_evaluators_at_fitted_coefficients(self):
-        # the system's loss L_min + lam^2 sum_P w^2/mu against the direct
-        # residual and inner-maximum evaluations, relative to the larger of
-        # the direct value and the loss at c = 0
+        # the system's loss L_min + lam^2 sum_P w^2/mu against the residual
+        # and exact inner-maximum references of tests/oracles.py (TRAE at
+        # zero inner ridge), relative to the larger of the reference value
+        # and the loss at c = 0
         rng = np.random.default_rng(18)
         bx, bz = polynomial_basis(1, 2), polynomial_basis(1, 1)
         for lam in (0.0, 1e-3, 0.4):
@@ -350,14 +360,14 @@ class TestClosedFormLoss:
             # the dual's inner maximum is the primal one on the records with
             # X and Z swapped
             for fit, records, moment, bh, bf in (
-                (trae_fit(data, outcome_moment(), bx, bz, lam), data,
+                (trae_fit(data, outcome_moment(), bx, bz, lam, 0.0), data,
                  outcome_moment(), bx, bz),
-                (trae_dual_fit(data, mean_moment(), bz, bx, lam), swapped,
+                (trae_dual_fit(data, mean_moment(), bz, bx, lam, 0.0), swapped,
                  mean_moment(), bz, bx),
             ):
-                _, direct = trae_inner_max(records, moment, bh, bf, fit.coeffs)
-                _, at_zero = trae_inner_max(records, moment, bh, bf,
-                                            np.zeros(bh.n_funcs))
+                direct = dense_inner_max(records, moment, bh, bf, fit.coeffs)
+                at_zero = dense_inner_max(records, moment, bh, bf,
+                                          np.zeros(bh.n_funcs))
                 scale = max(direct, at_zero)
                 assert abs(fit.empirical_loss - direct) <= 1e-12 * scale
 
@@ -374,7 +384,7 @@ class TestProperties:
         trae = TraeEstimator(outcome_moment(), bx, bz)
         for est, loss in (
             (rdiv, lambda c: rdiv_loss(data, b, bz, c)),
-            (trae, lambda c: trae_inner_max(data, outcome_moment(), bx, bz, c)[1]),
+            (trae, lambda c: dense_inner_max(data, outcome_moment(), bx, bz, c)),
         ):
             fit = fold_system(est, data, bz).solve(lam)
             base = loss(fit.coeffs) + lam * float(fit.coeffs @ gram_x @ fit.coeffs)
@@ -390,9 +400,11 @@ class TestProperties:
         data = small_data(rng, n=40)
         bh, bf = polynomial_basis(1, 2), polynomial_basis(1, 2)
         c = rng.normal(size=3)
-        _, value = trae_inner_max(data, outcome_moment(), bh, bf, c,
-                                  ridge_inner=0.0)
+        f = inner_maximizer(data, bh, bf, c)
         phi = bf.evaluate(data.z)
+        # at the maximizer the value (g - B c)'f is f'M f, the mean of
+        # the adversary's square
+        value = float(np.mean((phi @ f) ** 2))
         resid = data.y - bh.evaluate(data.x) @ c
         proj = phi @ np.linalg.lstsq(phi, resid, rcond=None)[0]
         assert value == pytest.approx(float(np.mean(proj**2)), rel=1e-8)

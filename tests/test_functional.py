@@ -192,6 +192,17 @@ class TestAdaptivePipeline:
         assert np.array_equal(result.h_fit.coeffs, direct_h.coeffs)
         assert np.array_equal(result.q_fit.coeffs, direct_q.coeffs)
 
+    def test_primal_reads_its_own_moment(self):
+        # a primal moment other than the outcome one gets its own adversary
+        # mean, as in trae_fit, not the outcome's Phi'y/n from the Gram
+        data, truth = npiv_data(8, n=300)
+        config = pipeline_config(truth.basis, outcome_moment=mean_moment())
+        result = run_split(data, config, 0.05)
+        fit_fold, _ = split(data, config.split_plan)
+        direct = trae_fit(fit_fold, mean_moment(), truth.basis, truth.basis,
+                          0.05)
+        assert np.array_equal(result.h_fit.coeffs, direct.coeffs)
+
     @pytest.mark.parametrize("shared", [True, False])
     def test_fixed_lambda_estimate_equals_the_public_steps(self, shared):
         data, truth = npiv_data(8, n=300)

@@ -13,8 +13,21 @@ from folds import fold_system
 from adaptik import harness
 from adaptik.dgp import gen_proxy_nc
 from adaptik.discrepancy import DpConfig, NoiseSchedule, run_dp
-from adaptik.estimators import TikhonovSystem, trae_dual_fit, trae_fit
-from adaptik.functional import DrEvaluation, DrFold, adaptive_dr_pipeline, split
+from adaptik.estimators import (
+    RdivEstimator,
+    TikhonovSystem,
+    TraeEstimator,
+    outcome_moment,
+    trae_dual_fit,
+    trae_fit,
+)
+from adaptik.functional import (
+    DrEvaluation,
+    DrFold,
+    DrPipelineConfig,
+    adaptive_dr_pipeline,
+    split,
+)
 from adaptik.harness import (
     ExperimentSpec,
     RunRecord,
@@ -25,6 +38,26 @@ from adaptik.harness import (
     strategy_label,
 )
 from adaptik.sieve import Dataset, SieveBasis, empirical_gram
+
+
+def cell_handle(spec, cell):
+    """The rdiv or trae handle of a cell, built here as the paper states
+    the estimators: RDIV over basis_x, TRAE of the outcome moment over
+    basis_x against basis_z."""
+    if spec.estimator == "rdiv":
+        return RdivEstimator(cell.basis_x)
+    return TraeEstimator(outcome_moment(), cell.basis_x, cell.basis_z)
+
+
+def cell_dr_config(spec, cell):
+    """The DR pipeline of a cell: h over basis_x against basis_z, q over
+    basis_z against basis_x, both tuned by the spec's search."""
+    return DrPipelineConfig(
+        basis_h=cell.basis_x, basis_f=cell.basis_z,
+        basis_q=cell.basis_z, basis_s=cell.basis_x,
+        outcome_moment=outcome_moment(), target_moment=cell.target,
+        dp_primal=spec.dp_config(), dp_dual=spec.dp_config(),
+        split_plan=cell.split_plan)
 
 
 def tiny_spec(**overrides):
@@ -78,6 +111,13 @@ class TestExperimentSpec:
                          ("sizes", (200.7, 300)), ("sizes", (True, 300))):
             with pytest.raises(ValueError, match="whole numbers"):
                 tiny_spec(**{key: bad})
+        # the seed too: "3" would hash apart from 3 and draw other data
+        for bad in ("3", True, None, 1.5):
+            with pytest.raises(ValueError, match="seed must be whole"):
+                tiny_spec(seed=bad)
+        assert tiny_spec(seed=5.0).spec_hash() == tiny_spec().spec_hash()
+        with pytest.raises(ValueError, match="out must be a path string"):
+            tiny_spec(out=5)
         spec = tiny_spec(reps=2.0, sizes=(200.0, 300))
         assert (spec.reps, spec.sizes) == (2, (200, 300))
         assert type(spec.reps) is int
@@ -411,7 +451,7 @@ class TestSharedFits:
         # fit fold itself
         spec = tiny_spec(dgp=dgp, estimator=estimator)
         cell = harness.prepare_cell(spec, spec.sizes[0], 0)
-        handle = harness.estimator_handle(spec, cell)
+        handle = cell_handle(spec, cell)
         shared = handle.system_from(cell.fit_gram)
         own = fold_system(handle, cell.fit_fold, cell.basis_z)
         for name in ("vecs", "mu", "p", "l_min", "floor"):
@@ -445,7 +485,7 @@ class TestDrRows:
             for strategy in spec.strategies:
                 for rep in range(spec.reps):
                     cell = harness.prepare_cell(spec, n, rep)
-                    config = harness.dr_config(spec, cell)
+                    config = cell_dr_config(spec, cell)
                     if strategy == "dp":
                         result = adaptive_dr_pipeline(cell.data, config)
                         theta = result.estimate.theta_hat
@@ -497,7 +537,7 @@ class TestPlugInRows:
             for strategy in spec.strategies:
                 for rep in range(spec.reps):
                     cell = harness.prepare_cell(spec, n, rep)
-                    system = fold_system(harness.estimator_handle(spec, cell),
+                    system = fold_system(cell_handle(spec, cell),
                                          cell.fit_fold, cell.basis_z)
                     if strategy == "dp":
                         outcome = run_dp(system, cell.fit_fold.n,
@@ -826,7 +866,7 @@ class TestThreadCountIndependence:
         assert _mapped_openblas_threads() == 2
         spec = _proxy_spec(estimator=estimator, sizes=(2000,))
         cell = harness.prepare_cell(spec, 2000, 0)
-        handle = harness.estimator_handle(spec, cell)
+        handle = cell_handle(spec, cell)
         two = fold_system(handle, cell.fit_fold, cell.basis_z)
         with harness._one_blas_thread():
             one = fold_system(handle, cell.fit_fold, cell.basis_z)
@@ -903,12 +943,12 @@ class TestProxyRep:
         cell = harness.prepare_cell(spec, 400, 0)
         if estimator == "dr":
             fold = DrFold.of(cell.fit_fold, cell.eval_fold,
-                             harness.dr_config(spec, cell))
+                             cell_dr_config(spec, cell))
             result = fold.run(0.0)
             fits = [(result.h_fit, cell.basis_x, "x"),
                     (result.q_fit, cell.basis_z, "z")]
         else:
-            fit = fold_system(harness.estimator_handle(spec, cell),
+            fit = fold_system(cell_handle(spec, cell),
                               cell.fit_fold, cell.basis_z).solve(0.0)
             fits = [(fit, cell.basis_x, "x")]
         for fit, basis, fit_block in fits:
@@ -950,11 +990,11 @@ class TestProxyRep:
         assert 0.0 < cell.eval_fold.x[:, 0].mean() < 1.0
         if estimator == "dr":
             fold = DrFold.of(cell.fit_fold, cell.eval_fold,
-                             harness.dr_config(spec, cell))
+                             cell_dr_config(spec, cell))
             result = fold.run(0.0)
             fits = [(result.h_fit, cell.basis_x), (result.q_fit, cell.basis_z)]
         else:
-            fits = [(fold_system(harness.estimator_handle(spec, cell),
+            fits = [(fold_system(cell_handle(spec, cell),
                                  cell.fit_fold, cell.basis_z).solve(0.0),
                      cell.basis_x)]
         for fit, basis in fits:

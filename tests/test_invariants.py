@@ -84,7 +84,7 @@ def fit(kind, data, basis_h, basis_f, lam):
         est = TraeEstimator(outcome_moment(), basis_h, basis_f)
     else:
         est = TraeEstimator(outcome_moment(), basis_h, basis_f)
-        data = data.swapped()
+        data = Dataset(data.z, data.x, data.y)
     return fold_system(est, data, basis_f).solve(lam)
 
 

@@ -280,15 +280,6 @@ class TestDataset:
         with pytest.raises(ValueError, match="1-d array of at least 2 integers"):
             data.take(indices)
 
-    def test_swapped_exchanges_x_and_z(self):
-        data = Dataset(np.zeros((3, 2)), np.ones((3, 1)), np.arange(3.0),
-                       {"t": np.array([1.0, 2.0, 3.0])})
-        swapped = data.swapped()
-        assert np.array_equal(swapped.x, data.z)
-        assert np.array_equal(swapped.z, data.x)
-        assert np.array_equal(swapped.y, data.y)
-        assert swapped.w_extra["t"].tolist() == [1.0, 2.0, 3.0]
-
 
 class TestCsvRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
