@@ -10,7 +10,8 @@ Two designs:
 
       ate = 1 + 1'(I + Gamma_w) kappa_a.
 
-  Features are packed as X = (A, W, S) and Z = (A, Q, S).
+  The latent noises of U, W and Q are N(0, 0.25 I), fixed by the
+  design.  Features are packed as X = (A, W, S) and Z = (A, Q, S).
 
 * Circular NPIV.  Z is uniform on [-pi, pi); X = Z + eta wrapped to the
   circle, where eta is a variance-gamma smoothing noise whose
@@ -42,7 +43,6 @@ __all__ = [
     "gen_proxy_nc",
     "true_ate",
     "gen_npiv",
-    "treatment_rate",
 ]
 
 
@@ -54,8 +54,9 @@ _TRANSFORMS: dict[str, Callable] = {"cbrt": np.cbrt, "identity": lambda x: x}
 class ProxyNcParams:
     """Structural parameters of the proxy negative-control design.
 
-    Loadings are sampled once from the master seed and then frozen;
-    covariances are spherical.  The treatment model is
+    Loadings are sampled once from the master seed and then frozen.  The
+    latent noises eps_u, eps_w and eps_q are N(0, 0.25 I), a constant of
+    the design.  The treatment model is
     A | S' ~ Bernoulli(sigmoid(0.125 - 0.125 * sum(S'))).
     """
 
@@ -70,9 +71,6 @@ class ProxyNcParams:
     gamma_w: np.ndarray = None    # (d_w, d_w)
     b_q: np.ndarray = None        # (d_s, d_q)
     c_q: np.ndarray = None        # (d_w, d_q)
-    sigma_u: np.ndarray = None    # (d_w, d_w)
-    sigma_w: np.ndarray = None    # (d_w, d_w)
-    sigma_q: np.ndarray = None    # (d_q, d_q)
     transform: str = "cbrt"
     master_seed: int = 0
     emit_latents: bool = False
@@ -91,9 +89,6 @@ class ProxyNcParams:
             "gamma_w": (self.d_w, self.d_w),
             "b_q": (self.d_s, self.d_q),
             "c_q": (self.d_w, self.d_q),
-            "sigma_u": (self.d_w, self.d_w),
-            "sigma_w": (self.d_w, self.d_w),
-            "sigma_q": (self.d_q, self.d_q),
         }
         for name, shape in shapes.items():
             val = getattr(self, name)
@@ -104,20 +99,12 @@ class ProxyNcParams:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        for name in ("sigma_u", "sigma_w", "sigma_q"):
-            cov = getattr(self, name)
-            if not np.allclose(cov, cov.T):
-                raise ValueError(f"{name} must be symmetric")
-            eigs = np.linalg.eigvalsh(cov)
-            if eigs.min() < -1e-10:
-                raise ValueError(f"{name} is not positive semidefinite")
 
     @classmethod
     def default(cls, master_seed: int = 0, *, d_s: int = 15, d_q: int = 15,
                 d_w: int = 1, transform: str = "cbrt",
                 emit_latents: bool = False) -> "ProxyNcParams":
-        """Draw the unspecified loadings once: entries uniform in
-        [-0.25, 0.25], covariances 0.25 * I."""
+        """Draw the loadings once: entries uniform in [-0.25, 0.25]."""
         rng = stream_rng(master_seed, 0xD6B)
         u = lambda *shape: rng.uniform(-0.25, 0.25, size=shape)
         return cls(
@@ -126,9 +113,6 @@ class ProxyNcParams:
             mu_s=u(d_s, d_w), kappa_s=u(d_s, d_w),
             gamma_w=u(d_w, d_w),
             b_q=u(d_s, d_q), c_q=u(d_w, d_q),
-            sigma_u=0.25 * np.eye(d_w),
-            sigma_w=0.25 * np.eye(d_w),
-            sigma_q=0.25 * np.eye(d_q),
             transform=transform,
             master_seed=master_seed,
             emit_latents=emit_latents,
@@ -147,17 +131,6 @@ def true_ate(params: ProxyNcParams) -> float:
     )
 
 
-def _mvn(rng: np.random.Generator, cov: np.ndarray, n: int) -> np.ndarray:
-    """Cholesky-based multivariate normal; accepts PSD covariances."""
-    d = cov.shape[0]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        eigval, eigvec = np.linalg.eigh(cov)
-        chol = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    return rng.standard_normal((n, d)) @ chol.T
-
-
 def gen_proxy_nc(
     params: ProxyNcParams, n: int, rng: np.random.Generator
 ) -> tuple[Dataset, float]:
@@ -174,9 +147,9 @@ def gen_proxy_nc(
     s_lat = rng.normal(0.0, math.sqrt(0.5), size=(n, params.d_s))
     logits = 0.125 - 0.125 * s_lat.sum(axis=1)
     a = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(np.float64)
-    eps_u = _mvn(rng, params.sigma_u, n)
-    eps_q = _mvn(rng, params.sigma_q, n)
-    eps_w = _mvn(rng, params.sigma_w, n)
+    eps_u = 0.5 * rng.standard_normal((n, params.d_w))
+    eps_q = 0.5 * rng.standard_normal((n, params.d_q))
+    eps_w = 0.5 * rng.standard_normal((n, params.d_w))
     eps_y = rng.standard_normal(n)
 
     u = params.kappa_0 + s_lat @ params.kappa_s + a[:, None] * params.kappa_a + eps_u
@@ -203,15 +176,6 @@ def gen_proxy_nc(
             eps_u=eps_u, eps_q=eps_q, eps_w=eps_w, eps_y=eps_y,
         )
     return Dataset(x, z, y, extras), true_ate(params)
-
-
-def treatment_rate(params: ProxyNcParams, grid: int = 20001) -> float:
-    """P(A = 1) by 1-d quadrature over the Gaussian law of sum(S')."""
-    sd = math.sqrt(0.5 * params.d_s)
-    t = np.linspace(-10.0 * sd, 10.0 * sd, grid)
-    dens = np.exp(-0.5 * (t / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-    sig = 1.0 / (1.0 + np.exp(-(0.125 - 0.125 * t)))
-    return float(np.trapezoid(sig * dens, t))
 
 
 # -- circular NPIV design -------------------------------------------------------
@@ -281,9 +245,6 @@ class NpivTruth:
     h0_coeffs: np.ndarray
     sigmas: np.ndarray
     basis: SieveBasis
-
-    def h0(self, points: np.ndarray) -> np.ndarray:
-        return self.basis.evaluate(np.asarray(points)) @ self.h0_coeffs
 
     def strong_sq(self, coeffs: np.ndarray) -> float:
         """||h - h0||^2 in L2(uniform); exact on the orthonormal dictionary."""

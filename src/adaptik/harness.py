@@ -132,7 +132,7 @@ class ExperimentSpec:
                 raise ValueError(f"{key} lists {dups[0]!r} twice")
         object.__setattr__(self, "strategies", strategies)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "dgp_params", dict(self.dgp_params))
+        object.__setattr__(self, "dgp_params", _strict_dgp_params(self.dgp_params))
         # built once, so a bad search setting or DGP parameter fails
         # here, not in every row
         object.__setattr__(self, "_dp", DpConfig(
@@ -177,12 +177,35 @@ class ExperimentSpec:
         return gen(self._dgp_params, n, rng)
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _whole(value, key: str) -> int:
     """A count given as a whole number (3 or 3.0, not 2.5, True or "3")."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
+    if not _real(value) or not float(value).is_integer():
         raise ValueError(f"{key} must be whole numbers, got {value!r}")
     return int(value)
+
+
+def _strict_dgp_params(params: dict) -> dict:
+    """A copy of dgp_params with each value of the right type: seed and
+    dimensions whole (stored as ints, so 9.0 hashes like 9), emit_latents
+    a bool, h0_coeffs a list of numbers and the npiv scalars numbers.
+    Keys the design does not know are left to its constructor."""
+    params = dict(params)
+    for key, value in params.items():
+        if key in ("master_seed", "d_s", "d_q", "d_w"):
+            params[key] = _whole(value, key)
+        elif key == "emit_latents" and not isinstance(value, bool):
+            raise ValueError(f"emit_latents must be true or false, got {value!r}")
+        elif key == "h0_coeffs" and not (isinstance(value, (list, tuple))
+                                         and all(map(_real, value))):
+            raise ValueError(f"h0_coeffs must be a list of numbers, got {value!r}")
+        elif (key in ("decay_p", "smoothing", "noise_sd", "endogeneity")
+              and not _real(value)):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+    return params
 
 
 def strategy_label(strategy) -> str:

@@ -186,14 +186,13 @@ def polynomial_basis(input_dim: int, degree: int) -> SieveBasis:
     )
 
 
-def trigonometric_basis(n_funcs: int, scale: float = np.sqrt(2.0)) -> SieveBasis:
-    """1-d Fourier dictionary [1, sin x, cos x, sin 2x, cos 2x, ...].
-
-    With scale = sqrt(2) the functions are orthonormal in L2 of the
-    uniform distribution on [-pi, pi].
+def trigonometric_basis(n_funcs: int) -> SieveBasis:
+    """1-d Fourier dictionary [1, sqrt2 sin x, sqrt2 cos x, sqrt2 sin 2x, ...],
+    orthonormal in L2 of the uniform distribution on [-pi, pi]; its
+    unscaled() functions are [1, sin x, cos x, ...].
     """
     # empty for n_funcs < 1, which SieveBasis rejects like every kind
-    norm = np.where(np.arange(n_funcs) > 0, scale, 1.0)
+    norm = np.where(np.arange(n_funcs) > 0, np.sqrt(2.0), 1.0)
     return SieveBasis("trigonometric", 1, n_funcs, norm)
 
 

@@ -20,11 +20,6 @@ A SpectralProblem computes sigma^2 and sigma * a = T h0 once, read-only,
 for every solve, residual system and noise draw, and every norm is
 sqrt(x . x), np.linalg.norm's formula for a real vector without its
 dispatch, so each value has the bits of the direct expression.
-
-The module also exposes the constants of the two regularization-path
-inequalities used by the test suite (the quadratic lower bound on the
-weak error and the Hoelder bound on lam -> h_lam), so they can be
-asserted exactly rather than with fitted tolerances.
 """
 
 from __future__ import annotations
@@ -48,13 +43,10 @@ __all__ = [
     "exact_observation",
     "perturb_observation",
     "tikhonov_solve",
-    "tikhonov_ideal",
     "weak_metric",
     "strong_metric",
     "residual_system",
     "classical_dp_select",
-    "weak_lower_bound_constant",
-    "holder_constant",
 ]
 
 
@@ -234,13 +226,6 @@ def tikhonov_solve(
     return _freeze(prob.singular_values * r.r_coeffs / (prob._sig2 + lam))
 
 
-def tikhonov_ideal(prob: SpectralProblem, lam: float) -> np.ndarray:
-    """Population-regularized solution: coeffs_i = sigma_i^2/(sigma_i^2+lam) a_i."""
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-    return _freeze(prob._sig2 / (prob._sig2 + lam) * prob.h0_coeffs)
-
-
 def strong_metric(prob: SpectralProblem, coeffs: np.ndarray) -> float:
     """||h - h0||: plain 2-norm of the coefficient error."""
     _check_dim(prob, coeffs)
@@ -310,32 +295,3 @@ def classical_dp_select(
     selected = path[-1][0]
     return selected, tikhonov_solve(prob, r, selected)
 
-
-def weak_lower_bound_constant(prob: SpectralProblem) -> float:
-    """Constant c0 in weak_metric(lam)^2 >= c0 * lam^2 for lam in (0, 2).
-
-    c0 = sum_i a_i^2 sigma_i^2 / (sigma_i^2 + 2)^2, which is positive for
-    any nonzero h0.
-    """
-    a, sig2 = prob.h0_coeffs, prob._sig2
-    return float(np.sum(a**2 * sig2 / (sig2 + 2.0) ** 2))
-
-
-def holder_constant(prob: SpectralProblem) -> tuple[float, float]:
-    """(c_h, gamma) with ||h*_lam - h*_lam'|| <= c_h |lam - lam'|^gamma.
-
-    gamma = min(beta/2, 1).  For beta <= 2 the constant is
-    (2/beta) * sqrt(sum a_i^2 / sigma_i^(2 beta)) = (2/beta) * ||w0||;
-    for beta > 2 it is sqrt(sum a_i^2 / sigma_i^4), evaluated stably as
-    sqrt(sum w0_i^2 sigma_i^(2 beta - 4)).
-    """
-    beta = prob.beta
-    w0 = prob.w0_coeffs
-    if beta <= 2.0:
-        gamma = beta / 2.0
-        c_h = (2.0 / beta) * _norm(w0)
-    else:
-        gamma = 1.0
-        sig = prob.singular_values
-        c_h = float(np.sqrt(np.sum(w0**2 * sig ** (2.0 * beta - 4.0))))
-    return c_h, gamma

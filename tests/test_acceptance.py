@@ -20,6 +20,7 @@ from oracles import (
     path_shows_bracket,
     trae_mats,
 )
+from references import holder_constant, tikhonov_ideal, weak_lower_bound_constant
 
 from adaptik.discrepancy import DpConfig, NoiseSchedule, run_dp
 from adaptik.dgp import NpivParams, gen_npiv
@@ -42,13 +43,10 @@ from adaptik.sieve import Dataset, empirical_gram, polynomial_basis
 from adaptik.spectral import (
     classical_dp_select,
     exact_observation,
-    holder_constant,
     make_source_problem,
     perturb_observation,
     residual_system,
     strong_metric,
-    tikhonov_ideal,
-    weak_lower_bound_constant,
     weak_metric,
 )
 from adaptik.util import stream_rng

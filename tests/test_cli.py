@@ -389,6 +389,15 @@ class TestExitCodes:
         assert "usage error" in err and "out must be a path string" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
+    def test_dgp_param_of_wrong_type_is_usage_error(self, tmp_path, capsys):
+        # "no" is truthy, so it would emit the latents
+        config = write_config(tmp_path, dgp_params={"emit_latents": "no"})
+        out = str(tmp_path / "run")
+        assert main(["experiment", "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "emit_latents" in err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_dgp_params_typo_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path, dgp_params={"bogus": 1})
         out = str(tmp_path / "run")

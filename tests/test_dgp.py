@@ -1,21 +1,23 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
+from references import npiv_h0, treatment_rate
 
 from adaptik.dgp import (
     NpivParams,
     ProxyNcParams,
     gen_npiv,
     gen_proxy_nc,
-    treatment_rate,
     true_ate,
 )
 from adaptik.util import stream_rng
 
 
 def degenerate_params(**overrides):
-    """No confounding at all: Y = A + sum(S') + eps exactly."""
+    """No confounding at all: Y = A + sum(S') + eps_u + eps_w + eps_y
+    exactly."""
     d_s, d_q, d_w = 15, 15, 1
     base = dict(
         d_s=d_s, d_q=d_q, d_w=d_w,
@@ -23,8 +25,6 @@ def degenerate_params(**overrides):
         mu_s=np.zeros((d_s, d_w)), kappa_s=np.zeros((d_s, d_w)),
         gamma_w=np.zeros((d_w, d_w)),
         b_q=np.zeros((d_s, d_q)), c_q=np.zeros((d_w, d_q)),
-        sigma_u=np.zeros((d_w, d_w)), sigma_w=np.zeros((d_w, d_w)),
-        sigma_q=np.zeros((d_q, d_q)),
         transform="identity", emit_latents=True,
     )
     base.update(overrides)
@@ -37,9 +37,33 @@ class TestProxyNc:
         data, theta0 = gen_proxy_nc(params, 500, stream_rng(0))
         assert theta0 == 1.0
         a = data.w_extra["treatment"]
-        s_sum = data.w_extra["s_lat"].sum(axis=1)
-        eps_y = data.w_extra["eps_y"]
-        np.testing.assert_allclose(data.y, a + s_sum + eps_y, atol=1e-12)
+        ex = data.w_extra
+        noise = ex["eps_u"].sum(axis=1) + ex["eps_w"].sum(axis=1) + ex["eps_y"]
+        np.testing.assert_allclose(data.y, a + ex["s_lat"].sum(axis=1) + noise,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("d_w", [1, 2])
+    def test_draw_order_replays(self, d_w):
+        # S', A's uniforms, eps_u, eps_q, eps_w (each 0.5 times standard
+        # normals) and eps_y, in that order, fix every proxy number
+        params = ProxyNcParams.default(4, d_w=d_w, emit_latents=True)
+        n, rng = 300, stream_rng(12)
+        replay = copy.deepcopy(rng)
+        data, _ = gen_proxy_nc(params, n, rng)
+        s_lat = replay.normal(0.0, np.sqrt(0.5), size=(n, params.d_s))
+        uniforms = replay.random(n)
+        latents = dict(
+            s_lat=s_lat,
+            eps_u=0.5 * replay.standard_normal((n, d_w)),
+            eps_q=0.5 * replay.standard_normal((n, params.d_q)),
+            eps_w=0.5 * replay.standard_normal((n, d_w)),
+            eps_y=replay.standard_normal(n),
+        )
+        for name, value in latents.items():
+            assert np.array_equal(data.w_extra[name], value), name
+        logits = 0.125 - 0.125 * s_lat.sum(axis=1)
+        treated = uniforms < 1.0 / (1.0 + np.exp(-logits))
+        assert np.array_equal(data.w_extra["treatment"], treated)
 
     def test_latent_replay_of_structural_equations(self):
         params = dataclasses.replace(
@@ -151,10 +175,6 @@ class TestProxyNc:
         scale = np.sqrt(np.mean(resid**2) * np.mean(phi**2, axis=0) / n)
         assert np.all(corr <= 5 * scale)
 
-    def test_invalid_covariance_rejected(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            degenerate_params(sigma_u=np.array([[-1.0]]))
-
 
 class TestNpiv:
     def test_identity_map_reduces_to_regression(self):
@@ -187,7 +207,7 @@ class TestNpiv:
         params = NpivParams()
         data, truth = gen_npiv(params, 100_000, stream_rng(3))
         assert truth.theta0 == params.h0_coeffs[0]
-        assert truth.h0(data.x).mean() == pytest.approx(truth.theta0, abs=0.02)
+        assert npiv_h0(truth, data.x).mean() == pytest.approx(truth.theta0, abs=0.02)
         hist, _ = np.histogram(data.x[:, 0], bins=8, range=(-np.pi, np.pi))
         assert hist.min() > 0.9 * data.n / 8
 

@@ -116,6 +116,11 @@ class TestExperimentSpec:
             with pytest.raises(ValueError, match="seed must be whole"):
                 tiny_spec(seed=bad)
         assert tiny_spec(seed=5.0).spec_hash() == tiny_spec().spec_hash()
+        # and so are the proxy design's seed and dimensions
+        as_floats = tiny_spec(dgp="proxy_nc",
+                              dgp_params={"master_seed": 9.0, "d_w": 2.0})
+        assert (as_floats.spec_hash() == tiny_spec(
+            dgp="proxy_nc", dgp_params={"master_seed": 9, "d_w": 2}).spec_hash())
         with pytest.raises(ValueError, match="out must be a path string"):
             tiny_spec(out=5)
         spec = tiny_spec(reps=2.0, sizes=(200.0, 300))
@@ -166,6 +171,23 @@ class TestExperimentSpec:
         monkeypatch.setattr(harness, "gen_proxy_nc", no_draw)
         with pytest.raises(TypeError, match="bogus"):
             tiny_spec(dgp=dgp, dgp_params=params)
+
+    @pytest.mark.parametrize("dgp, key, value", [
+        # a seed or dimension that is not a whole number would run the
+        # integer's design under another hash, or seed 1 for true
+        ("proxy_nc", "master_seed", 9.5), ("proxy_nc", "master_seed", "9"),
+        ("proxy_nc", "master_seed", True), ("proxy_nc", "d_w", "2"),
+        ("proxy_nc", "d_s", 15.5),
+        # a truthy string would emit the latents
+        ("proxy_nc", "emit_latents", "no"), ("npiv", "emit_latents", 1),
+        # a string would give one coefficient per character
+        ("npiv", "h0_coeffs", "12"), ("npiv", "h0_coeffs", [True, 0.5]),
+        ("npiv", "h0_coeffs", 0.5),
+        ("npiv", "smoothing", True), ("npiv", "decay_p", "1"),
+        ("npiv", "noise_sd", None), ("npiv", "endogeneity", False)])
+    def test_dgp_param_types_checked_at_construction(self, dgp, key, value):
+        with pytest.raises(ValueError, match=key):
+            tiny_spec(dgp=dgp, dgp_params={key: value})
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_builds_no_search_config(self, monkeypatch, jobs):

@@ -37,7 +37,7 @@ class TestEvaluate:
         # f x is exact for f <= 50.
         x = np.random.default_rng(k).uniform(-1e3, 1e3, size=2000)
         x[:3] = (0.0, -1e3, 1e3)
-        vals = trigonometric_basis(k, scale=1.0).evaluate(x)
+        vals = trigonometric_basis(k).unscaled().evaluate(x)
         freq = np.arange(k) // 2 + np.arange(k) % 2  # 0, 1, 1, 2, 2, ...
         fx = freq * x.astype(np.longdouble)[:, None]
         ref = np.where(np.arange(k) % 2 == 1, np.sin(fx), np.cos(fx))

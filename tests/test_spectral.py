@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import classical_dp_walk, residual_norm
+from references import holder_constant, tikhonov_ideal, weak_lower_bound_constant
 
 from adaptik import discrepancy, spectral
 from adaptik.spectral import (
@@ -16,14 +17,11 @@ from adaptik.spectral import (
     SpectralProblem,
     classical_dp_select,
     exact_observation,
-    holder_constant,
     make_source_problem,
     perturb_observation,
     residual_system,
     strong_metric,
-    tikhonov_ideal,
     tikhonov_solve,
-    weak_lower_bound_constant,
     weak_metric,
 )
 
