@@ -212,6 +212,10 @@ class NpivParams:
         coeffs = tuple(float(c) for c in self.h0_coeffs)
         if len(coeffs) < 1:
             raise ValueError("h0 needs at least the constant coefficient")
+        for name, values in (("smoothing", [self.smoothing]),
+                             ("noise_sd", [self.noise_sd]), ("h0_coeffs", coeffs)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "h0_coeffs", coeffs)
 
     @property

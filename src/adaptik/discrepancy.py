@@ -3,9 +3,9 @@
 `walk` is the one geometric-grid loop: it shrinks lambda from lambda0
 by rho until the loss reaches delta, taking the losses of 16 grid points
 at a time (each block built once by repeated multiplication and then
-cached) from system.losses(lams), each equal bit for bit to
-system.solve(lam).empirical_loss, and solves nothing; a TikhonovSystem's
-loss, L_min plus the excess, does not cancel at small lambda.  `run_dp`
+cached) from system.losses(lams), one reduction per block whose losses
+equal system.solve(lam).empirical_loss bit for bit, and solves nothing;
+a TikhonovSystem's loss, L_min plus the excess, does not cancel.  `run_dp`
 walks the factored system it is given to the schedule's delta and solves
 once, at the last lambda tested.  A stop after at least one rejection,
 with rho >= 1/2, certifies the factor-2 bracket

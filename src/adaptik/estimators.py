@@ -40,14 +40,14 @@ coefficients V w, penalty sum w^2 and loss L_min + lam^2 sum_P w^2/mu:
 L_min = const - sum_P p^2/mu is the least loss over P = {mu > floor},
 and the excess over it does not cancel at small lam (a kept direction
 outside P adds - w^2 (mu + 2 lam)).  The search asks for the losses of a
-block of lambdas in one broadcast.  Directions with mu + lam <=
-sqrt(eps) * max(mu), and basis directions with G-eigenvalue <= sqrt(eps)
-times the largest, get weight 0, so lam = 0 gives the minimum-G-norm
-minimizer of L, whatever the sieve's parameterization.  K * eps would be
-too small a cutoff: rounding leaves null directions of A near 1e-13 *
-max(mu).  Every factorization is numpy.linalg's: the other symmetric
-solves check positive definiteness by Cholesky, raise NumericalError
-when it fails and then solve by LU; nothing falls back.
+block of lambdas in one broadcast and one reduction.  Directions with
+mu + lam <= sqrt(eps) * max(mu), and basis directions with G-eigenvalue
+<= sqrt(eps) times the largest, get weight 0, so lam = 0 gives the
+minimum-G-norm minimizer of L, whatever the sieve's parameterization.
+K * eps would be too small a cutoff: rounding leaves null directions of
+A near 1e-13 * max(mu).  Every factorization is numpy.linalg's: the
+other symmetric solves check positive definiteness by Cholesky, raise
+NumericalError when it fails and then solve by LU; nothing falls back.
 """
 
 from __future__ import annotations
@@ -216,9 +216,9 @@ class TikhonovSystem:
 
     def __post_init__(self):
         # loss constants: indices outside P, p / sqrt(mu) with mu = inf there
-        inside = self.mu > self.floor
-        mu_p = np.where(inside, self.mu, np.inf)
-        object.__setattr__(self, "_out", (~inside).nonzero()[0])
+        out = (self.mu <= self.floor).nonzero()[0]
+        mu_p = np.where(self.mu > self.floor, self.mu, np.inf) if out.size else self.mu
+        object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_mu_p", mu_p)
         object.__setattr__(self, "_p_scaled", self.p / np.sqrt(mu_p))
 
@@ -246,20 +246,25 @@ class TikhonovSystem:
                          where=denom > self.floor)
 
     def losses(self, lams: np.ndarray):
-        """The loss at each lambda of the column lams, each row reduced
-        when it is reached; solve's loss is the row of its lam."""
+        """An iterator over the loss at each lambda of the column lams: one
+        np.vecdot, _loss's dot kernel, reduces the block, and directions
+        outside P are subtracted from each row as the walk reaches it."""
         v = self._p_scaled / (self._mu_p + lams)
-        for row, lam in zip(v, lams[:, 0].tolist()):
-            yield self._loss(row, lam)
+        col = lams[:, 0]
+        block = (self.l_min + col * col * np.vecdot(v, v)).tolist()
+        return map(self._outside, block, col.tolist()) if self._out.size else iter(block)
 
-    def _loss(self, row: np.ndarray, lam: float) -> float:
-        """The loss at lam from its row p / sqrt(mu) / (mu + lam)."""
+    def _loss(self, lam: float) -> float:
+        """The loss at lam, bit for bit its row of losses."""
+        row = self._p_scaled / (self._mu_p + lam)
         loss = self.l_min + lam * lam * float(row.dot(row))
+        return self._outside(loss, lam) if self._out.size else loss
+
+    def _outside(self, loss: float, lam: float) -> float:
+        """loss less the weight of the kept directions outside P at lam."""
         out = self._out
-        if out.size:
-            w = self._filter(self.p[out], self.mu[out] + lam)
-            loss -= float(w**2 @ (self.mu[out] + 2.0 * lam))
-        return loss
+        w = self._filter(self.p[out], self.mu[out] + lam)
+        return loss - float(w**2 @ (self.mu[out] + 2.0 * lam))
 
     def solve(self, lam: float) -> FitResult:
         """The penalized minimizer at lam, in O(K r) after the factorization."""
@@ -272,8 +277,7 @@ class TikhonovSystem:
             minv_g, minv_b = self.adversary
             inner = minv_g - minv_b @ coeffs
         lam = float(lam)
-        loss = self._loss(self._p_scaled / (self._mu_p + lam), lam)
-        return FitResult(coeffs, lam, loss, float(w @ w), inner)
+        return FitResult(coeffs, lam, self._loss(lam), float(w @ w), inner)
 
 
 # -- RDIV ------------------------------------------------------------------------

@@ -374,11 +374,14 @@ def _run_share(payloads: list) -> list:
 
 
 def _error_row(n: int, strategy, rep: int, exc: Exception) -> dict:
+    import traceback  # only a failed cell needs it
+    frame = traceback.extract_tb(exc.__traceback__)[-1]  # where it was raised
     return {
         "n": n,
         "strategy": strategy_label(strategy),
         "rep": rep,
         "error": f"{type(exc).__name__}: {exc}",
+        "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
     }
 
 
@@ -753,5 +756,6 @@ def report_text(record: RunRecord) -> str:
         lines.append("")
         lines.append("failed cells:")
         for f in record.failures:
-            lines.append(f"  n={f['n']} strategy={f['strategy']} rep={f['rep']}: {f['error']}")
+            at = f" (at {f['where']})" if "where" in f else ""
+            lines.append(f"  n={f['n']} strategy={f['strategy']} rep={f['rep']}: {f['error']}{at}")
     return "\n".join(lines)

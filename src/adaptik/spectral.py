@@ -206,7 +206,9 @@ def perturb_observation(
     if norm == 0.0:  # pragma: no cover - probability zero
         g = np.ones(prob.dim)
         norm = _norm(g)
-    obs = NoisyObservation(prob.rhs_coeffs() + g * (delta / norm), float(delta))
+    g *= delta / norm
+    g += prob.rhs_coeffs()
+    obs = NoisyObservation(g, float(delta))
     obs.check_bound(prob)
     return obs
 

@@ -158,6 +158,25 @@ class TestExperimentReportRates:
         assert ("n=200 strategy=fixed_0.01 rep=0: FloatingPointError: injected"
                 in text)
 
+    def test_report_names_where_each_failure_was_raised(self, tmp_path, capsys,
+                                                        monkeypatch):
+        solve = TikhonovSystem.solve
+
+        def flaky(self, lam):
+            if lam == 0.01:
+                raise FloatingPointError("injected")
+            return solve(self, lam)
+
+        monkeypatch.setattr(TikhonovSystem, "solve", flaky)
+        config = write_config(tmp_path, reps=1)
+        out = str(tmp_path / "run")
+        assert main(["experiment", "--config", config, "--out", out]) == 2
+        capsys.readouterr()
+        assert main(["report", "--record", out + ".csv"]) == 0
+        line = flaky.__code__.co_firstlineno + 2
+        assert (f"FloatingPointError: injected (at test_cli.py:{line} in flaky)"
+                in capsys.readouterr().out)
+
     def test_proxy_summary_is_strict_json(self, tmp_path, capsys, monkeypatch):
         # proxy_nc has no strong or weak error, so those means are NaN in
         # aggregate() and the CSV, and null in the summary

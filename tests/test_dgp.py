@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -227,6 +228,16 @@ class TestNpiv:
             NpivParams(endogeneity=1.0)
         with pytest.raises(ValueError):
             NpivParams(smoothing=0.0, endogeneity=0.3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, wrap", [
+        ("noise_sd", float), ("smoothing", float),
+        ("h0_coeffs", lambda v: (0.5, v, -0.4))])
+    def test_non_finite_parameters_are_rejected(self, field, wrap, value):
+        # NaN and inf pass the sign checks, and every draw would then
+        # fail with "y contains NaN or Inf"
+        with pytest.raises(ValueError, match=field):
+            NpivParams(**{field: wrap(value)})
 
     def test_seed_determinism(self):
         params = NpivParams()

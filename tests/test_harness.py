@@ -189,6 +189,15 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=key):
             tiny_spec(dgp=dgp, dgp_params={key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise_sd", math.nan), ("noise_sd", math.inf),
+        ("smoothing", math.inf), ("h0_coeffs", [0.5, math.nan])])
+    def test_non_finite_npiv_params_rejected_at_construction(self, key, value):
+        # each used to build a spec whose every cell then failed with
+        # "y contains NaN or Inf"
+        with pytest.raises(ValueError, match=key):
+            tiny_spec(dgp="npiv", dgp_params={key: value})
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_builds_no_search_config(self, monkeypatch, jobs):
         # the spec's DpConfig, built once, serves every row
@@ -432,6 +441,23 @@ class TestPerRepContract:
         for a, b in zip(record.rows, kept):
             assert a["abs_error"] == b["abs_error"]
             assert a["lambda_dp"] == b["lambda_dp"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_names_the_frame_that_raised(self, monkeypatch, jobs):
+        solve = TikhonovSystem.solve
+
+        def boom(lam):
+            raise FloatingPointError(f"injected at {lam}")
+
+        def flaky(self, lam):
+            return boom(lam) if lam == 0.01 else solve(self, lam)
+
+        monkeypatch.setattr(TikhonovSystem, "solve", flaky)
+        record = run_experiment(tiny_spec(reps=2), jobs=jobs)
+        line = boom.__code__.co_firstlineno + 1
+        assert [f["where"] for f in record.failures] == [
+            f"test_harness.py:{line} in boom"] * 2
+        assert f"(at test_harness.py:{line} in boom)" in report_text(record)
 
     def test_failed_setup_fails_every_strategy_of_the_rep(self, monkeypatch):
         spec = tiny_spec(sizes=(150, 200))

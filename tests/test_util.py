@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptik.util import stream_rng
 
@@ -24,3 +26,19 @@ def test_coordinates_are_masked_to_64_bits():
     a = stream_rng(2**64 + 5, -1, 2**70).standard_normal(8)
     b = stream_rng(5, 2**64 - 1, 0).standard_normal(8)
     assert np.array_equal(a, b)
+
+
+_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**64 + 5, 2**70]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_EDGES) | st.integers(-2**70, 2**70),
+                min_size=1, max_size=4))
+def test_stream_is_the_seed_sequence_of_the_masked_coordinates(coords):
+    # the uint32 words handed to SeedSequence are its own coercion of the
+    # masked coordinate list, so the pool and the outputs are the same
+    rng = stream_rng(*coords)
+    ref = np.random.SeedSequence([int(c) & (2**64 - 1) for c in coords])
+    assert np.array_equal(rng.bit_generator.seed_seq.pool, ref.pool)
+    assert (rng.bit_generator.random_raw(3).tolist()
+            == np.random.PCG64(ref).random_raw(3).tolist())
